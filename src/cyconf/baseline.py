@@ -14,9 +14,12 @@ the slice is v/k times smaller.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Iterator
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
+from typing import NamedTuple
 
 from .residue_ring import (
     CapExceeded,
@@ -115,19 +118,23 @@ def affine_map_between(S1, S2, v: int) -> tuple[int, int] | None:
     return None
 
 
-def zero_slice_orbit(S, v: int) -> frozenset[tuple[int, ...]]:
-    """All affine images of S that contain 0, as sorted tuples.
+def _zero_images(S, v: int) -> Iterator[tuple[int, ...]]:
+    """Yield a*(S - x) as a sorted tuple for each x in S, then each unit a.
 
-    These are exactly the sets a*(S - x) for units a and x in S, and any
-    affine image of S containing 0 is one of them.
+    The order is that of product(S, units(v)).  Any affine image of S
+    that contains 0 is among these.
     """
     elems = [s % v for s in S]
-    out = set()
+    us = units(v)
     for x in elems:
         shifted = [(s - x) % v for s in elems]
-        for a in units(v):
-            out.add(tuple(sorted(a * t % v for t in shifted)))
-    return frozenset(out)
+        for a in us:
+            yield tuple(sorted(a * t % v for t in shifted))
+
+
+def zero_slice_orbit(S, v: int) -> frozenset[tuple[int, ...]]:
+    """All affine images of S that contain 0, as sorted tuples."""
+    return frozenset(_zero_images(S, v))
 
 
 def canonical_form(S, v: int) -> tuple[int, ...]:
@@ -137,14 +144,7 @@ def canonical_form(S, v: int) -> tuple[int, ...]:
     only shrink the tuple), so scanning the images through 0 suffices;
     the tests compare against a full a,b scan.
     """
-    elems = [s % v for s in S]
-    best: tuple[int, ...] | None = None
-    for x in elems:
-        shifted = [(s - x) % v for s in elems]
-        for a in units(v):
-            cand = tuple(sorted(a * t % v for t in shifted))
-            if best is None or cand < best:
-                best = cand
+    best = min(_zero_images(S, v), default=None)
     if best is None:
         raise ValueError("empty set has no canonical form")
     return best
@@ -158,7 +158,8 @@ def orbit_size(S, v: int) -> int:
     """
     k = len({s % v for s in S})
     total = len(zero_slice_orbit(S, v)) * v
-    assert total % k == 0
+    if total % k:
+        raise ArithmeticError(f"orbit of {tuple(S)} mod {v}: {total} point-line pairs, k={k}")
     return total // k
 
 
@@ -176,6 +177,53 @@ def _slice(v: int, k: int, connected: bool) -> tuple[tuple[int, ...], ...]:
             continue
         out.append(X)
     return tuple(out)
+
+
+class SliceOrbit(NamedTuple):
+    """One affine orbit of the translation slice.
+
+    rep is the orbit's canonical form.  members lists every slice member
+    in slice order as (X, a, x) with X = a*(rep - x), so the affine map
+    y -> a**-1 * y + x carries X onto rep.
+    """
+
+    rep: tuple[int, ...]
+    members: tuple[tuple[tuple[int, ...], int, int], ...]
+
+
+def slice_orbits(v: int, k: int, connected: bool) -> Iterator[SliceOrbit]:
+    """The affine orbits of the slice of base lines through 0.
+
+    The slice is walked in sorted order, so the first member of an orbit
+    reached is its least, which is its canonical form (the least affine
+    image contains 0).  One pass over the images a*(rep - x) then finds
+    the whole orbit together with each member's witness.  Members are
+    marked by slice index, so nothing per member outlives its orbit.
+    The walk raises ArithmeticError unless every image of rep lies in
+    the slice and in no earlier orbit (an image below rep would be in
+    one).
+    """
+    if k < 3:
+        raise ValueError(f"base lines need k >= 3, got k={k}")
+    slice_ = _slice(v, k, connected)
+    n = len(slice_)
+    seen = bytearray(n)
+    for i, rep in enumerate(slice_):
+        if seen[i]:
+            continue
+        found: dict[int, tuple[int, int]] = {}
+        for image, (x, a) in zip(_zero_images(rep, v), product(rep, units(v))):
+            j = bisect_left(slice_, image)
+            if j == n or slice_[j] != image:
+                raise ArithmeticError(f"image {image} of {rep} mod {v} is not in the slice")
+            if j in found:
+                continue
+            if seen[j]:
+                raise ArithmeticError(f"orbits of {slice_[j]} and {rep} mod {v} overlap")
+            found[j] = (a, x)
+        for j in found:
+            seen[j] = 1
+        yield SliceOrbit(rep, tuple((slice_[j], *found[j]) for j in sorted(found)))
 
 
 def enumerate_base_lines(
@@ -199,9 +247,9 @@ def enumerate_base_lines(
     if expand and representatives_only:
         raise ValueError("expand and representatives_only are mutually exclusive")
     ensure_enumerable(v, k, cap)
-    slice_ = _slice(v, k, connected_only)
     if representatives_only:
-        return sorted({canonical_form(X, v) for X in slice_})
+        return sorted(orbit.rep for orbit in slice_orbits(v, k, connected_only))
+    slice_ = _slice(v, k, connected_only)
     if expand:
         seen = {tuple(sorted((x + b) % v for x in X)) for X in slice_ for b in range(v)}
         return sorted(seen)

@@ -148,7 +148,8 @@ def cmd_iso(args: argparse.Namespace) -> int:
     if w is None:
         print("NON-ISO")
         return 1
-    assert witness_valid(C1, C2, w)
+    if not witness_valid(C1, C2, w):
+        raise RuntimeError(f"the {w.kind} witness for {S1} ~ {S2} mod {v} fails replay")
     if w.kind == "multiplier":
         print(f"ISO multiplier a={w.a} b={w.b}")
     else:

@@ -20,12 +20,13 @@ Three routes to the same number are implemented:
   ratio for even v), where g2 and g3 count the order-2 and order-3
   units that actually fix triples; both counts come from iterating over
   units, with closed forms checked against them.
-* count_orbit_scan: brute-force enumeration of the slice and a
-  union-find walk of the affine action.  No formula enters; this is the
-  oracle for the other two.
+* count_orbit_scan: brute-force enumeration of the slice and a walk of
+  the affine action over it.  No formula enters; this is the oracle for
+  the other two.
 
-All intermediate division is done in exact rationals and asserted
-integral, so a wrong formula fails loudly rather than rounding.
+All intermediate division is done in exact rationals and checked
+integral (ArithmeticError otherwise), so a wrong formula fails loudly
+rather than rounding.
 """
 
 from __future__ import annotations
@@ -34,13 +35,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .baseline import canonical_form, ensure_enumerable, enumerate_base_lines
+from .baseline import canonical_form, ensure_enumerable, enumerate_base_lines, slice_orbits
 from .residue_ring import (
     big_phi,
     factorization,
     mult_order,
     phi,
-    unit_group_generators,
     units,
 )
 
@@ -53,6 +53,12 @@ def _require_v(v: int) -> None:
 # ---------------------------------------------------------------- fixed counts
 
 
+def _halve(n: int, v: int) -> int:
+    if n % 2:
+        raise ArithmeticError(f"fixed count {n}/2 not integral at v={v}")
+    return n // 2
+
+
 def count_fixed_identity(v: int) -> int:
     """Number of connected base triples through 0 (fixed by the unit 1).
 
@@ -60,9 +66,7 @@ def count_fixed_identity(v: int) -> int:
     for the pairs whose third difference degenerates at v/2.
     """
     _require_v(v)
-    n = phi(v) * (big_phi(v) - 6)
-    assert n % 2 == 0
-    n //= 2
+    n = _halve(phi(v) * (big_phi(v) - 6), v)
     if v % 2 == 0:
         n -= 3 * phi(v // 2)
     return n
@@ -88,9 +92,7 @@ def count_fixed_closed(v: int, l: int) -> int:
             return 0
         if v % 4 == 0 and l % (v // 2) == 1:
             return 0
-        n = 3 * phi(v)
-        assert n % 2 == 0
-        return n // 2
+        return _halve(3 * phi(v), v)
     return phi(v) if (l * l + l + 1) % v == 0 else 0
 
 
@@ -200,7 +202,8 @@ def count_closed_formula(v: int) -> int:
     case = formula_case(v)
     k = len(factorization(v))
     total = Fraction(big_phi(v), 6) + case.weight * 2**k - (2 if v % 2 else 3)
-    assert total.denominator == 1, f"formula not integral at v={v}"
+    if total.denominator != 1:
+        raise ArithmeticError(f"formula not integral at v={v}")
     return int(total)
 
 
@@ -211,50 +214,29 @@ def count_unit_sum(v: int) -> int:
     total = Fraction(big_phi(v), 6) - 1 + Fraction(g2, 2) + Fraction(g3, 3)
     if v % 2 == 0:
         total -= Fraction(phi(v // 2), phi(v))
-    assert total.denominator == 1, f"unit sum not integral at v={v}"
+    if total.denominator != 1:
+        raise ArithmeticError(f"unit sum not integral at v={v}")
     return int(total)
-
-
-class _DisjointSet:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
 
 
 def count_orbit_scan(v: int, k: int = 3, cap: int | None = None) -> int:
     """Count affine orbits on connected base lines by enumeration.
 
-    Builds the translation slice, joins each set to its images under a
-    few unit-group generators and under the shifts moving each element
-    to 0 (together these generate the whole slice action), and counts
-    components.  Canonical forms of the components are checked distinct,
-    tying the scan to the canonicalizer without trusting any formula.
+    Walks the connected translation slice with slice_orbits; no formula
+    enters.  The partition is checked against the canonicalizer: every
+    representative must be its own canonical form and the orbit sizes
+    must add up to the slice size, else ArithmeticError.
     """
     slice_ = enumerate_base_lines(v, k, connected_only=True, cap=cap)
-    if not slice_:
-        return 0
-    index = {X: i for i, X in enumerate(slice_)}
-    dsu = _DisjointSet(len(slice_))
-    gens = unit_group_generators(v)
-    for X, i in index.items():
-        for a in gens:
-            dsu.union(i, index[tuple(sorted(a * x % v for x in X))])
-        for x in X:
-            dsu.union(i, index[tuple(sorted((s - x) % v for s in X))])
-    roots = {dsu.find(i) for i in range(len(slice_))}
-    canon = {canonical_form(slice_[r], v) for r in roots}
-    assert len(canon) == len(roots), f"canonical forms collide at v={v}"
-    return len(roots)
+    orbits = covered = 0
+    for orbit in slice_orbits(v, k, connected=True):
+        if canonical_form(orbit.rep, v) != orbit.rep:
+            raise ArithmeticError(f"orbit representative {orbit.rep} is not canonical at v={v}")
+        orbits += 1
+        covered += len(orbit.members)
+    if covered != len(slice_):
+        raise ArithmeticError(f"orbits cover {covered} of {len(slice_)} slice members at v={v}")
+    return orbits
 
 
 @dataclass(frozen=True)

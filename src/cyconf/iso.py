@@ -10,7 +10,9 @@ measured against; it shares no arithmetic with the multiplier route.
 For k = 3 and k = 4, and for any k when v is a prime power, a product
 of two distinct primes, or coprime to phi(v), multiplier equivalence is
 complete: isomorphic configurations are always affinely related.  The
-dispatcher uses the cheap route exactly in those cases.  Disconnected
+dispatcher uses the cheap route exactly in those cases.  Elsewhere it
+first compares refinement invariants, which prove NON-ISO when they
+differ, and searches only when they agree.  Disconnected
 configurations are compared through their component decompositions, and
 the returned witness is still a full point bijection, assembled from an
 affine match of the components and replayable like any other witness.
@@ -18,13 +20,20 @@ affine match of the components and replayable like any other witness.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
 from . import _search
-from .baseline import affine_map_between, canonical_form, is_connected
-from .configuration import CyclicConfiguration
-from .residue_ring import CapExceeded, factorization, is_ci_order
+from .baseline import (
+    affine_map_between,
+    canonical_form,
+    ensure_enumerable,
+    is_connected,
+    slice_orbits,
+)
+from .configuration import CyclicConfiguration, levi_graph
+from .residue_ring import CapExceeded, factorization, inverse, is_ci_order
 
 EXACT_SEARCH_CAP = 300
 
@@ -44,9 +53,11 @@ class IsoWitness:
 
     def as_point_map(self, v: int) -> tuple[int, ...]:
         if self.kind == "multiplier":
-            assert self.a is not None and self.b is not None
+            if self.a is None or self.b is None:
+                raise ValueError("a multiplier witness needs a and b")
             return tuple((self.a * x + self.b) % v for x in range(v))
-        assert self.point_map is not None
+        if self.point_map is None:
+            raise ValueError("an explicit witness needs a point map")
         return self.point_map
 
 
@@ -55,16 +66,64 @@ def multiplier_equivalent(v: int, S1, S2) -> tuple[int, int] | None:
     return affine_map_between(S1, S2, v)
 
 
-def witness_valid(C1: CyclicConfiguration, C2: CyclicConfiguration, w: IsoWitness) -> bool:
-    """Replay a witness: the point map must carry lines onto lines, bijectively."""
+def witness_valid(
+    C1: CyclicConfiguration,
+    C2: CyclicConfiguration,
+    w: IsoWitness,
+    target: frozenset[frozenset[int]] | None = None,
+) -> bool:
+    """Replay a witness: the point map must carry lines onto lines, bijectively.
+
+    ``target`` is C2's line set, for callers that replay many witnesses
+    onto the same C2.
+    """
     if C1.v != C2.v:
         return False
     sigma = w.as_point_map(C1.v)
     if sorted(sigma) != list(range(C1.v)):
         return False
-    target = C2.line_set()
+    if target is None:
+        target = C2.line_set()
     image = {frozenset(sigma[x] for x in line) for line in C1.lines()}
     return image == target
+
+
+def refinement_invariant(C: CyclicConfiguration) -> tuple:
+    """Colour refinement of the Levi graph with point 0 individualized.
+
+    Points and lines start in separate colour classes, point 0 alone in
+    a third.  Each round recolours every vertex by its colour and the
+    sorted colours of its neighbours, numbering the new classes in the
+    sorted order of those signatures, until the number of classes stops
+    growing.  The result is the whole trace: every round's signatures
+    with their multiplicities.
+
+    Translations are automorphisms, so any isomorphism can be composed
+    with one that fixes point 0; isomorphic configurations therefore
+    have equal invariants, and unequal invariants prove NON-ISO.  Equal
+    invariants prove nothing.
+    """
+    v = C.v
+    adj = levi_graph(C).adjacency()
+    colour = [0] + [1] * (v - 1) + [2] * v
+    classes = len(set(colour))
+    trace = []
+    while True:
+        sigs = [(colour[u], tuple(sorted(colour[w] for w in nbrs))) for u, nbrs in enumerate(adj)]
+        counts = Counter(sigs)
+        order = sorted(counts)
+        trace.append(tuple((sig, counts[sig]) for sig in order))
+        if len(order) == classes:
+            return tuple(trace)
+        index = {sig: n for n, sig in enumerate(order)}
+        colour = [index[sig] for sig in sigs]
+        classes = len(order)
+
+
+def _check_exact_cap(v: int, cap: int | None) -> None:
+    limit = cap if cap is not None else EXACT_SEARCH_CAP
+    if v > limit:
+        raise CapExceeded(f"v={v} exceeds the exact search cap {limit}")
 
 
 def exact_isomorphic(
@@ -80,9 +139,7 @@ def exact_isomorphic(
     """
     if C1.v != C2.v:
         raise ValueError("isomorphism needs a common point count")
-    limit = cap if cap is not None else EXACT_SEARCH_CAP
-    if C1.v > limit:
-        raise CapExceeded(f"v={C1.v} exceeds the exact search cap {limit}")
+    _check_exact_cap(C1.v, cap)
     if C1.k != C2.k:
         return None
     if C1.line_set() == C2.line_set():
@@ -94,9 +151,7 @@ def exact_isomorphic(
 
 def automorphisms(C: CyclicConfiguration, cap: int | None = None) -> list[tuple[int, ...]]:
     """All point bijections preserving the line set, in search order."""
-    limit = cap if cap is not None else EXACT_SEARCH_CAP
-    if C.v > limit:
-        raise CapExceeded(f"v={C.v} exceeds the exact search cap {limit}")
+    _check_exact_cap(C.v, cap)
     lines = C.lines()
     return list(_search.line_bijections(C.v, lines, lines, fix_zero=False))
 
@@ -139,7 +194,8 @@ def _component_witness(
     if canonical_form(t1, d) != canonical_form(t2, d):
         return None
     ab = affine_map_between(t1, t2, d)
-    assert ab is not None
+    if ab is None:
+        raise RuntimeError(f"equal canonical forms mod {d} but no affine map {t1} -> {t2}")
     a, b = ab
     sigma = [0] * v
     for x in range(v):
@@ -163,7 +219,7 @@ def isomorphic(
     the backtracking oracle, "solving-set" delegates to the two-prime
     solving-set procedure, and "auto" picks: component comparison for
     disconnected inputs, the multiplier route where it is complete,
-    the exact search otherwise.
+    the refinement invariant and then the exact search otherwise.
     """
     if C1.v != C2.v:
         raise ValueError("isomorphism needs a common point count")
@@ -191,6 +247,9 @@ def isomorphic(
     if _multiplier_complete(v, C1.k):
         ab = multiplier_equivalent(v, C1.base, C2.base)
         return IsoWitness(kind="multiplier", a=ab[0], b=ab[1]) if ab else None
+    _check_exact_cap(v, cap)
+    if refinement_invariant(C1) != refinement_invariant(C2):
+        return None
     return exact_isomorphic(C1, C2, cap=cap)
 
 
@@ -203,55 +262,49 @@ def completeness_report(
 ) -> dict:
     """Compare the affine-orbit partition with the exact oracle at (v, k).
 
-    Enumerates the connected translation slice, groups it into affine
-    orbits, and checks that the exact oracle induces the same partition:
-    members must be isomorphic to their orbit representative and
-    distinct representatives must not be isomorphic.  Isomorphism is an
+    Walks the connected translation slice into affine orbits and checks
+    that the exact oracle induces the same partition: members must be
+    isomorphic to their orbit representative and distinct
+    representatives must not be isomorphic.  Isomorphism is an
     equivalence relation, so those two facts pin the whole partition.
 
     Every member is checked against its representative by replaying the
-    affine witness as a point bijection; ``exact_members`` of them per
-    orbit (all when None) are additionally pushed through the
+    affine witness the orbit walk found for it as a point bijection;
+    ``exact_members`` of them per orbit (all when None, the first in
+    slice order otherwise) are additionally pushed through the
+    backtracking oracle.  Two representatives with different refinement
+    invariants are NON-ISO; every pair with equal invariants goes to the
     backtracking oracle.
 
     Returns a dict with orbit count, member count and a list of
     mismatch descriptions (empty means agreement).
     """
-    from .baseline import enumerate_base_lines
-
+    ensure_enumerable(v, k, cap)
     mismatches: list[str] = []
-    slice_ = enumerate_base_lines(v, k, connected_only=True, cap=cap)
-    orbits: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for X in slice_:
-        orbits.setdefault(canonical_form(X, v), []).append(X)
-    reps = sorted(orbits)
-    for rep in reps:
-        rep_cfg = CyclicConfiguration(v, rep)
-        for idx, member in enumerate(orbits[rep]):
+    orbits = sorted(slice_orbits(v, k, connected=True))
+    reps = [CyclicConfiguration(v, orbit.rep) for orbit in orbits]
+    for (rep, members), rep_cfg in zip(orbits, reps):
+        rep_lines = rep_cfg.line_set()
+        for idx, (member, a, x) in enumerate(members):
             cfg = CyclicConfiguration(v, member)
-            ab = multiplier_equivalent(v, member, rep)
-            if ab is None:
-                mismatches.append(f"no affine map {member} -> {rep}")
-                continue
-            w = IsoWitness(kind="multiplier", a=ab[0], b=ab[1])
-            if not witness_valid(cfg, rep_cfg, w):
+            # member = a*(rep - x), so y -> y/a + x carries it onto rep
+            w = IsoWitness(kind="multiplier", a=inverse(a, v), b=x)
+            if not witness_valid(cfg, rep_cfg, w, rep_lines):
                 mismatches.append(f"affine witness fails replay {member} -> {rep}")
             if exact_members is None or idx < exact_members:
                 if exact_isomorphic(cfg, rep_cfg, cap=cap) is None:
                     mismatches.append(f"oracle misses {member} ~ {rep}")
+    invariants = [refinement_invariant(C) for C in reps]
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):
-            w = exact_isomorphic(
-                CyclicConfiguration(v, reps[i]),
-                CyclicConfiguration(v, reps[j]),
-                cap=cap,
-            )
-            if w is not None:
-                mismatches.append(f"oracle merges {reps[i]} ~ {reps[j]}")
+            if invariants[i] != invariants[j]:
+                continue
+            if exact_isomorphic(reps[i], reps[j], cap=cap) is not None:
+                mismatches.append(f"oracle merges {reps[i].base} ~ {reps[j].base}")
     return {
         "v": v,
         "k": k,
-        "orbits": len(reps),
-        "members": len(slice_),
+        "orbits": len(orbits),
+        "members": sum(len(orbit.members) for orbit in orbits),
         "mismatches": mismatches,
     }

@@ -214,7 +214,8 @@ def solving_set(C: CyclicConfiguration, params: SolvingSetParams) -> list[tuple[
             beta = i
             break
         power = perm_compose(power, mu_a)
-    assert beta is not None, "mu_a**(p-1) is the identity, so beta exists"
+    if beta is None:
+        raise RuntimeError("no power of mu_a below p fixes the lines, but mu_a**(p-1) is the identity")
 
     layers = [layered_multiplier(params, k) for k in _admissible_layers(C, params)]
     out = []
@@ -227,7 +228,8 @@ def solving_set(C: CyclicConfiguration, params: SolvingSetParams) -> list[tuple[
                     continue
                 mu_j_inv = multiplier_perm(v, inverse(j, v))
                 perm = perm_compose(perm_compose(mu_a_pow, nu), mu_j_inv)
-                assert is_permutation(perm)
+                if not is_permutation(perm):
+                    raise RuntimeError(f"solving-set member {perm} is not a permutation")
                 out.append(perm)
         mu_a_pow = perm_compose(mu_a_pow, mu_a)
     return out

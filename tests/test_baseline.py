@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from cyconf import baseline
 from cyconf.baseline import (
     affine_image,
     affine_map_between,
@@ -13,9 +14,10 @@ from cyconf.baseline import (
     is_base_line,
     is_connected,
     orbit_size,
+    slice_orbits,
     zero_slice_orbit,
 )
-from cyconf.residue_ring import CapExceeded, units
+from cyconf.residue_ring import CapExceeded, inverse, units
 
 # orbit counts frozen from the union-find scan over the whole slice
 ORBITS_K3 = {7: 1, 8: 1, 9: 1, 10: 1, 11: 1, 12: 3, 13: 2, 14: 2, 15: 4, 16: 3, 21: 6}
@@ -190,3 +192,66 @@ def test_enumeration_cap():
         ensure_enumerable(61, 4)
     ensure_enumerable(61, 4, cap=61)
     assert enumerate_base_lines(301, 3, cap=301) is not None
+
+
+ENGINE_CASES = [(v, 3) for v in range(7, 41)] + [(v, 4) for v in range(13, 26)]
+
+
+@pytest.mark.parametrize("connected", [True, False])
+def test_slice_orbits_partition_the_slice(connected):
+    for v, k in ENGINE_CASES:
+        slice_ = enumerate_base_lines(v, k, connected_only=connected)
+        orbits = list(slice_orbits(v, k, connected))
+        members = [X for orbit in orbits for X, _, _ in orbit.members]
+        assert sorted(members) == slice_, (v, k)
+        for orbit in orbits:
+            assert canonical_form(orbit.rep, v) == orbit.rep
+            assert [X for X, _, _ in orbit.members] == sorted(X for X, _, _ in orbit.members)
+
+
+@pytest.mark.parametrize("connected", [True, False])
+def test_slice_orbit_witnesses_replay(connected):
+    for v, k in ENGINE_CASES:
+        for rep, members in slice_orbits(v, k, connected):
+            for X, a, x in members:
+                assert affine_image([s - x for s in rep], a, 0, v) == X
+                assert affine_image(X, inverse(a, v), x, v) == rep
+
+
+@pytest.mark.parametrize("connected", [True, False])
+def test_slice_orbits_match_per_member_canonical_forms(connected):
+    # the reference: one canonical form per slice member, grouped
+    for v, k in ENGINE_CASES:
+        groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for X in enumerate_base_lines(v, k, connected_only=connected):
+            groups.setdefault(canonical_form(X, v), []).append(X)
+        walked = {rep: [X for X, _, _ in members] for rep, members in slice_orbits(v, k, connected)}
+        assert walked == groups, (v, k)
+        assert enumerate_base_lines(
+            v, k, connected_only=connected, representatives_only=True
+        ) == sorted(groups)
+
+
+def test_slice_orbits_sizes_agree_with_orbit_size():
+    for v in (13, 21, 28):
+        for rep, members in slice_orbits(v, 3, True):
+            assert orbit_size(rep, v) * 3 == len(members) * v
+
+
+def test_slice_orbits_rejects_small_k():
+    with pytest.raises(ValueError):
+        list(slice_orbits(7, 2, True))
+
+
+def test_slice_orbits_partition_check_raises(monkeypatch):
+    # a slice that lost a member no longer holds every image of its orbit
+    broken = tuple(X for X in baseline._slice(13, 3, True) if X != (0, 1, 4))
+    monkeypatch.setattr(baseline, "_slice", lambda v, k, connected: broken)
+    with pytest.raises(ArithmeticError, match="not in the slice"):
+        list(slice_orbits(13, 3, True))
+
+
+def test_orbit_size_check_raises(monkeypatch):
+    monkeypatch.setattr(baseline, "zero_slice_orbit", lambda S, v: frozenset({tuple(S)}))
+    with pytest.raises(ArithmeticError):
+        orbit_size((0, 1, 3), 13)

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from cyconf import cli
 from cyconf.baseline import canonical_form, enumerate_base_lines
 from cyconf.cli import main, entry
 
@@ -140,6 +141,12 @@ def test_iso_solving_set_method(capsys):
     )
     assert rc2 == 0
     assert out2.startswith("ISO ")
+
+
+def test_iso_witness_replay_failure_raises(monkeypatch):
+    monkeypatch.setattr(cli, "witness_valid", lambda C1, C2, w: False)
+    with pytest.raises(RuntimeError, match="fails replay"):
+        main(["iso", "--v", "8", "--s1", "0,1,3", "--s2", "0,5,7"])
 
 
 def test_iso_rejects_non_base_line(capsys):

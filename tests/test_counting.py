@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cyconf import counting
 from cyconf.counting import (
     contributor_counts,
     count_breakdown,
@@ -147,3 +148,23 @@ def test_bruteforce_cap():
         count_fixed_bruteforce(400, 3, 1)
     with pytest.raises(CapExceeded):
         count_orbit_scan(400, 3)
+
+
+def test_integrality_checks_raise(monkeypatch):
+    # phi = 1 and bigphi = 7 make every halving and both sums fractional
+    monkeypatch.setattr(counting, "phi", lambda v: 1)
+    monkeypatch.setattr(counting, "big_phi", lambda v: 7)
+    with pytest.raises(ArithmeticError):
+        count_fixed_identity(13)
+    with pytest.raises(ArithmeticError):
+        count_fixed_closed(8, 3)  # the order-2 case halves 3 * phi
+    with pytest.raises(ArithmeticError):
+        count_closed_formula(13)
+    with pytest.raises(ArithmeticError):
+        count_unit_sum(13)
+
+
+def test_orbit_scan_partition_check_raises(monkeypatch):
+    monkeypatch.setattr(counting, "canonical_form", lambda S, v: tuple(reversed(S)))
+    with pytest.raises(ArithmeticError, match="not canonical"):
+        count_orbit_scan(13, 3)

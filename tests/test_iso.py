@@ -1,7 +1,12 @@
 from __future__ import annotations
 
-import pytest
+from itertools import combinations
 
+import networkx as nx
+import pytest
+from networkx.algorithms.isomorphism import GraphMatcher
+
+from cyconf import _search, iso
 from cyconf.baseline import affine_image, canonical_form, enumerate_base_lines
 from cyconf.configuration import CyclicConfiguration
 from cyconf.iso import (
@@ -11,6 +16,7 @@ from cyconf.iso import (
     exact_isomorphic,
     isomorphic,
     multiplier_equivalent,
+    refinement_invariant,
     witness_valid,
 )
 from cyconf.residue_ring import CapExceeded, units
@@ -192,3 +198,133 @@ def test_completeness_report_clean():
     rep16 = completeness_report(16, 3, exact_members=2)
     assert rep16["orbits"] == 3
     assert rep16["mismatches"] == []
+
+
+# ------------------------------------------------- the refinement invariant
+
+
+def _reps(v, k):
+    return [
+        CyclicConfiguration(v, R)
+        for R in enumerate_base_lines(v, k, connected_only=True, representatives_only=True)
+    ]
+
+
+def _coloured_levi(C):
+    """Levi graph, each vertex coloured by its side and its distance from point 0.
+
+    Pinning point 0 loses no isomorphism (translations are automorphisms)
+    and lets VF2 prune; without it VF2 runs for minutes on k=5 pairs.
+    """
+    G = nx.Graph()
+    for i, line in enumerate(C.lines()):
+        for p in line:
+            G.add_edge(("p", p), ("l", i))
+    dist = nx.single_source_shortest_path_length(G, ("p", 0))
+    nx.set_node_attributes(G, {n: (n[0], dist[n]) for n in G}, "colour")
+    return G
+
+
+def _three_verdicts(C1, C2):
+    """(invariants equal, search finds a bijection, VF2 finds an isomorphism)."""
+    searched = next(_search.line_bijections(C1.v, C1.lines(), C2.lines(), fix_zero=True), None)
+    matcher = GraphMatcher(
+        _coloured_levi(C1), _coloured_levi(C2), node_match=lambda a, b: a["colour"] == b["colour"]
+    )
+    same = refinement_invariant(C1) == refinement_invariant(C2)
+    return same, searched is not None, matcher.is_isomorphic()
+
+
+def _assert_agree(pairs):
+    for C1, C2 in pairs:
+        same, searched, vf2 = _three_verdicts(C1, C2)
+        assert searched == vf2, (C1, C2)
+        assert same == vf2, (C1, C2)  # no collisions are known at these sizes
+
+
+@pytest.mark.parametrize("v,k", [(v, 3) for v in range(7, 31)] + [(v, 4) for v in range(13, 23)])
+def test_invariant_search_and_vf2_agree_on_representatives(v, k):
+    reps = _reps(v, k)
+    _assert_agree(combinations(reps, 2))
+    # and each representative against an affine image of itself
+    a = units(v)[-2]
+    _assert_agree((R, CyclicConfiguration(v, affine_image(R.base, a, 5, v))) for R in reps)
+
+
+@pytest.mark.parametrize("v", [28, 30])
+def test_invariant_search_and_vf2_agree_at_k5(v):
+    # VF2 needs about 0.25 s per pair here and (30, 5) has 406 pairs, so
+    # only neighbours in sorted order, plus one affine image
+    reps = _reps(v, 5)
+    image = CyclicConfiguration(v, affine_image(reps[-1].base, units(v)[-2], 5, v))
+    _assert_agree([*zip(reps, reps[1:]), (reps[-1], image)])
+
+
+def test_invariant_is_a_full_trace():
+    inv = refinement_invariant(CyclicConfiguration(13, (0, 1, 3)))
+    assert isinstance(inv, tuple) and len(inv) > 1
+    assert inv == refinement_invariant(CyclicConfiguration(13, (0, 3, 9)))  # 3 * (0, 1, 3)
+    assert inv != refinement_invariant(CyclicConfiguration(13, (0, 1, 4)))
+
+
+def test_auto_proves_non_iso_by_invariant(monkeypatch):
+    # 28 = 4 * 7 at k = 5: auto cannot trust multipliers and must not search here
+    C1, C2 = _reps(28, 5)[:2]
+    monkeypatch.setattr(iso, "exact_isomorphic", None)
+    assert isomorphic(C1, C2) is None
+
+
+def test_auto_checks_the_cap_before_the_invariant(monkeypatch):
+    C1, C2 = _reps(28, 5)[:2]
+    monkeypatch.setattr(iso, "refinement_invariant", None)
+    with pytest.raises(CapExceeded):
+        isomorphic(C1, C2, cap=20)
+
+
+def test_invariant_collision_falls_through_to_search(monkeypatch):
+    reps = _reps(28, 5)
+    image = CyclicConfiguration(28, affine_image(reps[0].base, 3, 1, 28))
+    pairs = [*combinations(reps[:5], 2), (reps[0], image)]
+    verdicts = [isomorphic(C1, C2) for C1, C2 in pairs]
+    report = completeness_report(21, 3, exact_members=1)
+    assert verdicts[-1] is not None and not any(verdicts[:-1])
+
+    searched = []
+
+    def counting_exact(C1, C2, cap=None):
+        searched.append((C1.base, C2.base))
+        return exact_isomorphic(C1, C2, cap=cap)
+
+    monkeypatch.setattr(iso, "refinement_invariant", lambda C: ())
+    monkeypatch.setattr(iso, "exact_isomorphic", counting_exact)
+    assert [isomorphic(C1, C2) for C1, C2 in pairs] == verdicts
+    assert searched == [(C1.base, C2.base) for C1, C2 in pairs]
+    searched.clear()
+    assert completeness_report(21, 3, exact_members=1) == report
+    rep_bases = [R.base for R in _reps(21, 3)]
+    assert set(combinations(rep_bases, 2)) <= set(searched)
+
+
+def test_completeness_report_replays_every_member(monkeypatch):
+    replayed = []
+
+    def counting_replay(C1, C2, w, target=None):
+        replayed.append(C1.base)
+        return witness_valid(C1, C2, w, target)
+
+    monkeypatch.setattr(iso, "witness_valid", counting_replay)
+    rep = completeness_report(21, 3, exact_members=0)
+    assert sorted(replayed) == enumerate_base_lines(21, 3, connected_only=True)
+    assert rep["members"] == len(replayed) and rep["mismatches"] == []
+
+
+def test_completeness_report_flags_a_bad_witness(monkeypatch):
+    monkeypatch.setattr(iso, "witness_valid", lambda C1, C2, w, target=None: C1.base != (0, 1, 4))
+    rep = completeness_report(13, 3, exact_members=0)
+    assert rep["mismatches"] == ["affine witness fails replay (0, 1, 4) -> (0, 1, 4)"]
+
+
+def test_component_witness_check_raises(monkeypatch):
+    monkeypatch.setattr(iso, "affine_map_between", lambda S1, S2, v: None)
+    with pytest.raises(RuntimeError, match="no affine map"):
+        isomorphic(CyclicConfiguration(26, (0, 2, 6)), CyclicConfiguration(26, (0, 4, 12)))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from cyconf import solving_sets
 from cyconf.baseline import affine_image, canonical_form, enumerate_base_lines
 from cyconf.configuration import CyclicConfiguration, validate
 from cyconf.iso import exact_isomorphic, witness_valid
@@ -112,6 +113,12 @@ def test_hypothesis_failures_are_distinct():
         solving_set(CyclicConfiguration(21, (0, 1, 3)), P)
     with pytest.raises(SolvingSetUnavailable, match="class-0 shift"):
         solving_set(CyclicConfiguration(21, (0, 3, 9)), P)
+
+
+def test_solving_set_audit_raises(monkeypatch):
+    monkeypatch.setattr(solving_sets, "is_permutation", lambda perm: False)
+    with pytest.raises(RuntimeError, match="not a permutation"):
+        solving_set(CyclicConfiguration(21, (0, 1, 5)), solving_set_params(7, 3))
 
 
 def test_solving_set_members_act_on_configs():

@@ -84,17 +84,21 @@ def units(v: int) -> tuple[int, ...]:
 
 
 def mult_order(l: int, v: int) -> int:
-    """Multiplicative order of the unit l modulo v."""
+    """Multiplicative order of the unit l modulo v.
+
+    The order divides phi(v): start there and divide out each prime of
+    phi(v) for as long as the smaller power of l is still 1.
+    """
     _check_modulus(v)
     if v == 1:
         return 1
     l %= v
     if gcd(l, v) != 1:
         raise ValueError(f"{l} is not a unit modulo {v}")
-    order, x = 1, l
-    while x != 1:
-        x = x * l % v
-        order += 1
+    order = phi(v)
+    for p, _ in factorization(order):
+        while order % p == 0 and pow(l, order // p, v) == 1:
+            order //= p
     return order
 
 

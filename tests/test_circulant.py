@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import random
+from math import gcd
 
 import pytest
 
 from cyconf.baseline import affine_image, canonical_form, enumerate_base_lines
 from cyconf.circulant import (
     CirculantMatrix,
+    _circulant_charpoly,
+    _cyclotomic,
     characteristic_polynomial,
     exceptional_weight4_witness,
     gram_matrix,
@@ -123,6 +126,78 @@ def test_charpoly_against_cofactor_oracle_gram():
     for v, S in ((5, (0, 1)), (6, (0, 1, 3)), (7, (0, 1, 3))):
         G = gram_matrix(CirculantMatrix(v, S))
         assert characteristic_polynomial(G) == _charpoly_oracle(G)
+
+
+def _dense_circulant(c):
+    v = len(c)
+    return [[c[(j - i) % v] for j in range(v)] for i in range(v)]
+
+
+def test_block_charpoly_matches_dense_on_general_circulants():
+    rng = random.Random(20261018)
+    for v in range(1, 31):
+        for _ in range(2):
+            c = tuple(rng.randint(-5, 5) for _ in range(v))
+            assert _circulant_charpoly(c) == characteristic_polynomial(_dense_circulant(c)), v
+
+
+def test_block_charpoly_matches_dense_on_gram_profiles():
+    rng = random.Random(56)
+    for v in [*range(1, 41), 48, 56]:
+        S = rng.sample(range(v), min(v, rng.randint(1, 6)))
+        A = CirculantMatrix(v, S)
+        assert _circulant_charpoly(gram_profile(A)) == characteristic_polynomial(gram_matrix(A)), v
+
+
+def test_block_charpoly_against_cofactor_oracle():
+    rng = random.Random(6)
+    for v in range(1, 7):
+        for _ in range(4):
+            c = tuple(rng.randint(-4, 4) for _ in range(v))
+            assert _circulant_charpoly(c) == _charpoly_oracle(_dense_circulant(c))
+
+
+def test_cyclotomic_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    y = sympy.symbols("y")
+    for e in range(1, 101):
+        expect = sympy.Poly(sympy.cyclotomic_poly(e, y), y).all_coeffs()
+        assert _cyclotomic(e) == tuple(int(a) for a in reversed(expect)), e
+
+
+def _exceptional_pair(v):
+    # least family member at v = 2u with x = 2, from the parameter conditions
+    u, x = v // 2, 2
+    for y in range(1, v):
+        if gcd(gcd(x, y), v) != 1 or (x // 2) % (u // x) == (y + u // (2 * x)) % (u // x):
+            continue
+        S1 = {0, x, y, (y + u) % v}
+        S2 = {0, (x + u) % v, y, (y + u) % v}
+        if len(S1) == len(S2) == 4:
+            return tuple(S1), tuple(S2)
+    raise AssertionError(f"no family member at v={v}")
+
+
+def test_gram_similar_on_exceptional_and_affine_pairs():
+    rng = random.Random(8)
+    for v in range(16, 57, 8):
+        S1, S2 = _exceptional_pair(v)
+        assert exceptional_weight4_witness(v, S1, S2) is not None
+        assert gram_similar(CirculantMatrix(v, S1), CirculantMatrix(v, S2))
+        S = rng.sample(range(v), 4)
+        image = affine_image(S, rng.choice(units(v)), rng.randrange(v), v)
+        assert gram_similar(CirculantMatrix(v, S), CirculantMatrix(v, image))
+
+
+def test_gram_similar_separates_equal_profile_multisets():
+    # {0, 1} and {0, 2} at v=6 give a 6-cycle and two triangles
+    for v, S1, S2 in ((6, (0, 1), (0, 2)), (13, (0, 1, 3), (0, 1, 4))):
+        A1, A2 = CirculantMatrix(v, S1), CirculantMatrix(v, S2)
+        assert sorted(gram_profile(A1)) == sorted(gram_profile(A2))
+        assert characteristic_polynomial(gram_matrix(A1)) != characteristic_polynomial(
+            gram_matrix(A2)
+        )
+        assert not gram_similar(A1, A2)
 
 
 def test_gram_similar_needs_common_modulus():

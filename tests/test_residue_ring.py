@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
@@ -81,6 +82,43 @@ def test_mult_order_definition():
             assert pow(l, d, v) == 1 % v
             assert all(pow(l, e, v) != 1 for e in range(1, d))
             assert phi(v) % d == 0
+
+
+def _mult_order_loop(l, v):
+    # the O(order) definition, kept as the reference
+    if v == 1:
+        return 1
+    order, x = 1, l % v
+    while x != 1:
+        x = x * l % v
+        order += 1
+    return order
+
+
+def test_mult_order_matches_loop_below_400():
+    for v in range(1, 400):
+        for l in range(v):
+            if math.gcd(l, v) == 1:
+                assert mult_order(l, v) == _mult_order_loop(l, v), (l, v)
+
+
+def test_mult_order_matches_sympy_up_to_formula_cap():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(999999937)
+    for _ in range(300):
+        v = rng.randint(2, 10**9)
+        l = rng.randrange(1, v)
+        while math.gcd(l, v) != 1:
+            l = rng.randrange(1, v)
+        assert mult_order(l, v) == sympy.n_order(l, v), (l, v)
+
+
+def test_mult_order_large_prime_returns():
+    v = 999999937
+    d = mult_order(11, v)
+    assert pow(11, d, v) == 1
+    assert (v - 1) % d == 0
+    assert all(pow(11, d // p, v) != 1 for p, _ in factorization(d))
 
 
 def test_mult_order_rejects_non_units():

@@ -7,10 +7,25 @@ search looks for bijections sigma on points such that the multiset
 color-preserving isomorphism of the two bipartite incidence graphs.
 
 The search assigns point images one at a time, keeping for every line of
-the first system the set of still-compatible lines of the second, and
-always extends the most constrained line next.  Candidate images are
-tried in increasing point order, so the first solution found is
-deterministic.
+the first system the still-compatible lines of the second, and always
+extends the most constrained line next.  Candidate images are tried in
+increasing point order, so the first solution found is deterministic.
+
+The state is held in int bitmasks.  ``cand[i]`` is the mask of system-2
+lines still compatible with line i of system 1; ``through2[y]`` is the
+mask of system-2 lines through point y, so assigning x -> y is one AND
+per line through x; the images already used are one mask, and so are
+the points not yet assigned.  A point's candidates are the points
+covered by the compatible lines of every line through it, memoized per
+mask; a line with no assigned point is compatible with every line of
+its size, so those lines share one mask and one memoized point set.
+The partially assigned lines are kept in a dict that maps each to its
+(|cand|, index) rank, so choosing the next point looks at those lines
+only.  Each node passes copies of ``cand`` and that dict to its
+children instead of undoing its changes.  None of this changes the
+order in which candidates are tried: every solution, the first witness
+included, is yielded in the same order as by the earlier set-based
+search.
 """
 
 from __future__ import annotations
@@ -42,94 +57,88 @@ def line_bijections(
         return
     if Counter(map(len, lines1)) != Counter(map(len, lines2)):
         return
-    m = len(lines1)
     target = Counter(lines2)
 
     point_lines1: list[list[int]] = [[] for _ in range(v)]
+    point_mask1: list[int] = []  # the points of each line of system 1
     for i, L in enumerate(lines1):
         for x in L:
             point_lines1[x].append(i)
-
+        point_mask1.append(sum(1 << x for x in L))
+    point_mask2: list[int] = []  # the points of each line of system 2
+    through2 = [0] * v  # the lines of system 2 through each point
+    of_size: dict[int, int] = {}  # the lines of system 2 of each size
+    for j, L in enumerate(lines2):
+        bit = 1 << j
+        point_mask2.append(sum(1 << y for y in L))
+        for y in L:
+            through2[y] |= bit
+        of_size[len(L)] = of_size.get(len(L), 0) | bit
+    everything = (1 << v) - 1
+    m = len(lines1)
     sigma: list[int] = [-1] * v
-    used = [False] * v
-    assigned_in: list[int] = [0] * m  # assigned points per line of system 1
-    cand: list[set[int]] = [
-        {j for j in range(m) if len(lines2[j]) == len(lines1[i])} for i in range(m)
-    ]
+    pools: dict[int, int] = {}  # the points covered by each cand mask met so far
 
-    def pick_point() -> int:
-        # the unassigned point on the tightest partially-assigned line,
-        # falling back to the least unassigned point
-        best, best_key = -1, None
-        for i in range(m):
-            if 0 < assigned_in[i] < len(lines1[i]):
-                key = (len(cand[i]), i)
-                if best_key is None or key < best_key:
-                    pts = [x for x in sorted(lines1[i]) if sigma[x] < 0]
-                    if pts:
-                        best, best_key = pts[0], key
-        if best >= 0:
-            return best
-        for x in range(v):
-            if sigma[x] < 0:
-                return x
-        return -1
-
-    def candidates(x: int) -> list[int]:
-        allowed: set[int] | None = None
+    def candidates(x: int, cand: list[int], used: int) -> int:
+        allowed = everything & ~used
         for i in point_lines1[x]:
-            pool = set()
-            for j in cand[i]:
-                pool |= lines2[j]
-            allowed = pool if allowed is None else allowed & pool
+            c = cand[i]
+            pool = pools.get(c)
+            if pool is None:
+                pool = 0
+                rest = c
+                while rest:
+                    low = rest & -rest
+                    pool |= point_mask2[low.bit_length() - 1]
+                    rest ^= low
+                pools[c] = pool
+            allowed &= pool
             if not allowed:
-                return []
-        if allowed is None:
-            return [y for y in range(v) if not used[y]]
-        return sorted(y for y in allowed if not used[y])
+                break
+        return allowed
 
-    def assign(x: int, y: int) -> list[tuple[int, set[int]]] | None:
-        trail: list[tuple[int, set[int]]] = []
+    def assign(
+        x: int, y: int, cand: list[int], partial: dict[int, int], free: int
+    ) -> tuple[list[int], dict[int, int]]:
+        # the state after x -> y, where free no longer holds x; y is a
+        # candidate of x, so every line through x keeps some cand line
+        mask = through2[y]
+        old, cand, partial = cand, cand.copy(), partial.copy()
         for i in point_lines1[x]:
-            keep = {j for j in cand[i] if y in lines2[j]}
-            trail.append((i, cand[i]))
-            cand[i] = keep
-            assigned_in[i] += 1
-            if not keep:
-                undo(x, trail)
-                return None
-        sigma[x] = y
-        used[y] = True
-        return trail
+            c = cand[i] = old[i] & mask
+            if point_mask1[i] & free:
+                partial[i] = c.bit_count() * m + i
+            else:
+                partial.pop(i, None)
+        return cand, partial
 
-    def undo(x: int, trail: list[tuple[int, set[int]]]) -> None:
-        for i, old in reversed(trail):
-            cand[i] = old
-            assigned_in[i] -= 1
-        if sigma[x] >= 0:
-            used[sigma[x]] = False
-            sigma[x] = -1
-
-    def search(depth: int) -> Iterator[tuple[int, ...]]:
-        if depth == v:
+    def search(
+        cand: list[int], partial: dict[int, int], used: int, free: int
+    ) -> Iterator[tuple[int, ...]]:
+        # cand[i] holds the system-2 lines still compatible with line i;
+        # partial maps each line with some but not all points assigned
+        # to |cand[i]| * m + i, so its least value is the tightest line;
+        # used holds the images taken and free the points not yet mapped
+        if not free:
             if Counter(frozenset(sigma[x] for x in L) for L in lines1) == target:
                 yield tuple(sigma)
             return
-        x = pick_point()
-        for y in candidates(x):
-            trail = assign(x, y)
-            if trail is None:
-                continue
-            yield from search(depth + 1)
-            undo(x, trail)
+        # the least unassigned point on the tightest partially-assigned
+        # line, falling back to the least unassigned point
+        left = point_mask1[min(partial.values()) % m] & free if partial else free
+        x = (left & -left).bit_length() - 1
+        rest = free ^ (1 << x)
+        ys = candidates(x, cand, used)
+        while ys:
+            low = ys & -ys
+            ys ^= low
+            sigma[x] = low.bit_length() - 1
+            yield from search(*assign(x, sigma[x], cand, partial, rest), used | low, rest)
+        sigma[x] = -1
 
-    if fix_zero:
-        if v == 0:
-            return
-        trail = assign(0, 0)
-        if trail is None:
-            return
-        yield from search(1)
-        undo(0, trail)
-    else:
-        yield from search(0)
+    cand = [of_size[len(L)] for L in lines1]
+    if not fix_zero:
+        yield from search(cand, {}, 0, everything)
+    elif v and candidates(0, cand, 0) & 1:
+        sigma[0] = 0
+        yield from search(*assign(0, 0, cand, {}, everything ^ 1), 1, everything ^ 1)

@@ -156,8 +156,13 @@ def orbit_size(S, v: int) -> int:
     Counting pairs (image T, element t of T) two ways gives
     |orbit| * k = |images through 0| * v, valid even for periodic S.
     """
+    return _orbit_size(S, v, len(zero_slice_orbit(S, v)))
+
+
+def _orbit_size(S, v: int, through_zero: int) -> int:
+    # S's orbit size from the number of its images through 0
     k = len({s % v for s in S})
-    total = len(zero_slice_orbit(S, v)) * v
+    total = through_zero * v
     if total % k:
         raise ArithmeticError(f"orbit of {tuple(S)} mod {v}: {total} point-line pairs, k={k}")
     return total // k
@@ -189,6 +194,10 @@ class SliceOrbit(NamedTuple):
 
     rep: tuple[int, ...]
     members: tuple[tuple[tuple[int, ...], int, int], ...]
+
+    def size(self, v: int) -> int:
+        """Number of distinct affine images of rep, as `orbit_size` counts them."""
+        return _orbit_size(self.rep, v, len(self.members))
 
 
 def slice_orbits(v: int, k: int, connected: bool) -> Iterator[SliceOrbit]:
@@ -226,6 +235,17 @@ def slice_orbits(v: int, k: int, connected: bool) -> Iterator[SliceOrbit]:
         yield SliceOrbit(rep, tuple((slice_[j], *found[j]) for j in sorted(found)))
 
 
+def _check_enumeration(
+    v: int, k: int, expand: bool, representatives_only: bool, cap: int | None
+) -> None:
+    # the argument checks of enumerate_base_lines, in its order
+    if k < 3:
+        raise ValueError(f"base lines need k >= 3, got k={k}")
+    if expand and representatives_only:
+        raise ValueError("expand and representatives_only are mutually exclusive")
+    ensure_enumerable(v, k, cap)
+
+
 def enumerate_base_lines(
     v: int,
     k: int,
@@ -242,11 +262,7 @@ def enumerate_base_lines(
     collapses to one canonical representative per affine orbit.  The
     result is empty when k*k - k + 1 > v.
     """
-    if k < 3:
-        raise ValueError(f"base lines need k >= 3, got k={k}")
-    if expand and representatives_only:
-        raise ValueError("expand and representatives_only are mutually exclusive")
-    ensure_enumerable(v, k, cap)
+    _check_enumeration(v, k, expand, representatives_only, cap)
     if representatives_only:
         return sorted(orbit.rep for orbit in slice_orbits(v, k, connected_only))
     slice_ = _slice(v, k, connected_only)

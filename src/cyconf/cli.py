@@ -14,12 +14,14 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .baseline import (
+    _check_enumeration,
     canonical_form,
     enumerate_base_lines,
     enumeration_cap,
     is_base_line,
     is_connected,
     orbit_size,
+    slice_orbits,
 )
 from .circulant import incidence_text
 from .configuration import CyclicConfiguration, incidence_matrix, levi_graph, levi_text
@@ -81,15 +83,20 @@ def _fmt_points(S) -> str:
     return ",".join(str(x) for x in S)
 
 
-def _record_line(v: int, S) -> str:
+def _record_line(v: int, S, canonical=None, size: int | None = None) -> str:
     # field order is part of the format: v, k, base_line, connected,
-    # canonical, orbit_size
+    # canonical, orbit_size; canonical and size are computed from S
+    # unless the caller already knows them
+    if canonical is None:
+        canonical = canonical_form(S, v)
+    if size is None:
+        size = orbit_size(S, v)
     return (
         f"v={v} k={len(S)}"
         f" base_line={_fmt_points(S)}"
         f" connected={'true' if is_connected(S, v) else 'false'}"
-        f" canonical={_fmt_points(canonical_form(S, v))}"
-        f" orbit_size={orbit_size(S, v)}"
+        f" canonical={_fmt_points(canonical)}"
+        f" orbit_size={size}"
     )
 
 
@@ -125,6 +132,17 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     v = _parse_single(args.v)
+    if args.reps and args.format == "record":
+        # each orbit's representative is its canonical form, and the walk
+        # counts its images through 0
+        _check_enumeration(v, args.k, args.expand, True, args.cap)
+        records = [
+            _record_line(v, orbit.rep, orbit.rep, orbit.size(v))
+            for orbit in slice_orbits(v, args.k, args.connected)
+        ]
+        for record in records:
+            print(record)
+        return 0
     lines = enumerate_base_lines(
         v,
         args.k,

@@ -142,9 +142,10 @@ def exact_isomorphic(
     _check_exact_cap(C1.v, cap)
     if C1.k != C2.k:
         return None
-    if C1.line_set() == C2.line_set():
+    lines1, lines2 = C1.lines(), C2.lines()
+    if set(lines1) == set(lines2):
         return IsoWitness(kind="explicit", point_map=tuple(range(C1.v)))
-    for sigma in _search.line_bijections(C1.v, C1.lines(), C2.lines(), fix_zero=True):
+    for sigma in _search.line_bijections(C1.v, lines1, lines2, fix_zero=True):
         return IsoWitness(kind="explicit", point_map=sigma)
     return None
 

@@ -170,10 +170,6 @@ def preserves_lines(perm: tuple[int, ...], C: CyclicConfiguration) -> bool:
     return {frozenset(perm[x] for x in line) for line in target} == target
 
 
-def _maps_onto(perm: tuple[int, ...], C1: CyclicConfiguration, C2: CyclicConfiguration) -> bool:
-    return {frozenset(perm[x] for x in line) for line in C1.lines()} == C2.line_set()
-
-
 def _admissible_layers(C: CyclicConfiguration, params: SolvingSetParams) -> list[int]:
     # layer k passes when the product over classes l of the class-l
     # shift raised to b**((l+1)*k) mod p preserves the lines; layer 0
@@ -274,8 +270,9 @@ def solve_iso_pq(
     w = _multiplier_witness(v, C1, C2)
     if w is not None:
         return w
+    lines1, target = C1.lines(), C2.line_set()
     for perm in delta:
-        if _maps_onto(perm, C1, C2):
+        if {frozenset(perm[x] for x in line) for line in lines1} == target:
             return IsoWitness(kind="explicit", point_map=perm)
     return None
 

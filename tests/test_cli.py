@@ -92,6 +92,33 @@ def test_enumerate_nothing_below_seven(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "v,extra", [(31, ()), (42, ()), (28, ("--connected",)), (37, ("--k", "4")), (45, ("--k", "4"))]
+)
+def test_enumerate_reps_records_match_recomputed_ones(capsys, v, extra):
+    # the records take canonical form and orbit size from the orbit walk
+    rc, out, _ = run(capsys, "enumerate", "--v", str(v), "--reps", *extra)
+    assert rc == 0
+    k = 4 if "--k" in extra else 3
+    reps = enumerate_base_lines(
+        v, k, connected_only="--connected" in extra, representatives_only=True
+    )
+    assert out.splitlines() == [
+        cli._record_line(v, S, canonical_form(S, v), cli.orbit_size(S, v)) for S in reps
+    ]
+
+
+def test_enumerate_reps_argument_errors(capsys):
+    for argv, message in [
+        (("--v", "7", "--k", "2"), "base lines need k >= 3, got k=2"),
+        (("--v", "1000", "--k", "2", "--expand"), "base lines need k >= 3, got k=2"),
+        (("--v", "1000", "--expand"), "expand and representatives_only are mutually exclusive"),
+        (("--v", "50", "--cap", "40"), "v=50 exceeds the enumeration cap 40 for k=3"),
+    ]:
+        rc, out, err = run(capsys, "enumerate", "--reps", *argv)
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_enumerate_expand_reps_conflict(capsys):
     rc, _, err = run(capsys, "enumerate", "--v", "7", "--expand", "--reps")
     assert rc == 2

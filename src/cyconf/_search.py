@@ -22,10 +22,7 @@ its size, so those lines share one mask and one memoized point set.
 The partially assigned lines are kept in a dict that maps each to its
 (|cand|, index) rank, so choosing the next point looks at those lines
 only.  Each node passes copies of ``cand`` and that dict to its
-children instead of undoing its changes.  None of this changes the
-order in which candidates are tried: every solution, the first witness
-included, is yielded in the same order as by the earlier set-based
-search.
+children instead of undoing its changes.
 """
 
 from __future__ import annotations

@@ -93,11 +93,6 @@ def contains_coset(S, v: int) -> bool:
     return False
 
 
-def affine_image(S, a: int, b: int, v: int) -> tuple[int, ...]:
-    """The sorted tuple a*S + b mod v."""
-    return tuple(sorted((a * s + b) % v for s in S))
-
-
 def affine_map_between(S1, S2, v: int) -> tuple[int, int] | None:
     """Least (a, b) lexicographically with a*S1 + b == S2, or None.
 

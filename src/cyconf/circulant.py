@@ -63,9 +63,6 @@ class CirculantMatrix:
         shifted = {(s + i) % self.v for s in self.support}
         return tuple(1 if j in shifted else 0 for j in range(self.v))
 
-    def to_lists(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.v)]
-
     def translate_system(self) -> list[frozenset[int]]:
         return [frozenset((s + i) % self.v for s in self.support) for i in range(self.v)]
 
@@ -206,24 +203,20 @@ def paq_equivalent(
         raise CapExceeded(f"v={v} exceeds the paq search cap {limit}")
     lines1 = A1.translate_system()
     lines2 = A2.translate_system()
+    sigma = next(_search.line_bijections(v, lines1, lines2, fix_zero=True), None)
+    if sigma is None:
+        return None
+    # repeated lines take their rows in increasing order
     image_to_rows: dict[frozenset[int], list[int]] = {}
     for j, L in enumerate(lines2):
         image_to_rows.setdefault(L, []).append(j)
-    for sigma in _search.line_bijections(v, lines1, lines2, fix_zero=True):
-        pi = []
-        taken = {key: 0 for key in image_to_rows}
-        ok = True
-        for L in lines1:
-            img = frozenset(sigma[x] for x in L)
-            rows = image_to_rows.get(img)
-            if not rows or taken[img] >= len(rows):
-                ok = False
-                break
-            pi.append(rows[taken[img]])
-            taken[img] += 1
-        if ok:
-            return tuple(pi), sigma
-    return None
+    pi = []
+    for L in lines1:
+        rows = image_to_rows.get(frozenset(sigma[x] for x in L))
+        if not rows:
+            raise RuntimeError(f"the searched bijection {sigma} maps {sorted(L)} off the rows of A2")
+        pi.append(rows.pop(0))
+    return tuple(pi), sigma
 
 
 class Weight4Witness(NamedTuple):

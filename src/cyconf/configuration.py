@@ -46,7 +46,7 @@ class CyclicConfiguration:
 
     def lines(self) -> list[frozenset[int]]:
         """The v translates of the base, indexed by translation amount."""
-        return [frozenset((s + i) % self.v for s in self.base) for i in range(self.v)]
+        return incidence_matrix(self).translate_system()
 
     def line_set(self) -> frozenset[frozenset[int]]:
         return frozenset(self.lines())
@@ -76,6 +76,22 @@ def validate(C: CyclicConfiguration) -> bool:
     return True
 
 
+def _maps_lines_onto(sigma, lines, target: frozenset[frozenset[int]]) -> bool:
+    """True iff the point map sigma carries the lines exactly onto the set target."""
+    return {frozenset(sigma[x] for x in line) for line in lines} == target
+
+
+def _component_split(C: CyclicConfiguration) -> tuple[int, list[int]]:
+    """(g, T) with the base translated to contain 0 equal to g*T.
+
+    g = gcd(v, S - S[0]), and T is the base of each of the g components
+    on Z_(v/g).
+    """
+    shifted = [s - C.base[0] for s in C.base]
+    g = gcd(C.v, *shifted)
+    return g, [s // g for s in shifted]
+
+
 def decompose(C: CyclicConfiguration) -> list[CyclicConfiguration]:
     """Connected components, each re-based on its own cyclic group.
 
@@ -85,11 +101,9 @@ def decompose(C: CyclicConfiguration) -> list[CyclicConfiguration]:
     Components are returned re-canonicalized on Z_d so multisets of
     components compare well across different decompositions.
     """
-    m = C.base[0]
-    shifted = [s - m for s in C.base]
-    g = gcd(C.v, *shifted) if len(shifted) > 1 else C.v
+    g, component = _component_split(C)
     d = C.v // g
-    component_base = canonical_form([s // g for s in shifted], d)
+    component_base = canonical_form(component, d)
     return [CyclicConfiguration(d, component_base) for _ in range(g)]
 
 
@@ -108,14 +122,6 @@ class LeviGraph:
             adj[p].append(self.v + l)
             adj[self.v + l].append(p)
         return adj
-
-    def degrees(self) -> tuple[list[int], list[int]]:
-        pts = [0] * self.v
-        lns = [0] * self.v
-        for p, l in self.edges:
-            pts[p] += 1
-            lns[l] += 1
-        return pts, lns
 
     def girth(self) -> int | None:
         """Length of a shortest cycle, None if the graph is acyclic.

@@ -237,29 +237,3 @@ def count_orbit_scan(v: int, k: int = 3, cap: int | None = None) -> int:
     if covered != len(slice_):
         raise ArithmeticError(f"orbits cover {covered} of {len(slice_)} slice members at v={v}")
     return orbits
-
-
-@dataclass(frozen=True)
-class CountBreakdown:
-    """Per-unit fixed counts and the orbit total they imply."""
-
-    v: int
-    fixed_by_unit: dict[int, int]
-    order2_contributors: int
-    order3_contributors: int
-    total: int
-
-
-def count_breakdown(v: int) -> CountBreakdown:
-    """Assemble the closed per-unit counts and reduce them exactly.
-
-    The reduction sum(fixed) / (3 phi(v)) must be an integer; a failed
-    division signals a wrong branch somewhere and raises.
-    """
-    _require_v(v)
-    fixed = {l: count_fixed_closed(v, l) for l in units(v)}
-    g2, g3 = contributor_counts(v)
-    total, rem = divmod(sum(fixed.values()), 3 * phi(v))
-    if rem:
-        raise ArithmeticError(f"orbit reduction not integral at v={v}")
-    return CountBreakdown(v, fixed, g2, g3, total)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import gcd
 
 from . import _search
 from .baseline import (
@@ -32,7 +31,12 @@ from .baseline import (
     is_connected,
     slice_orbits,
 )
-from .configuration import CyclicConfiguration, levi_graph
+from .configuration import (
+    CyclicConfiguration,
+    _component_split,
+    _maps_lines_onto,
+    levi_graph,
+)
 from .residue_ring import CapExceeded, factorization, inverse, is_ci_order
 
 EXACT_SEARCH_CAP = 300
@@ -84,8 +88,7 @@ def witness_valid(
         return False
     if target is None:
         target = C2.line_set()
-    image = {frozenset(sigma[x] for x in line) for line in C1.lines()}
-    return image == target
+    return _maps_lines_onto(sigma, C1.lines(), target)
 
 
 def refinement_invariant(C: CyclicConfiguration) -> tuple:
@@ -182,22 +185,18 @@ def _component_witness(
     witness maps class r to class r through one affine map of Z_d.
     """
     v = C1.v
-    m1, m2 = C1.base[0], C2.base[0]
-    sh1 = [s - m1 for s in C1.base]
-    sh2 = [s - m2 for s in C2.base]
-    g1 = gcd(v, *sh1)
-    g2 = gcd(v, *sh2)
-    if g1 != g2:
+    g, t1 = _component_split(C1)
+    g2, t2 = _component_split(C2)
+    if g != g2:
         return None
-    g, d = g1, v // g1
-    t1 = [s // g for s in sh1]
-    t2 = [s // g for s in sh2]
+    d = v // g
     if canonical_form(t1, d) != canonical_form(t2, d):
         return None
     ab = affine_map_between(t1, t2, d)
     if ab is None:
         raise RuntimeError(f"equal canonical forms mod {d} but no affine map {t1} -> {t2}")
     a, b = ab
+    m1, m2 = C1.base[0], C2.base[0]
     sigma = [0] * v
     for x in range(v):
         # undo C1's shift, split into class and quotient, map on Z_d,
@@ -227,31 +226,29 @@ def isomorphic(
     v = C1.v
     if method == "exact":
         return exact_isomorphic(C1, C2, cap=cap)
-    if method == "multiplier":
-        ab = multiplier_equivalent(v, C1.base, C2.base)
-        return IsoWitness(kind="multiplier", a=ab[0], b=ab[1]) if ab else None
     if method == "solving-set":
         from .solving_sets import solve_iso_pq
 
         return solve_iso_pq(C1, C2, cap=cap)
-    if method != "auto":
+    if method == "auto":
+        if C1.k != C2.k:
+            return None
+        conn1 = is_connected(C1.base, v)
+        conn2 = is_connected(C2.base, v)
+        if conn1 != conn2:
+            return None
+        if not conn1:
+            return _component_witness(C1, C2)
+        if not _multiplier_complete(v, C1.k):
+            _check_exact_cap(v, cap)
+            if refinement_invariant(C1) != refinement_invariant(C2):
+                return None
+            return exact_isomorphic(C1, C2, cap=cap)
+    elif method != "multiplier":
         raise ValueError(f"unknown method {method!r}")
-
-    if C1.k != C2.k:
-        return None
-    conn1 = is_connected(C1.base, v)
-    conn2 = is_connected(C2.base, v)
-    if conn1 != conn2:
-        return None
-    if not conn1:
-        return _component_witness(C1, C2)
-    if _multiplier_complete(v, C1.k):
-        ab = multiplier_equivalent(v, C1.base, C2.base)
-        return IsoWitness(kind="multiplier", a=ab[0], b=ab[1]) if ab else None
-    _check_exact_cap(v, cap)
-    if refinement_invariant(C1) != refinement_invariant(C2):
-        return None
-    return exact_isomorphic(C1, C2, cap=cap)
+    # the multiplier route, or auto where multipliers are complete
+    ab = multiplier_equivalent(v, C1.base, C2.base)
+    return IsoWitness(kind="multiplier", a=ab[0], b=ab[1]) if ab else None
 
 
 def completeness_report(

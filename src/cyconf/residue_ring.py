@@ -71,11 +71,6 @@ def big_phi(v: int) -> int:
     return prod(p ** (e - 1) * (p + 1) for p, e in factorization(v))
 
 
-def is_unit(x: int, v: int) -> bool:
-    _check_modulus(v)
-    return gcd(x, v) == 1
-
-
 @lru_cache(maxsize=32)
 def units(v: int) -> tuple[int, ...]:
     """All units of Z_v in increasing residue order."""
@@ -102,29 +97,6 @@ def mult_order(l: int, v: int) -> int:
     return order
 
 
-def multiplier_orbits(l: int, v: int) -> list[tuple[int, ...]]:
-    """Orbits of x -> l*x on Z_v, each sorted, ordered by least element.
-
-    The orbits partition Z_v; {0} is always one of them.
-    """
-    _check_enumeration(v)
-    if v > 1 and gcd(l, v) != 1:
-        raise ValueError(f"{l} is not a unit modulo {v}")
-    seen = [False] * v
-    orbits = []
-    for start in range(v):
-        if seen[start]:
-            continue
-        orbit = []
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            orbit.append(x)
-            x = x * l % v
-        orbits.append(tuple(sorted(orbit)))
-    return orbits
-
-
 def is_ci_order(v: int) -> bool:
     """True iff every pair of isomorphic cyclic objects on Z_v is related
     by a multiplier, for all object types at once.
@@ -135,65 +107,6 @@ def is_ci_order(v: int) -> bool:
     return v == 4 or gcd(v, phi(v)) == 1
 
 
-def subgroup_cosets(v: int, d: int) -> list[tuple[int, ...]]:
-    """Cosets of the order-d subgroup of Z_v, ordered by least element.
-
-    Requires d | v.  The subgroup itself is {0, v/d, 2v/d, ...} and is
-    the first coset returned.
-    """
-    _check_enumeration(v)
-    if d < 1 or v % d != 0:
-        raise ValueError(f"{d} does not divide {v}")
-    step = v // d
-    return [tuple(range(r, v, step)) for r in range(step)]
-
-
 def inverse(x: int, v: int) -> int:
     """Multiplicative inverse of the unit x modulo v."""
     return pow(x, -1, v) if v > 1 else 0
-
-
-def _primitive_root_prime_power(p: int, e: int) -> int:
-    # a generator mod p first; it lifts to p**e unless g**(p-1) == 1 mod p**2
-    q_list = [q for q, _ in factorization(p - 1)]
-    g = None
-    for cand in range(2, p):
-        if all(pow(cand, (p - 1) // q, p) != 1 for q in q_list):
-            g = cand
-            break
-    if g is None:  # p == 2
-        g = 1
-    if e == 1:
-        return g
-    if pow(g, p - 1, p * p) == 1:
-        g += p
-    return g
-
-
-def unit_group_generators(v: int) -> tuple[int, ...]:
-    """A small generating set for the unit group of Z_v.
-
-    One generator per odd prime power factor (a primitive root, lifted
-    by the CRT), plus -1 and 5 for the factor 2**e with e >= 3, or just
-    -1 for e == 2.  Used to walk unit-multiplication orbits without
-    touching every unit.
-    """
-    _check_modulus(v)
-    if v <= 2:
-        return ()
-    gens: list[int] = []
-    for p, e in factorization(v):
-        q = p**e
-        rest = v // q
-        if p == 2:
-            locals_ = [] if e == 1 else ([q - 1] if e == 2 else [q - 1, 5])
-        else:
-            locals_ = [_primitive_root_prime_power(p, e)]
-        for g in locals_:
-            if rest == 1:
-                gens.append(g % v)
-            else:
-                # CRT lift: g at the p-component, 1 everywhere else
-                m = rest * pow(rest, -1, q)
-                gens.append((g * m + (1 - m)) % v)
-    return tuple(sorted(set(gens)))

@@ -29,15 +29,12 @@ first.  Multipliers alone solve X when b is not an automorphism of it.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from math import gcd
 
-from .configuration import CyclicConfiguration
+from .configuration import CyclicConfiguration, _maps_lines_onto
 from .iso import IsoWitness, exact_isomorphic, multiplier_equivalent
 from .residue_ring import factorization, inverse, mult_order, units
-
-logger = logging.getLogger(__name__)
 
 
 class SolvingSetUnavailable(Exception):
@@ -96,25 +93,6 @@ def perm_compose(first: tuple[int, ...], then: tuple[int, ...]) -> tuple[int, ..
     return tuple(then[x] for x in first)
 
 
-def perm_inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(perm)
-    for x, y in enumerate(perm):
-        out[y] = x
-    return tuple(out)
-
-
-def perm_power(perm: tuple[int, ...], e: int) -> tuple[int, ...]:
-    if e < 0:
-        perm, e = perm_inverse(perm), -e
-    out = tuple(range(len(perm)))
-    while e > 0:
-        if e & 1:
-            out = perm_compose(out, perm)
-        perm = perm_compose(perm, perm)
-        e >>= 1
-    return out
-
-
 def class_shift(v: int, q: int, i: int) -> tuple[int, ...]:
     """Add q to every point congruent to i mod q, fix the rest."""
     if v % q:
@@ -148,18 +126,15 @@ def layered_multiplier(params: SolvingSetParams, k: int) -> tuple[int, ...]:
     """Multiply class j by a**alpha * b**(-k*j), all classes at once.
 
     Each factor is a class multiplier (they commute, acting on disjoint
-    classes); layer 0 is the global multiplier by a**alpha.  Non-unit
-    factors cannot occur for primes q < p but are skipped with a log
-    message if they ever did.
+    classes); layer 0 is the global multiplier by a**alpha.  Parameters
+    from solving_set_params make every factor a unit = 1 mod q; for
+    inconsistent ones class_multiplier raises ValueError.
     """
     v, q = params.v, params.q
     binv = inverse(params.b, v)
     out = tuple(range(v))
     for j in range(q):
         m = pow(params.a, params.alpha, v) * pow(binv, k * j, v) % v
-        if gcd(m, v) != 1 or m % q != 1:
-            logger.warning("skipping non-unit layer factor %d on class %d", m, j)
-            continue
         out = perm_compose(out, class_multiplier(v, q, j, m))
     return out
 
@@ -167,7 +142,7 @@ def layered_multiplier(params: SolvingSetParams, k: int) -> tuple[int, ...]:
 def preserves_lines(perm: tuple[int, ...], C: CyclicConfiguration) -> bool:
     """True iff the permutation maps the line set of C onto itself."""
     target = C.line_set()
-    return {frozenset(perm[x] for x in line) for line in target} == target
+    return _maps_lines_onto(perm, target, target)
 
 
 def _admissible_layers(C: CyclicConfiguration, params: SolvingSetParams) -> list[int]:
@@ -218,10 +193,7 @@ def solving_set(C: CyclicConfiguration, params: SolvingSetParams) -> list[tuple[
     mu_a_pow = tuple(range(v))
     for i in range(beta):
         for nu in layers:
-            for j in range(1, q):
-                if gcd(j, v) != 1:
-                    logger.warning("skipping non-unit j=%d in solving set", j)
-                    continue
+            for j in range(1, q):  # j < q < p, so j is a unit mod pq
                 mu_j_inv = multiplier_perm(v, inverse(j, v))
                 perm = perm_compose(perm_compose(mu_a_pow, nu), mu_j_inv)
                 if not is_permutation(perm):
@@ -272,7 +244,7 @@ def solve_iso_pq(
         return w
     lines1, target = C1.lines(), C2.line_set()
     for perm in delta:
-        if {frozenset(perm[x] for x in line) for line in lines1} == target:
+        if _maps_lines_onto(perm, lines1, target):
             return IsoWitness(kind="explicit", point_map=perm)
     return None
 

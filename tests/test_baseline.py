@@ -4,7 +4,6 @@ import pytest
 
 from cyconf import baseline
 from cyconf.baseline import (
-    affine_image,
     affine_map_between,
     canonical_form,
     contains_coset,
@@ -18,6 +17,7 @@ from cyconf.baseline import (
     zero_slice_orbit,
 )
 from cyconf.residue_ring import CapExceeded, inverse, units
+from helpers import affine_image
 
 # orbit counts frozen from the union-find scan over the whole slice
 ORBITS_K3 = {7: 1, 8: 1, 9: 1, 10: 1, 11: 1, 12: 3, 13: 2, 14: 2, 15: 4, 16: 3, 21: 6}

@@ -5,7 +5,8 @@ from math import gcd
 
 import pytest
 
-from cyconf.baseline import affine_image, canonical_form, enumerate_base_lines
+from cyconf import _search
+from cyconf.baseline import canonical_form, enumerate_base_lines
 from cyconf.circulant import (
     CirculantMatrix,
     _circulant_charpoly,
@@ -19,6 +20,11 @@ from cyconf.circulant import (
     paq_equivalent,
 )
 from cyconf.residue_ring import units
+from helpers import affine_image
+
+
+def _rows(A):
+    return [A.row(i) for i in range(A.v)]
 
 
 # --- independent charpoly oracle: Laplace expansion over Z[x] -------------
@@ -69,7 +75,7 @@ def test_matrix_normalization_and_rows():
     A = CirculantMatrix(7, (8, 3, 0, 1))
     assert A.support == (0, 1, 3)
     assert A.weight == 3
-    M = A.to_lists()
+    M = _rows(A)
     for i in range(7):
         for j in range(7):
             assert M[i][j] == (1 if (j - i) % 7 in {0, 1, 3} else 0)
@@ -93,7 +99,7 @@ def test_gram_profile_properties():
 
 def test_gram_matrix_is_product():
     A = CirculantMatrix(7, (0, 1, 3))
-    M = A.to_lists()
+    M = _rows(A)
     product = [
         [sum(M[i][t] * M[j][t] for t in range(7)) for j in range(7)] for i in range(7)
     ]
@@ -109,7 +115,7 @@ def test_charpoly_trivial_cases():
 def test_charpoly_of_cyclic_shift():
     # det(xI - P) = x^v - 1 for the shift permutation matrix
     for v in (2, 3, 5, 8):
-        P = CirculantMatrix(v, (1,)).to_lists()
+        P = _rows(CirculantMatrix(v, (1,)))
         expect = (1,) + (0,) * (v - 1) + (-1,)
         assert characteristic_polynomial(P) == expect
 
@@ -212,7 +218,7 @@ def test_paq_witness_replays_as_matrix_identity():
     assert out is not None
     pi, sigma = out
     assert sorted(pi) == list(range(8)) and sorted(sigma) == list(range(8))
-    M1, M2 = A1.to_lists(), A2.to_lists()
+    M1, M2 = _rows(A1), _rows(A2)
     for i in range(8):
         for j in range(8):
             assert M1[i][j] == M2[pi[i]][sigma[j]]
@@ -220,6 +226,16 @@ def test_paq_witness_replays_as_matrix_identity():
 
 def test_paq_equivalent_absent_across_orbits():
     assert paq_equivalent(CirculantMatrix(13, (0, 1, 3)), CirculantMatrix(13, (0, 1, 4))) is None
+
+
+def test_paq_equivalent_rejects_a_map_off_the_rows(monkeypatch):
+    # swapping points 1 and 2 does not carry the lines of {0, 1, 3} onto themselves
+    def wrong_map(v, lines1, lines2, **kwargs):
+        yield (0, 2, 1) + tuple(range(3, v))
+
+    monkeypatch.setattr(_search, "line_bijections", wrong_map)
+    with pytest.raises(RuntimeError):
+        paq_equivalent(CirculantMatrix(7, (0, 1, 3)), CirculantMatrix(7, (0, 1, 3)))
 
 
 def test_paq_identity_case():

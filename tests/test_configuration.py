@@ -78,8 +78,8 @@ def test_levi_graph_shape():
     G = levi_graph(FANO)
     assert G.v == 7 and G.k == 3
     assert len(G.edges) == 21
-    pts, lns = G.degrees()
-    assert set(pts) == {3} and set(lns) == {3}
+    adj = G.adjacency()
+    assert {len(nbrs) for nbrs in adj} == {3}  # points, then lines
 
 
 def test_levi_girth_six():

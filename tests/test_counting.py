@@ -7,7 +7,6 @@ import pytest
 from cyconf import counting
 from cyconf.counting import (
     contributor_counts,
-    count_breakdown,
     count_closed_formula,
     count_fixed_bruteforce,
     count_fixed_closed,
@@ -120,14 +119,6 @@ def test_formula_case_branches():
     assert formula_case(8).weight == Fraction(1, 1)
     assert formula_case(7).parity == "odd"
     assert formula_case(8).parity == "even"
-
-
-def test_count_breakdown_consistency():
-    for v in (7, 8, 13, 21, 30):
-        b = count_breakdown(v)
-        assert b.total == count_closed_formula(v)
-        assert sum(b.fixed_by_unit.values()) == 3 * phi(v) * b.total
-        assert set(b.fixed_by_unit) == set(units(v))
 
 
 def test_rejects_tiny_moduli():

@@ -7,7 +7,7 @@ import pytest
 from networkx.algorithms.isomorphism import GraphMatcher
 
 from cyconf import _search, iso
-from cyconf.baseline import affine_image, canonical_form, enumerate_base_lines
+from cyconf.baseline import canonical_form, enumerate_base_lines
 from cyconf.configuration import CyclicConfiguration
 from cyconf.iso import (
     IsoWitness,
@@ -20,6 +20,7 @@ from cyconf.iso import (
     witness_valid,
 )
 from cyconf.residue_ring import CapExceeded, units
+from helpers import affine_image
 
 FANO = CyclicConfiguration(7, (0, 1, 3))
 MOEBIUS_KANTOR = CyclicConfiguration(8, (0, 1, 3))

@@ -18,11 +18,12 @@ from itertools import islice
 import pytest
 
 from cyconf import _search
-from cyconf.baseline import affine_image, enumerate_base_lines
+from cyconf.baseline import enumerate_base_lines
 from cyconf.circulant import CirculantMatrix
 from cyconf.configuration import CyclicConfiguration
 from cyconf.iso import automorphisms
 from cyconf.residue_ring import units
+from helpers import affine_image
 
 
 def reference_line_bijections(v, lines1, lines2, *, fix_zero=False, cap=None):

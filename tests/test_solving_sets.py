@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from cyconf import solving_sets
-from cyconf.baseline import affine_image, canonical_form, enumerate_base_lines
+from cyconf.baseline import canonical_form, enumerate_base_lines
 from cyconf.configuration import CyclicConfiguration, validate
 from cyconf.iso import exact_isomorphic, witness_valid
 from cyconf.residue_ring import mult_order, phi
@@ -14,13 +16,12 @@ from cyconf.solving_sets import (
     layered_multiplier,
     multiplier_perm,
     perm_compose,
-    perm_inverse,
-    perm_power,
     preserves_lines,
     solve_iso_pq,
     solving_set,
     solving_set_params,
 )
+from helpers import affine_image
 
 
 def test_params_frozen_values():
@@ -54,7 +55,10 @@ def test_class_shift_action():
     assert tau0[0] == 3 and tau0[3] == 6 and tau0[18] == 0
     assert tau0[1] == 1 and tau0[2] == 2
     # p-th power of a class shift is the identity
-    assert perm_power(tau0, 7) == tuple(range(21))
+    power = tuple(range(21))
+    for _ in range(7):
+        power = perm_compose(power, tau0)
+    assert power == tuple(range(21))
     tau1 = class_shift(21, 3, 1)
     tau2 = class_shift(21, 3, 2)
     translation = tuple((x + 3) % 21 for x in range(21))
@@ -89,13 +93,19 @@ def test_layered_multiplier_layers():
             assert g[x] % P.q == x % P.q
 
 
+def test_layered_multiplier_rejects_inconsistent_params():
+    # a = 7 is not a unit mod 21, so no layer factor is one either
+    P = replace(solving_set_params(7, 3), a=7)
+    with pytest.raises(ValueError):
+        layered_multiplier(P, 0)
+
+
 def test_perm_compose_is_left_factor_first():
     first = class_shift(6, 2, 0)
     then = multiplier_perm(6, 5)
     combo = perm_compose(first, then)
     for x in range(6):
         assert combo[x] == then[first[x]]
-    assert perm_compose(first, perm_inverse(first)) == tuple(range(6))
 
 
 def test_preserves_lines_translation():

@@ -5,21 +5,15 @@ every closed formula."""
 from .baseline import (
     affine_map_between,
     canonical_form,
-    contains_coset,
-    difference_set,
     enumerate_base_lines,
     is_base_line,
     is_connected,
     orbit_size,
-    zero_slice_orbit,
 )
 from .circulant import (
     CirculantMatrix,
     Weight4Witness,
-    characteristic_polynomial,
     exceptional_weight4_witness,
-    gram_matrix,
-    gram_profile,
     gram_similar,
     incidence_text,
     paq_equivalent,
@@ -27,24 +21,17 @@ from .circulant import (
 from .configuration import (
     CyclicConfiguration,
     LeviGraph,
-    decompose,
     incidence_matrix,
     levi_graph,
     levi_text,
     parse_levi_text,
-    validate,
 )
 from .counting import (
-    FormulaCase,
-    contributor_counts,
     count_closed_formula,
     count_fixed_bruteforce,
     count_fixed_closed,
-    count_fixed_identity,
     count_orbit_scan,
     count_unit_sum,
-    formula_case,
-    order2_contributors_closed,
 )
 from .iso import (
     IsoWitness,
@@ -52,26 +39,12 @@ from .iso import (
     completeness_report,
     exact_isomorphic,
     isomorphic,
-    multiplier_equivalent,
     witness_valid,
 )
-from .residue_ring import (
-    CapExceeded,
-    big_phi,
-    factorization,
-    inverse,
-    is_ci_order,
-    mult_order,
-    phi,
-    units,
-)
+from .residue_ring import CapExceeded, phi, units
 from .solving_sets import (
     SolvingSetParams,
     SolvingSetUnavailable,
-    class_multiplier,
-    class_shift,
-    layered_multiplier,
-    multiplier_perm,
     solve_iso_pq,
     solving_set,
     solving_set_params,
@@ -83,7 +56,6 @@ __all__ = [
     "CapExceeded",
     "CirculantMatrix",
     "CyclicConfiguration",
-    "FormulaCase",
     "IsoWitness",
     "LeviGraph",
     "SolvingSetParams",
@@ -91,43 +63,24 @@ __all__ = [
     "Weight4Witness",
     "affine_map_between",
     "automorphisms",
-    "big_phi",
     "canonical_form",
-    "characteristic_polynomial",
-    "class_multiplier",
-    "class_shift",
     "completeness_report",
-    "contains_coset",
-    "contributor_counts",
     "count_closed_formula",
     "count_fixed_bruteforce",
     "count_fixed_closed",
-    "count_fixed_identity",
     "count_orbit_scan",
     "count_unit_sum",
-    "decompose",
-    "difference_set",
     "enumerate_base_lines",
     "exact_isomorphic",
     "exceptional_weight4_witness",
-    "factorization",
-    "formula_case",
-    "gram_matrix",
-    "gram_profile",
     "gram_similar",
     "incidence_matrix",
     "incidence_text",
-    "inverse",
     "is_base_line",
-    "is_ci_order",
     "is_connected",
     "isomorphic",
-    "layered_multiplier",
     "levi_graph",
     "levi_text",
-    "mult_order",
-    "multiplier_equivalent",
-    "multiplier_perm",
     "orbit_size",
     "paq_equivalent",
     "parse_levi_text",
@@ -136,7 +89,5 @@ __all__ = [
     "solving_set",
     "solving_set_params",
     "units",
-    "validate",
     "witness_valid",
-    "zero_slice_orbit",
 ]

@@ -24,7 +24,6 @@ from typing import NamedTuple
 from .residue_ring import (
     CapExceeded,
     ENUMERATION_CAP,
-    factorization,
     units,
 )
 
@@ -46,7 +45,7 @@ def ensure_enumerable(v: int, k: int, cap: int | None = None) -> None:
         raise CapExceeded(f"v={v} exceeds the enumeration cap {limit} for k={k}")
 
 
-def difference_set(S, v: int) -> frozenset[int]:
+def _difference_set(S, v: int) -> frozenset[int]:
     """The set of differences s1 - s2 mod v over all pairs from S."""
     S = [s % v for s in S]
     return frozenset((a - b) % v for a in S for b in S)
@@ -65,7 +64,7 @@ def is_base_line(S, v: int, k: int | None = None) -> bool:
         raise ValueError(f"base lines need k >= 3, got k={k}")
     if len(elems) != k:
         return False
-    return len(difference_set(elems, v)) == k * k - k + 1
+    return len(_difference_set(elems, v)) == k * k - k + 1
 
 
 def is_connected(S, v: int) -> bool:
@@ -75,22 +74,6 @@ def is_connected(S, v: int) -> bool:
         return False
     s0 = elems[0]
     return gcd(v, *[s - s0 for s in elems[1:]]) == 1 if len(elems) > 1 else v == 1
-
-
-def contains_coset(S, v: int) -> bool:
-    """True iff S contains a coset of a subgroup of prime order.
-
-    Only prime orders need checking: any coset of a larger subgroup
-    contains one of prime order.  Base lines never contain a coset,
-    which the tests verify exhaustively at small v.
-    """
-    elems = {s % v for s in S}
-    for p, _ in factorization(v):
-        step = v // p
-        for x in elems:
-            if all((x + j * step) % v in elems for j in range(1, p)):
-                return True
-    return False
 
 
 def affine_map_between(S1, S2, v: int) -> tuple[int, int] | None:
@@ -127,11 +110,6 @@ def _zero_images(S, v: int) -> Iterator[tuple[int, ...]]:
             yield tuple(sorted(a * t % v for t in shifted))
 
 
-def zero_slice_orbit(S, v: int) -> frozenset[tuple[int, ...]]:
-    """All affine images of S that contain 0, as sorted tuples."""
-    return frozenset(_zero_images(S, v))
-
-
 def canonical_form(S, v: int) -> tuple[int, ...]:
     """Lexicographically least sorted tuple among all a*S + b.
 
@@ -151,7 +129,7 @@ def orbit_size(S, v: int) -> int:
     Counting pairs (image T, element t of T) two ways gives
     |orbit| * k = |images through 0| * v, valid even for periodic S.
     """
-    return _orbit_size(S, v, len(zero_slice_orbit(S, v)))
+    return _orbit_size(S, v, len(set(_zero_images(S, v))))
 
 
 def _orbit_size(S, v: int, through_zero: int) -> int:
@@ -171,7 +149,7 @@ def _slice(v: int, k: int, connected: bool) -> tuple[tuple[int, ...], ...]:
     target = k * k - k + 1
     for comb in combinations(range(1, v), k - 1):
         X = (0,) + comb
-        if len(difference_set(X, v)) != target:
+        if len(_difference_set(X, v)) != target:
             continue
         if connected and gcd(v, *comb) != 1:
             continue

@@ -67,21 +67,14 @@ class CirculantMatrix:
         return [frozenset((s + i) % self.v for s in self.support) for i in range(self.v)]
 
 
-def gram_profile(A: CirculantMatrix) -> tuple[int, ...]:
+def _gram_profile(A: CirculantMatrix) -> tuple[int, ...]:
     """Intersection numbers c[d] = |S meet (S + d)| for d in Z_v.
 
-    c[0] is the weight, c is symmetric (c[d] = c[-d]) and sums to
-    weight**2.
+    A A^T is the circulant with first row c.  c[0] is the weight, c is
+    symmetric (c[d] = c[-d]) and sums to weight**2.
     """
     S = set(A.support)
     return tuple(sum(1 for s in S if (s + d) % A.v in S) for d in range(A.v))
-
-
-def gram_matrix(A: CirculantMatrix) -> list[list[int]]:
-    """A A^T as a dense integer matrix, the circulant of the profile."""
-    c = gram_profile(A)
-    v = A.v
-    return [[c[(j - i) % v] for j in range(v)] for i in range(v)]
 
 
 def characteristic_polynomial(M: list[list[int]]) -> tuple[int, ...]:
@@ -178,7 +171,7 @@ def gram_similar(A1: CirculantMatrix, A2: CirculantMatrix) -> bool:
     """True iff the two Gram matrices have equal characteristic polynomials."""
     if A1.v != A2.v:
         raise ValueError("gram similarity needs a common modulus")
-    c1, c2 = gram_profile(A1), gram_profile(A2)
+    c1, c2 = _gram_profile(A1), _gram_profile(A2)
     if sorted(c1) != sorted(c2):
         # permutation similarity preserves the entry multiset
         return False

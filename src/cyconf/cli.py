@@ -40,8 +40,8 @@ class CliError(Exception):
     """Bad arguments discovered after parsing; mapped to exit code 2."""
 
 
-def _parse_span(text: str) -> list[int]:
-    """'N' or 'A..B' (inclusive) to a list of moduli."""
+def _parse_span(text: str) -> range:
+    """'N' or 'A..B' (inclusive) to a range of moduli."""
     try:
         if ".." in text:
             lo, hi = (int(part) for part in text.split("..", 1))
@@ -51,7 +51,7 @@ def _parse_span(text: str) -> list[int]:
         raise CliError(f"expected N or A..B, got {text!r}") from None
     if lo < 1 or hi < lo:
         raise CliError(f"bad range {text!r}")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _parse_single(text: str) -> int:
@@ -309,7 +309,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if any(isinstance(value, list) for value in vars(args).values()):
+        # some argparse versions read "--v=--" as an empty list
+        parser.error("an option is missing its value")
     try:
         return args.func(args)
     except (CliError, ValueError) as exc:

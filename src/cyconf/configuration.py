@@ -3,8 +3,8 @@
 A cyclic configuration on Z_v with base S has point set Z_v and lines
 S + i for i in Z_v.  It satisfies the (v_k) configuration axioms (every
 point on exactly k of the v distinct lines, two lines sharing at most
-one point) precisely when S is a base line, a fact the validator checks
-directly from the axioms so the two routes stay independent.
+one point) precisely when S is a base line, a fact the tests check
+against a direct reading of the axioms.
 
 The incidence structure splits into connected components along the
 subgroup generated by the differences of S: if S (translated to contain
@@ -17,11 +17,9 @@ is at least 6 exactly when the configuration axioms hold.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from math import gcd
 
-from .baseline import canonical_form
 from .circulant import CirculantMatrix
 
 
@@ -52,30 +50,6 @@ class CyclicConfiguration:
         return frozenset(self.lines())
 
 
-def validate(C: CyclicConfiguration) -> bool:
-    """Direct check of the (v_k) configuration axioms.
-
-    Requires v distinct lines, every point on exactly k of them, and
-    every pair of distinct lines meeting in at most one point.
-    """
-    lines = C.lines()
-    distinct = set(lines)
-    if len(distinct) != C.v:
-        return False
-    incidence = {p: 0 for p in range(C.v)}
-    for line in distinct:
-        for p in line:
-            incidence[p] += 1
-    if any(count != C.k for count in incidence.values()):
-        return False
-    as_list = sorted(distinct, key=sorted)
-    for i in range(len(as_list)):
-        for j in range(i + 1, len(as_list)):
-            if len(as_list[i] & as_list[j]) > 1:
-                return False
-    return True
-
-
 def _maps_lines_onto(sigma, lines, target: frozenset[frozenset[int]]) -> bool:
     """True iff the point map sigma carries the lines exactly onto the set target."""
     return {frozenset(sigma[x] for x in line) for line in lines} == target
@@ -90,21 +64,6 @@ def _component_split(C: CyclicConfiguration) -> tuple[int, list[int]]:
     shifted = [s - C.base[0] for s in C.base]
     g = gcd(C.v, *shifted)
     return g, [s // g for s in shifted]
-
-
-def decompose(C: CyclicConfiguration) -> list[CyclicConfiguration]:
-    """Connected components, each re-based on its own cyclic group.
-
-    The base is first translated to contain 0.  With g = gcd(v, S) the
-    differences generate the subgroup of order d = v/g, and the
-    configuration is g disjoint copies of the one on Z_d with base S/g.
-    Components are returned re-canonicalized on Z_d so multisets of
-    components compare well across different decompositions.
-    """
-    g, component = _component_split(C)
-    d = C.v // g
-    component_base = canonical_form(component, d)
-    return [CyclicConfiguration(d, component_base) for _ in range(g)]
 
 
 @dataclass(frozen=True)
@@ -122,34 +81,6 @@ class LeviGraph:
             adj[p].append(self.v + l)
             adj[self.v + l].append(p)
         return adj
-
-    def girth(self) -> int | None:
-        """Length of a shortest cycle, None if the graph is acyclic.
-
-        BFS from every vertex; a non-tree edge seen from source s closes
-        a cycle of length dist(u) + dist(w) + 1, and the minimum over
-        all sources is exact.
-        """
-        adj = self.adjacency()
-        best: int | None = None
-        n = len(adj)
-        for source in range(n):
-            dist = [-1] * n
-            parent = [-1] * n
-            dist[source] = 0
-            queue = deque([source])
-            while queue:
-                u = queue.popleft()
-                for w in adj[u]:
-                    if dist[w] < 0:
-                        dist[w] = dist[u] + 1
-                        parent[w] = u
-                        queue.append(w)
-                    elif parent[u] != w:
-                        cycle = dist[u] + dist[w] + 1
-                        if best is None or cycle < best:
-                            best = cycle
-        return best
 
 
 def levi_graph(C: CyclicConfiguration) -> LeviGraph:

@@ -31,7 +31,6 @@ rather than rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -59,7 +58,7 @@ def _halve(n: int, v: int) -> int:
     return n // 2
 
 
-def count_fixed_identity(v: int) -> int:
+def _count_fixed_identity(v: int) -> int:
     """Number of connected base triples through 0 (fixed by the unit 1).
 
     phi(v) (bigphi(v) - 6) / 2 for odd v; even v subtracts 3 phi(v/2)
@@ -84,7 +83,7 @@ def count_fixed_closed(v: int, l: int) -> int:
     l %= v
     order = mult_order(l, v)  # rejects non-units
     if l == 1:
-        return count_fixed_identity(v)
+        return _count_fixed_identity(v)
     if order > 3:
         return 0
     if order == 2:
@@ -126,7 +125,7 @@ def count_fixed_bruteforce(v: int, k: int, l: int, cap: int | None = None) -> in
 # ------------------------------------------------------------- unit censuses
 
 
-def contributor_counts(v: int) -> tuple[int, int]:
+def _contributor_counts(v: int) -> tuple[int, int]:
     """(order-2 count, order-3 count) of units that fix some triple.
 
     Order-2 units qualify unless l = -1 mod v or, when 4 | v,
@@ -148,60 +147,32 @@ def contributor_counts(v: int) -> tuple[int, int]:
     return g2, g3
 
 
-def order2_contributors_closed(v: int) -> int:
-    """Closed form of the order-2 census for even v, from v mod 8.
-
-    2**(k-1) - 2 for v = 2, 6 mod 8; 2**k - 3 for v = 4 mod 8;
-    2**(k+1) - 3 for v = 0 mod 8, with k the number of distinct primes.
-    Returned raw, without clamping; the iterating census arbitrates.
-    """
-    _require_v(v)
-    if v % 2:
-        raise ValueError(f"closed order-2 census applies to even v, got {v}")
-    k = len(factorization(v))
-    r = v % 8
-    if r in (2, 6):
-        return 2 ** (k - 1) - 2
-    if r == 4:
-        return 2**k - 3
-    return 2 ** (k + 1) - 3
-
-
 # ------------------------------------------------------------------- the counts
 
 
-@dataclass(frozen=True)
-class FormulaCase:
-    """Case weight of the closed formula and which branch chose it."""
-
-    parity: str
-    weight: Fraction
-    label: str
-
-
-def formula_case(v: int) -> FormulaCase:
-    """Branch on the primes of v (odd) or v mod 8 (even)."""
+def _formula_weight(v: int) -> Fraction:
+    """Case weight of the closed formula: the primes of v (odd) or v mod 8 (even)."""
     _require_v(v)
     facs = factorization(v)
     if v % 2:
         if all(p % 3 == 1 for p, _ in facs):
-            return FormulaCase("odd", Fraction(5, 6), "all primes 1 mod 3")
+            return Fraction(5, 6)  # all primes 1 mod 3
         if facs[0] == (3, 1) and all(p % 3 == 1 for p, _ in facs[1:]):
-            return FormulaCase("odd", Fraction(2, 3), "single 3, rest 1 mod 3")
-        return FormulaCase("odd", Fraction(1, 2), "generic odd")
+            return Fraction(2, 3)  # a single 3, the rest 1 mod 3
+        return Fraction(1, 2)
     r = v % 8
     if r in (2, 6):
-        return FormulaCase("even", Fraction(1, 4), "v = 2, 6 mod 8")
+        return Fraction(1, 4)
     if r == 4:
-        return FormulaCase("even", Fraction(1, 2), "v = 4 mod 8")
-    return FormulaCase("even", Fraction(1, 1), "v = 0 mod 8")
+        return Fraction(1, 2)
+    return Fraction(1, 1)
 
 
 def count_closed_formula(v: int) -> int:
     """Number of connected cyclic (v_3) configurations, closed form."""
-    case = formula_case(v)
+    weight = _formula_weight(v)
     k = len(factorization(v))
-    total = Fraction(big_phi(v), 6) + case.weight * 2**k - (2 if v % 2 else 3)
+    total = Fraction(big_phi(v), 6) + weight * 2**k - (2 if v % 2 else 3)
     if total.denominator != 1:
         raise ArithmeticError(f"formula not integral at v={v}")
     return int(total)
@@ -210,7 +181,7 @@ def count_closed_formula(v: int) -> int:
 def count_unit_sum(v: int) -> int:
     """Same count through the unit censuses instead of the case table."""
     _require_v(v)
-    g2, g3 = contributor_counts(v)
+    g2, g3 = _contributor_counts(v)
     total = Fraction(big_phi(v), 6) - 1 + Fraction(g2, 2) + Fraction(g3, 3)
     if v % 2 == 0:
         total -= Fraction(phi(v // 2), phi(v))

@@ -84,30 +84,30 @@ def solving_set_params(p: int, q: int) -> SolvingSetParams:
 # permutations are image tables: perm[x] is the image of x.
 
 
-def is_permutation(perm: tuple[int, ...]) -> bool:
+def _is_permutation(perm: tuple[int, ...]) -> bool:
     return sorted(perm) == list(range(len(perm)))
 
 
-def perm_compose(first: tuple[int, ...], then: tuple[int, ...]) -> tuple[int, ...]:
+def _perm_compose(first: tuple[int, ...], then: tuple[int, ...]) -> tuple[int, ...]:
     """Apply ``first``, then ``then`` (left-to-right product)."""
     return tuple(then[x] for x in first)
 
 
-def class_shift(v: int, q: int, i: int) -> tuple[int, ...]:
+def _class_shift(v: int, q: int, i: int) -> tuple[int, ...]:
     """Add q to every point congruent to i mod q, fix the rest."""
     if v % q:
         raise ValueError(f"q={q} must divide v={v}")
     return tuple((x + q) % v if x % q == i % q else x for x in range(v))
 
 
-def multiplier_perm(v: int, j: int) -> tuple[int, ...]:
+def _multiplier_perm(v: int, j: int) -> tuple[int, ...]:
     """The global multiplier x -> j*x for a unit j."""
     if gcd(j, v) != 1:
         raise ValueError(f"{j} is not a unit modulo {v}")
     return tuple(j * x % v for x in range(v))
 
 
-def class_multiplier(v: int, q: int, i: int, j: int) -> tuple[int, ...]:
+def _class_multiplier(v: int, q: int, i: int, j: int) -> tuple[int, ...]:
     """Multiply class i mod q by the unit j, fix the other classes.
 
     Needs j = 1 mod q, else the map would leak out of the class and not
@@ -122,20 +122,20 @@ def class_multiplier(v: int, q: int, i: int, j: int) -> tuple[int, ...]:
     return tuple(j * x % v if x % q == i % q else x for x in range(v))
 
 
-def layered_multiplier(params: SolvingSetParams, k: int) -> tuple[int, ...]:
+def _layered_multiplier(params: SolvingSetParams, k: int) -> tuple[int, ...]:
     """Multiply class j by a**alpha * b**(-k*j), all classes at once.
 
     Each factor is a class multiplier (they commute, acting on disjoint
     classes); layer 0 is the global multiplier by a**alpha.  Parameters
     from solving_set_params make every factor a unit = 1 mod q; for
-    inconsistent ones class_multiplier raises ValueError.
+    inconsistent ones _class_multiplier raises ValueError.
     """
     v, q = params.v, params.q
     binv = inverse(params.b, v)
     out = tuple(range(v))
     for j in range(q):
         m = pow(params.a, params.alpha, v) * pow(binv, k * j, v) % v
-        out = perm_compose(out, class_multiplier(v, q, j, m))
+        out = _perm_compose(out, _class_multiplier(v, q, j, m))
     return out
 
 
@@ -172,34 +172,34 @@ def solving_set(C: CyclicConfiguration, params: SolvingSetParams) -> list[tuple[
     v, q = params.v, params.q
     if C.v != v:
         raise ValueError(f"configuration lives on Z_{C.v}, params on Z_{v}")
-    if not preserves_lines(multiplier_perm(v, params.b), C):
+    if not preserves_lines(_multiplier_perm(v, params.b), C):
         raise SolvingSetUnavailable("multiplier b is not an automorphism")
-    if preserves_lines(class_shift(v, q, 0), C):
+    if preserves_lines(_class_shift(v, q, 0), C):
         raise SolvingSetUnavailable("class-0 shift is an automorphism")
 
-    mu_a = multiplier_perm(v, params.a)
+    mu_a = _multiplier_perm(v, params.a)
     beta = None
     power = mu_a
     for i in range(1, params.p):
         if preserves_lines(power, C):
             beta = i
             break
-        power = perm_compose(power, mu_a)
+        power = _perm_compose(power, mu_a)
     if beta is None:
         raise RuntimeError("no power of mu_a below p fixes the lines, but mu_a**(p-1) is the identity")
 
-    layers = [layered_multiplier(params, k) for k in _admissible_layers(C, params)]
+    layers = [_layered_multiplier(params, k) for k in _admissible_layers(C, params)]
     out = []
     mu_a_pow = tuple(range(v))
     for i in range(beta):
         for nu in layers:
             for j in range(1, q):  # j < q < p, so j is a unit mod pq
-                mu_j_inv = multiplier_perm(v, inverse(j, v))
-                perm = perm_compose(perm_compose(mu_a_pow, nu), mu_j_inv)
-                if not is_permutation(perm):
+                mu_j_inv = _multiplier_perm(v, inverse(j, v))
+                perm = _perm_compose(_perm_compose(mu_a_pow, nu), mu_j_inv)
+                if not _is_permutation(perm):
                     raise RuntimeError(f"solving-set member {perm} is not a permutation")
                 out.append(perm)
-        mu_a_pow = perm_compose(mu_a_pow, mu_a)
+        mu_a_pow = _perm_compose(mu_a_pow, mu_a)
     return out
 
 
@@ -233,7 +233,7 @@ def solve_iso_pq(
         return _multiplier_witness(v, C1, C2)
 
     params = solving_set_params(p, q)
-    if not preserves_lines(multiplier_perm(v, params.b), C1):
+    if not preserves_lines(_multiplier_perm(v, params.b), C1):
         return _multiplier_witness(v, C1, C2)
     try:
         delta = solving_set(C1, params)

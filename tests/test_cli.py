@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import cyconf
 from cyconf import cli
 from cyconf.baseline import canonical_form, enumerate_base_lines
-from cyconf.cli import main, entry
+from cyconf.cli import _parse_span, main, entry
 
 
 def run(capsys, *argv):
@@ -265,3 +269,67 @@ def test_entry_raises_systemexit(capsys, monkeypatch):
         entry()
     assert info.value.code == 0
     assert capsys.readouterr().out == "1\n"
+
+
+def test_parse_span_is_a_range():
+    assert _parse_span("5..10") == range(5, 11)
+    assert _parse_span("7") == range(7, 8)
+
+
+def _python_m_cyconf(*argv):
+    src = str(Path(cyconf.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return subprocess.run(
+        [sys.executable, "-m", "cyconf", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def test_python_m_cyconf():
+    done = _python_m_cyconf("count", "--v", "7")
+    assert done.returncode == 0
+    assert done.stdout == "v=7 formula=1 sum=1 orbits=1 AGREE\n"
+    done = _python_m_cyconf("count", "--v", "x")
+    assert done.returncode == 2
+    assert done.stderr.startswith("error:")
+    assert "Traceback" not in done.stderr
+
+
+# every subcommand with valid arguments; the fuzz test spoils one at a time
+VALID = {
+    "count": ["--v=7"],
+    "enumerate": ["--v=7"],
+    "iso": ["--v=7", "--s1=0,1,3", "--s2=0,1,5"],
+    "verify": ["--v=7"],
+    "export": ["--v=7", "--s=0,1,3"],
+}
+BAD_INTS = ["", "x", "1.5", "0x10", "7..x", "--"]
+MALFORMED = {
+    "--v": BAD_INTS + ["0", "-1", "9..7", "..3", "7..7..7", "100000000000000000000"],
+    "--s": ["", "x", "0,,1", "0,1", "0,1,2", "0,1,8", "0;1;3", "0,1,3,", "--"],
+    "--k": BAD_INTS + ["2", "-1"],
+    "--cap": BAD_INTS + ["7..9"],
+}
+
+
+def _exit_code(capsys, argv):
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse rejects the value itself
+        rc = exc.code
+    return rc, capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", sorted(VALID))
+def test_malformed_options_exit_2(capsys, command):
+    for opt, values in MALFORMED.items():
+        opts = ("--s1", "--s2") if opt == "--s" and command == "iso" else (opt,)
+        for name in opts:
+            for value in values:
+                kept = [a for a in VALID[command] if not a.startswith(name + "=")]
+                argv = [command, *kept, f"{name}={value}"]
+                rc, out = _exit_code(capsys, argv)
+                assert rc == 2, argv
+                assert out.err.strip(), argv
+                assert "Traceback" not in out.err, argv

@@ -6,17 +6,17 @@ import pytest
 
 from cyconf import counting
 from cyconf.counting import (
-    contributor_counts,
+    _contributor_counts,
+    _count_fixed_identity,
+    _formula_weight,
     count_closed_formula,
     count_fixed_bruteforce,
     count_fixed_closed,
-    count_fixed_identity,
     count_orbit_scan,
     count_unit_sum,
-    formula_case,
-    order2_contributors_closed,
 )
 from cyconf.residue_ring import CapExceeded, phi, units
+from helpers import order2_contributors_closed
 
 # frozen from the union-find orbit scan
 ORBITS_K3 = {
@@ -48,14 +48,14 @@ def test_triple_agreement_quick_range():
 
 def test_count_fixed_identity_spots():
     # v=7: phi*(bigphi-6)/2 = 6*2/2; v=8 subtracts 3*phi(4)
-    assert count_fixed_identity(7) == 6
-    assert count_fixed_identity(8) == 4 * 6 // 2 - 3 * 2
-    assert count_fixed_identity(13) == 48
+    assert _count_fixed_identity(7) == 6
+    assert _count_fixed_identity(8) == 4 * 6 // 2 - 3 * 2
+    assert _count_fixed_identity(13) == 48
 
 
 def test_fixed_identity_matches_slice_size():
     for v in range(7, 41):
-        assert count_fixed_identity(v) == count_fixed_bruteforce(v, 3, 1)
+        assert _count_fixed_identity(v) == count_fixed_bruteforce(v, 3, 1)
 
 
 def test_fixed_census_at_7():
@@ -99,7 +99,7 @@ def test_order3_condition():
 
 def test_contributor_counts_against_closed_even_form():
     for v in range(8, 101, 2):
-        g2, g3 = contributor_counts(v)
+        g2, g3 = _contributor_counts(v)
         assert g2 == order2_contributors_closed(v), v
         assert g3 == 0, v  # even v has no order-3 units with l*l+l+1 = 0
 
@@ -110,15 +110,13 @@ def test_order2_closed_rejects_odd():
 
 
 def test_formula_case_branches():
-    assert formula_case(7).weight == Fraction(5, 6)
-    assert formula_case(21).weight == Fraction(2, 3)
-    assert formula_case(9).weight == Fraction(1, 2)
-    assert formula_case(15).weight == Fraction(1, 2)
-    assert formula_case(30).weight == Fraction(1, 4)
-    assert formula_case(12).weight == Fraction(1, 2)
-    assert formula_case(8).weight == Fraction(1, 1)
-    assert formula_case(7).parity == "odd"
-    assert formula_case(8).parity == "even"
+    assert _formula_weight(7) == Fraction(5, 6)
+    assert _formula_weight(21) == Fraction(2, 3)
+    assert _formula_weight(9) == Fraction(1, 2)
+    assert _formula_weight(15) == Fraction(1, 2)
+    assert _formula_weight(30) == Fraction(1, 4)
+    assert _formula_weight(12) == Fraction(1, 2)
+    assert _formula_weight(8) == Fraction(1, 1)
 
 
 def test_rejects_tiny_moduli():
@@ -146,7 +144,7 @@ def test_integrality_checks_raise(monkeypatch):
     monkeypatch.setattr(counting, "phi", lambda v: 1)
     monkeypatch.setattr(counting, "big_phi", lambda v: 7)
     with pytest.raises(ArithmeticError):
-        count_fixed_identity(13)
+        _count_fixed_identity(13)
     with pytest.raises(ArithmeticError):
         count_fixed_closed(8, 3)  # the order-2 case halves 3 * phi
     with pytest.raises(ArithmeticError):

@@ -6,22 +6,22 @@ import pytest
 
 from cyconf import solving_sets
 from cyconf.baseline import canonical_form, enumerate_base_lines
-from cyconf.configuration import CyclicConfiguration, validate
+from cyconf.configuration import CyclicConfiguration
 from cyconf.iso import exact_isomorphic, witness_valid
 from cyconf.residue_ring import mult_order, phi
 from cyconf.solving_sets import (
     SolvingSetUnavailable,
-    class_multiplier,
-    class_shift,
-    layered_multiplier,
-    multiplier_perm,
-    perm_compose,
+    _class_multiplier,
+    _class_shift,
+    _layered_multiplier,
+    _multiplier_perm,
+    _perm_compose,
     preserves_lines,
     solve_iso_pq,
     solving_set,
     solving_set_params,
 )
-from helpers import affine_image
+from helpers import affine_image, validate
 
 
 def test_params_frozen_values():
@@ -51,43 +51,43 @@ def test_params_rejections():
 
 
 def test_class_shift_action():
-    tau0 = class_shift(21, 3, 0)
+    tau0 = _class_shift(21, 3, 0)
     assert tau0[0] == 3 and tau0[3] == 6 and tau0[18] == 0
     assert tau0[1] == 1 and tau0[2] == 2
     # p-th power of a class shift is the identity
     power = tuple(range(21))
     for _ in range(7):
-        power = perm_compose(power, tau0)
+        power = _perm_compose(power, tau0)
     assert power == tuple(range(21))
-    tau1 = class_shift(21, 3, 1)
-    tau2 = class_shift(21, 3, 2)
+    tau1 = _class_shift(21, 3, 1)
+    tau2 = _class_shift(21, 3, 2)
     translation = tuple((x + 3) % 21 for x in range(21))
-    assert perm_compose(perm_compose(tau0, tau1), tau2) == translation
+    assert _perm_compose(_perm_compose(tau0, tau1), tau2) == translation
     with pytest.raises(ValueError):
-        class_shift(20, 3, 0)
+        _class_shift(20, 3, 0)
 
 
 def test_class_multiplier_action():
-    g = class_multiplier(21, 3, 0, 16)
+    g = _class_multiplier(21, 3, 0, 16)
     assert g[0] == 0 and g[3] == 6 and g[9] == 18
     assert g[1] == 1 and g[5] == 5
-    assert class_multiplier(21, 3, 1, 1) == tuple(range(21))
+    assert _class_multiplier(21, 3, 1, 1) == tuple(range(21))
     full = tuple(range(21))
     for i in range(3):
-        full = perm_compose(full, class_multiplier(21, 3, i, 16))
-    assert full == multiplier_perm(21, 16)
+        full = _perm_compose(full, _class_multiplier(21, 3, i, 16))
+    assert full == _multiplier_perm(21, 16)
     with pytest.raises(ValueError):
-        class_multiplier(21, 3, 0, 5)  # 5 is not 1 mod 3
+        _class_multiplier(21, 3, 0, 5)  # 5 is not 1 mod 3
     with pytest.raises(ValueError):
-        class_multiplier(21, 3, 0, 7)  # not a unit
+        _class_multiplier(21, 3, 0, 7)  # not a unit
 
 
 def test_layered_multiplier_layers():
     P = solving_set_params(7, 3)
     base = pow(P.a, P.alpha, P.v)
-    assert layered_multiplier(P, 0) == multiplier_perm(P.v, base)
+    assert _layered_multiplier(P, 0) == _multiplier_perm(P.v, base)
     for k in range(P.q):
-        g = layered_multiplier(P, k)
+        g = _layered_multiplier(P, k)
         assert tuple(sorted(g)) == tuple(range(P.v))
         for x in range(P.v):
             assert g[x] % P.q == x % P.q
@@ -97,13 +97,13 @@ def test_layered_multiplier_rejects_inconsistent_params():
     # a = 7 is not a unit mod 21, so no layer factor is one either
     P = replace(solving_set_params(7, 3), a=7)
     with pytest.raises(ValueError):
-        layered_multiplier(P, 0)
+        _layered_multiplier(P, 0)
 
 
 def test_perm_compose_is_left_factor_first():
-    first = class_shift(6, 2, 0)
-    then = multiplier_perm(6, 5)
-    combo = perm_compose(first, then)
+    first = _class_shift(6, 2, 0)
+    then = _multiplier_perm(6, 5)
+    combo = _perm_compose(first, then)
     for x in range(6):
         assert combo[x] == then[first[x]]
 
@@ -126,7 +126,7 @@ def test_hypothesis_failures_are_distinct():
 
 
 def test_solving_set_audit_raises(monkeypatch):
-    monkeypatch.setattr(solving_sets, "is_permutation", lambda perm: False)
+    monkeypatch.setattr(solving_sets, "_is_permutation", lambda perm: False)
     with pytest.raises(RuntimeError, match="not a permutation"):
         solving_set(CyclicConfiguration(21, (0, 1, 5)), solving_set_params(7, 3))
 

@@ -2,16 +2,18 @@
 
 Exit codes are a stable contract: 0 for success (including an ISO
 verdict and a passing verify sweep), 1 for NON-ISO or a verify
-mismatch, 2 for usage errors.  Output is deterministic for identical
-flags; the verify sweep may fan out over processes but results are
-merged in ascending v.
+mismatch, 2 for usage errors, 141 when the reader closes stdout early.
+Output is deterministic for identical flags; the verify sweep may fan
+out over processes but prints each v as it finishes, in ascending v.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 
 from .baseline import (
     _check_enumeration,
@@ -52,6 +54,17 @@ def _parse_span(text: str) -> range:
     if lo < 1 or hi < lo:
         raise CliError(f"bad range {text!r}")
     return range(lo, hi + 1)
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for --cap and --jobs."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return n
 
 
 def _parse_single(text: str) -> int:
@@ -226,20 +239,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     span = _parse_span(args.v)
     if span[0] < 5:
         raise CliError("verify needs v >= 5")
-    payloads = [(v, args.k, args.oracle, args.cap) for v in span]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_verify_one, payloads))
-    else:
-        results = [_verify_one(p) for p in payloads]
+    payloads = ((v, args.k, args.oracle, args.cap) for v in span)
     bad = 0
-    for v, failures in sorted(results):
-        if failures:
-            bad += 1
-            for f in failures:
-                print(f"v={v} FAIL: {f}")
-        else:
-            print(f"v={v} ok")
+    # both maps yield in ascending v as results come in; the pool still
+    # submits the whole span up front
+    with ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else nullcontext() as pool:
+        for v, failures in (pool.map if pool else map)(_verify_one, payloads):
+            if failures:
+                bad += 1
+                for f in failures:
+                    print(f"v={v} FAIL: {f}", flush=True)
+            else:
+                print(f"v={v} ok", flush=True)
     if bad:
         print(f"FAIL {bad} of {len(span)} values mismatched")
         return 1
@@ -266,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="all",
         help="closed formula, unit sum, brute-force orbit scan, or all three",
     )
-    p.add_argument("--cap", type=int, default=None, help="enumeration cap override")
+    p.add_argument("--cap", type=_positive_int, default=None, help="enumeration cap override")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("enumerate", help="list base lines or orbit representatives")
@@ -276,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", action="store_true", help="one canonical representative per orbit")
     p.add_argument("--expand", action="store_true", help="all translates, not just sets through 0")
     p.add_argument("--format", choices=("record", "sets"), default="record")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_positive_int, default=None)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("iso", help="decide isomorphism of two base lines")
@@ -288,15 +299,15 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("auto", "multiplier", "exact", "solving-set"),
         default="auto",
     )
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_positive_int, default=None)
     p.set_defaults(func=cmd_iso)
 
     p = sub.add_parser("verify", help="self-verification sweep")
     p.add_argument("--v", required=True, help="modulus N or range A..B, values >= 5")
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--oracle", action="store_true", help="cross-check against the exact oracle")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
+    p.add_argument("--cap", type=_positive_int, default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("export", help="serialize one configuration")
@@ -323,4 +334,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe shows here at the latest
+    except BrokenPipeError:
+        # the reader left early (say `| head`): end quietly, as SIGPIPE would,
+        # with stdout pointed at devnull so the exit-time flush stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE
+    raise SystemExit(code)

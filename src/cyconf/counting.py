@@ -16,10 +16,11 @@ Three routes to the same number are implemented:
   bigphi(v)/6 + w * 2**k - (2 for odd v, 3 for even v), with k the
   number of distinct primes of v and w a case weight depending on the
   primes mod 3 (odd v) or on v mod 8 (even v).
-* count_unit_sum: bigphi(v)/6 - 1 + g2 / 2 + g3 / 3 (minus a totient
-  ratio for even v), where g2 and g3 count the order-2 and order-3
-  units that actually fix triples; both counts come from iterating over
-  units, with closed forms checked against them.
+* count_unit_sum: the orbit-counting sum itself, with fixed(v, l)
+  taken from the closed per-unit case analysis count_fixed_closed
+  (units of order 1, 2 or 3 contribute, the rest fix nothing).  The
+  acceptance battery checks count_fixed_closed against brute force
+  for every unit (criterion 3).
 * count_orbit_scan: brute-force enumeration of the slice and a walk of
   the affine action over it.  No formula enters; this is the oracle for
   the other two.
@@ -122,31 +123,6 @@ def count_fixed_bruteforce(v: int, k: int, l: int, cap: int | None = None) -> in
     return count
 
 
-# ------------------------------------------------------------- unit censuses
-
-
-def _contributor_counts(v: int) -> tuple[int, int]:
-    """(order-2 count, order-3 count) of units that fix some triple.
-
-    Order-2 units qualify unless l = -1 mod v or, when 4 | v,
-    l = 1 mod v/2; order-3 units qualify iff l*l + l + 1 = 0 mod v.
-    Computed by direct iteration over the unit group.
-    """
-    _require_v(v)
-    g2 = g3 = 0
-    for l in units(v):
-        order = mult_order(l, v)
-        if order == 2:
-            if (l + 1) % v == 0:
-                continue
-            if v % 4 == 0 and l % (v // 2) == 1:
-                continue
-            g2 += 1
-        elif order == 3 and (l * l + l + 1) % v == 0:
-            g3 += 1
-    return g2, g3
-
-
 # ------------------------------------------------------------------- the counts
 
 
@@ -179,12 +155,9 @@ def count_closed_formula(v: int) -> int:
 
 
 def count_unit_sum(v: int) -> int:
-    """Same count through the unit censuses instead of the case table."""
+    """Same count through the orbit-counting sum of the closed fixed counts."""
     _require_v(v)
-    g2, g3 = _contributor_counts(v)
-    total = Fraction(big_phi(v), 6) - 1 + Fraction(g2, 2) + Fraction(g3, 3)
-    if v % 2 == 0:
-        total -= Fraction(phi(v // 2), phi(v))
+    total = Fraction(sum(count_fixed_closed(v, l) for l in units(v)), 3 * phi(v))
     if total.denominator != 1:
         raise ArithmeticError(f"unit sum not integral at v={v}")
     return int(total)

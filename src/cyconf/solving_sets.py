@@ -3,34 +3,31 @@
 A solving set for an object X on Z_v is a finite list of point
 permutations such that X is isomorphic to another cyclic object Y iff
 some permutation in the list carries the line set of X exactly onto the
-line set of Y.  For v = p*q with p, q distinct primes and q | p - 1 the
-list can be built from three permutation families on Z_v, all phrased
-through the residue classes modulo q:
-
-* class shifts: add q to the points in one class mod q;
-* global multipliers x -> j*x for units j;
-* class multipliers: multiply one class mod q by a unit j = 1 mod q
-  (these are well defined because such j preserve every class).
+line set of Y.  For v = p*q with p, q distinct primes and q | p - 1,
+every member is a per-class scaling: a map x -> c_r * x, where r is the
+class of x mod q and the units c_r all agree mod q, so the map carries
+each class onto one class and is a bijection of Z_v.
 
 The construction needs a unit a of maximal order p - 1 with a = 1 mod q;
 then b = a**s for s = (p-1)/q has order q, and an exponent alpha with
 a**alpha = -s mod p exists because a is a primitive root mod p.  When
-the multiplier by b is an automorphism of X but the class-0 shift is
-not, the solving set consists of the products
+the multiplier by b is an automorphism of X but the class-0 shift
+(add q to the points = 0 mod q) is not, the solving set consists of the
+scalings with factors
 
-    mu_a**i * nu_k * mu_j**(-1)
+    c_r = j**(-1) * a**(i + alpha) * b**(-k*r)   (r = 0..q-1)
 
-over 0 <= i < beta, 0 < j < q and the layers k in 0..q-1 whose
-associated product of class-shift powers is an automorphism of X; here
-nu_k multiplies class j by a**alpha * b**(-k*j), beta is the least
-positive power of mu_a fixing X, and products apply the left factor
-first.  Multipliers alone solve X when b is not an automorphism of it.
+over 0 <= i < beta, then the admissible layers k, then 0 < j < q.
+Here beta is the least positive i with x -> a**i * x fixing X, and
+layer k is admissible when the product over classes l of the class-l
+shift raised to b**((l+1)*k) mod p is an automorphism of X.
+Multipliers alone solve X when b is not an automorphism of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from functools import lru_cache
 
 from .configuration import CyclicConfiguration, _maps_lines_onto
 from .iso import IsoWitness, exact_isomorphic, multiplier_equivalent
@@ -65,6 +62,7 @@ def _is_prime(n: int) -> bool:
     return n > 1 and factorization(n) == ((n, 1),)
 
 
+@lru_cache(maxsize=64)
 def solving_set_params(p: int, q: int) -> SolvingSetParams:
     """Derive (a, b, s, alpha); rejects pairs where q does not divide p - 1."""
     if not (_is_prime(p) and _is_prime(q)) or p == q:
@@ -88,55 +86,9 @@ def _is_permutation(perm: tuple[int, ...]) -> bool:
     return sorted(perm) == list(range(len(perm)))
 
 
-def _perm_compose(first: tuple[int, ...], then: tuple[int, ...]) -> tuple[int, ...]:
-    """Apply ``first``, then ``then`` (left-to-right product)."""
-    return tuple(then[x] for x in first)
-
-
-def _class_shift(v: int, q: int, i: int) -> tuple[int, ...]:
-    """Add q to every point congruent to i mod q, fix the rest."""
-    if v % q:
-        raise ValueError(f"q={q} must divide v={v}")
-    return tuple((x + q) % v if x % q == i % q else x for x in range(v))
-
-
-def _multiplier_perm(v: int, j: int) -> tuple[int, ...]:
-    """The global multiplier x -> j*x for a unit j."""
-    if gcd(j, v) != 1:
-        raise ValueError(f"{j} is not a unit modulo {v}")
-    return tuple(j * x % v for x in range(v))
-
-
-def _class_multiplier(v: int, q: int, i: int, j: int) -> tuple[int, ...]:
-    """Multiply class i mod q by the unit j, fix the other classes.
-
-    Needs j = 1 mod q, else the map would leak out of the class and not
-    even be a bijection of it.
-    """
-    if v % q:
-        raise ValueError(f"q={q} must divide v={v}")
-    if gcd(j, v) != 1:
-        raise ValueError(f"{j} is not a unit modulo {v}")
-    if j % q != 1:
-        raise ValueError(f"class multiplier needs j = 1 mod q, got j={j}")
-    return tuple(j * x % v if x % q == i % q else x for x in range(v))
-
-
-def _layered_multiplier(params: SolvingSetParams, k: int) -> tuple[int, ...]:
-    """Multiply class j by a**alpha * b**(-k*j), all classes at once.
-
-    Each factor is a class multiplier (they commute, acting on disjoint
-    classes); layer 0 is the global multiplier by a**alpha.  Parameters
-    from solving_set_params make every factor a unit = 1 mod q; for
-    inconsistent ones _class_multiplier raises ValueError.
-    """
-    v, q = params.v, params.q
-    binv = inverse(params.b, v)
-    out = tuple(range(v))
-    for j in range(q):
-        m = pow(params.a, params.alpha, v) * pow(binv, k * j, v) % v
-        out = _perm_compose(out, _class_multiplier(v, q, j, m))
-    return out
+def _scaling(v: int, q: int, factors) -> tuple[int, ...]:
+    """The map x -> factors[x mod q] * x on Z_v."""
+    return tuple(factors[x % q] * x % v for x in range(v))
 
 
 def preserves_lines(perm: tuple[int, ...], C: CyclicConfiguration) -> bool:
@@ -150,6 +102,7 @@ def _admissible_layers(C: CyclicConfiguration, params: SolvingSetParams) -> list
     # shift raised to b**((l+1)*k) mod p preserves the lines; layer 0
     # is the translation x -> x + q and always passes
     v, q = params.v, params.q
+    target = C.line_set()
     out = []
     for k in range(q):
         sigma = list(range(v))
@@ -157,7 +110,7 @@ def _admissible_layers(C: CyclicConfiguration, params: SolvingSetParams) -> list
             shift = pow(params.b, (l + 1) * k, params.p) * q % v
             for x in range(l, v, q):
                 sigma[x] = (x + shift) % v
-        if preserves_lines(tuple(sigma), C):
+        if _maps_lines_onto(sigma, target, target):
             out.append(k)
     return out
 
@@ -165,41 +118,43 @@ def _admissible_layers(C: CyclicConfiguration, params: SolvingSetParams) -> list
 def solving_set(C: CyclicConfiguration, params: SolvingSetParams) -> list[tuple[int, ...]]:
     """The solving set for C, given the multiplier by b fixes its lines.
 
-    Raises SolvingSetUnavailable when the hypotheses fail: the
-    multiplier by b must preserve C's lines and the class-0 shift must
-    not.  Every returned permutation is audited for bijectivity.
+    Raises ValueError unless params are solving_set_params(p, q) and C
+    lives on Z_pq, and SolvingSetUnavailable when the hypotheses fail:
+    the multiplier by b must preserve C's lines and the class-0 shift
+    must not.  Every returned permutation is audited for bijectivity.
     """
     v, q = params.v, params.q
+    if params != solving_set_params(params.p, params.q):
+        raise ValueError(f"{params} are not the solving-set parameters for p={params.p}, q={q}")
     if C.v != v:
         raise ValueError(f"configuration lives on Z_{C.v}, params on Z_{v}")
-    if not preserves_lines(_multiplier_perm(v, params.b), C):
+    target = C.line_set()
+    if not _maps_lines_onto(_scaling(v, 1, (params.b,)), target, target):
         raise SolvingSetUnavailable("multiplier b is not an automorphism")
-    if preserves_lines(_class_shift(v, q, 0), C):
+    class0_shift = tuple((x + q) % v if x % q == 0 else x for x in range(v))
+    if _maps_lines_onto(class0_shift, target, target):
         raise SolvingSetUnavailable("class-0 shift is an automorphism")
 
-    mu_a = _multiplier_perm(v, params.a)
-    beta = None
-    power = mu_a
-    for i in range(1, params.p):
-        if preserves_lines(power, C):
-            beta = i
-            break
-        power = _perm_compose(power, mu_a)
+    beta = next(
+        (i for i in range(1, params.p)
+         if _maps_lines_onto(_scaling(v, 1, (pow(params.a, i, v),)), target, target)),
+        None,
+    )
     if beta is None:
         raise RuntimeError("no power of mu_a below p fixes the lines, but mu_a**(p-1) is the identity")
 
-    layers = [_layered_multiplier(params, k) for k in _admissible_layers(C, params)]
+    binv = inverse(params.b, v)
+    layers = _admissible_layers(C, params)
     out = []
-    mu_a_pow = tuple(range(v))
     for i in range(beta):
-        for nu in layers:
+        a_pow = pow(params.a, i + params.alpha, v)
+        for k in layers:
             for j in range(1, q):  # j < q < p, so j is a unit mod pq
-                mu_j_inv = _multiplier_perm(v, inverse(j, v))
-                perm = _perm_compose(_perm_compose(mu_a_pow, nu), mu_j_inv)
+                c = inverse(j, v) * a_pow % v
+                perm = _scaling(v, q, [c * pow(binv, k * r, v) % v for r in range(q)])
                 if not _is_permutation(perm):
                     raise RuntimeError(f"solving-set member {perm} is not a permutation")
                 out.append(perm)
-        mu_a_pow = _perm_compose(mu_a_pow, mu_a)
     return out
 
 
@@ -233,7 +188,7 @@ def solve_iso_pq(
         return _multiplier_witness(v, C1, C2)
 
     params = solving_set_params(p, q)
-    if not preserves_lines(_multiplier_perm(v, params.b), C1):
+    if not preserves_lines(_scaling(v, 1, (params.b,)), C1):
         return _multiplier_witness(v, C1, C2)
     try:
         delta = solving_set(C1, params)

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 from collections import deque
+from math import gcd
 
 from cyconf.baseline import canonical_form
 from cyconf.circulant import CirculantMatrix, _gram_profile
-from cyconf.configuration import CyclicConfiguration, LeviGraph, _component_split
-from cyconf.residue_ring import factorization
+from cyconf.configuration import CyclicConfiguration, LeviGraph, _component_split, _maps_lines_onto
+from cyconf.residue_ring import factorization, inverse
+from cyconf.solving_sets import SolvingSetParams, SolvingSetUnavailable
 
 
 def affine_image(S, a: int, b: int, v: int) -> tuple[int, ...]:
@@ -118,3 +120,130 @@ def gram_matrix(A: CirculantMatrix) -> list[list[int]]:
     c = _gram_profile(A)
     v = A.v
     return [[c[(j - i) % v] for j in range(v)] for i in range(v)]
+
+
+# --------------------------------------------- reference solving-set construction
+
+
+def _is_permutation(perm: tuple[int, ...]) -> bool:
+    return sorted(perm) == list(range(len(perm)))
+
+
+def _perm_compose(first: tuple[int, ...], then: tuple[int, ...]) -> tuple[int, ...]:
+    """Apply ``first``, then ``then`` (left-to-right product)."""
+    return tuple(then[x] for x in first)
+
+
+def _class_shift(v: int, q: int, i: int) -> tuple[int, ...]:
+    """Add q to every point congruent to i mod q, fix the rest."""
+    if v % q:
+        raise ValueError(f"q={q} must divide v={v}")
+    return tuple((x + q) % v if x % q == i % q else x for x in range(v))
+
+
+def _multiplier_perm(v: int, j: int) -> tuple[int, ...]:
+    """The global multiplier x -> j*x for a unit j."""
+    if gcd(j, v) != 1:
+        raise ValueError(f"{j} is not a unit modulo {v}")
+    return tuple(j * x % v for x in range(v))
+
+
+def _class_multiplier(v: int, q: int, i: int, j: int) -> tuple[int, ...]:
+    """Multiply class i mod q by the unit j, fix the other classes.
+
+    Needs j = 1 mod q, else the map would leak out of the class and not
+    even be a bijection of it.
+    """
+    if v % q:
+        raise ValueError(f"q={q} must divide v={v}")
+    if gcd(j, v) != 1:
+        raise ValueError(f"{j} is not a unit modulo {v}")
+    if j % q != 1:
+        raise ValueError(f"class multiplier needs j = 1 mod q, got j={j}")
+    return tuple(j * x % v if x % q == i % q else x for x in range(v))
+
+
+def _layered_multiplier(params: SolvingSetParams, k: int) -> tuple[int, ...]:
+    """Multiply class j by a**alpha * b**(-k*j), all classes at once.
+
+    Each factor is a class multiplier (they commute, acting on disjoint
+    classes); layer 0 is the global multiplier by a**alpha.  Parameters
+    from solving_set_params make every factor a unit = 1 mod q; for
+    inconsistent ones _class_multiplier raises ValueError.
+    """
+    v, q = params.v, params.q
+    binv = inverse(params.b, v)
+    out = tuple(range(v))
+    for j in range(q):
+        m = pow(params.a, params.alpha, v) * pow(binv, k * j, v) % v
+        out = _perm_compose(out, _class_multiplier(v, q, j, m))
+    return out
+
+
+def _preserves_lines(perm: tuple[int, ...], C: CyclicConfiguration) -> bool:
+    """True iff the permutation maps the line set of C onto itself."""
+    target = C.line_set()
+    return _maps_lines_onto(perm, target, target)
+
+
+def _admissible_layers(C: CyclicConfiguration, params: SolvingSetParams) -> list[int]:
+    # layer k passes when the product over classes l of the class-l
+    # shift raised to b**((l+1)*k) mod p preserves the lines; layer 0
+    # is the translation x -> x + q and always passes
+    v, q = params.v, params.q
+    out = []
+    for k in range(q):
+        sigma = list(range(v))
+        for l in range(q):
+            shift = pow(params.b, (l + 1) * k, params.p) * q % v
+            for x in range(l, v, q):
+                sigma[x] = (x + shift) % v
+        if _preserves_lines(tuple(sigma), C):
+            out.append(k)
+    return out
+
+
+def reference_solving_set(C: CyclicConfiguration, params: SolvingSetParams) -> list[tuple[int, ...]]:
+    """The solving set for C, built by composing permutation tables.
+
+    This is the construction as first written, kept as an independent
+    reference for solving_sets.solving_set: every member is a product of
+    multipliers, class multipliers and layers, composed left factor
+    first.
+
+    Raises SolvingSetUnavailable when the hypotheses fail: the
+    multiplier by b must preserve C's lines and the class-0 shift must
+    not.  Every returned permutation is audited for bijectivity.
+    """
+    v, q = params.v, params.q
+    if C.v != v:
+        raise ValueError(f"configuration lives on Z_{C.v}, params on Z_{v}")
+    if not _preserves_lines(_multiplier_perm(v, params.b), C):
+        raise SolvingSetUnavailable("multiplier b is not an automorphism")
+    if _preserves_lines(_class_shift(v, q, 0), C):
+        raise SolvingSetUnavailable("class-0 shift is an automorphism")
+
+    mu_a = _multiplier_perm(v, params.a)
+    beta = None
+    power = mu_a
+    for i in range(1, params.p):
+        if _preserves_lines(power, C):
+            beta = i
+            break
+        power = _perm_compose(power, mu_a)
+    if beta is None:
+        raise RuntimeError("no power of mu_a below p fixes the lines, but mu_a**(p-1) is the identity")
+
+    layers = [_layered_multiplier(params, k) for k in _admissible_layers(C, params)]
+    out = []
+    mu_a_pow = tuple(range(v))
+    for i in range(beta):
+        for nu in layers:
+            for j in range(1, q):  # j < q < p, so j is a unit mod pq
+                mu_j_inv = _multiplier_perm(v, inverse(j, v))
+                perm = _perm_compose(_perm_compose(mu_a_pow, nu), mu_j_inv)
+                if not _is_permutation(perm):
+                    raise RuntimeError(f"solving-set member {perm} is not a permutation")
+                out.append(perm)
+        mu_a_pow = _perm_compose(mu_a_pow, mu_a)
+    return out

@@ -240,6 +240,21 @@ def test_verify_jobs_output_identical(capsys):
     assert (rc1, out1) == (rc2, out2)
 
 
+def test_verify_prints_each_v_as_it_finishes(capsys, monkeypatch):
+    seen = {}
+    real = cli._verify_one
+
+    def spy(payload):
+        seen[payload[0]] = capsys.readouterr().out
+        return real(payload)
+
+    monkeypatch.setattr(cli, "_verify_one", spy)
+    assert main(["verify", "--v", "7..9"]) == 0
+    assert seen[7] == ""
+    assert seen[8] == "v=7 ok\n"
+    assert seen[9] == "v=8 ok\n"
+
+
 def test_verify_k4(capsys):
     rc, out, _ = run(capsys, "verify", "--v", "13..16", "--k", "4")
     assert rc == 0
@@ -276,13 +291,16 @@ def test_parse_span_is_a_range():
     assert _parse_span("7") == range(7, 8)
 
 
-def _python_m_cyconf(*argv):
+def _cyconf_env():
     src = str(Path(cyconf.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+def _python_m_cyconf(*argv):
     return subprocess.run(
         [sys.executable, "-m", "cyconf", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=_cyconf_env(), timeout=60,
     )
 
 
@@ -294,6 +312,23 @@ def test_python_m_cyconf():
     assert done.returncode == 2
     assert done.stderr.startswith("error:")
     assert "Traceback" not in done.stderr
+
+
+def test_broken_pipe_is_quiet():
+    # about 400 KB of output, more than a pipe buffers: the writer meets the closed pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cyconf", "enumerate", "--v", "300", "--format", "sets"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cyconf_env(),
+    )
+    assert proc.stdout.readline() == b"0,1,3\n"
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b""
 
 
 # every subcommand with valid arguments; the fuzz test spoils one at a time
@@ -309,7 +344,8 @@ MALFORMED = {
     "--v": BAD_INTS + ["0", "-1", "9..7", "..3", "7..7..7", "100000000000000000000"],
     "--s": ["", "x", "0,,1", "0,1", "0,1,2", "0,1,8", "0;1;3", "0,1,3,", "--"],
     "--k": BAD_INTS + ["2", "-1"],
-    "--cap": BAD_INTS + ["7..9"],
+    "--cap": BAD_INTS + ["7..9", "0", "-1"],
+    "--jobs": BAD_INTS + ["7..9", "0", "-1"],  # all rejected before any worker starts
 }
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from cyconf import counting
 from cyconf.counting import (
-    _contributor_counts,
     _count_fixed_identity,
     _formula_weight,
     count_closed_formula,
@@ -98,8 +97,11 @@ def test_order3_condition():
 
 
 def test_contributor_counts_against_closed_even_form():
+    # units of order 2 and 3 whose closed fixed count is positive
     for v in range(8, 101, 2):
-        g2, g3 = _contributor_counts(v)
+        contributors = [l for l in units(v) if l != 1 and count_fixed_closed(v, l) > 0]
+        g2 = sum(1 for l in contributors if pow(l, 2, v) == 1)
+        g3 = len(contributors) - g2
         assert g2 == order2_contributors_closed(v), v
         assert g3 == 0, v  # even v has no order-3 units with l*l+l+1 = 0
 
@@ -150,6 +152,13 @@ def test_integrality_checks_raise(monkeypatch):
     with pytest.raises(ArithmeticError):
         count_closed_formula(13)
     with pytest.raises(ArithmeticError):
+        count_unit_sum(13)
+
+
+def test_unit_sum_integrality_check_raises(monkeypatch):
+    # one fixed triple per unit sums to phi(13), a third of an orbit
+    monkeypatch.setattr(counting, "count_fixed_closed", lambda v, l: 1)
+    with pytest.raises(ArithmeticError, match="unit sum not integral"):
         count_unit_sum(13)
 
 

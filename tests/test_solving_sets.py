@@ -11,17 +11,12 @@ from cyconf.iso import exact_isomorphic, witness_valid
 from cyconf.residue_ring import mult_order, phi
 from cyconf.solving_sets import (
     SolvingSetUnavailable,
-    _class_multiplier,
-    _class_shift,
-    _layered_multiplier,
-    _multiplier_perm,
-    _perm_compose,
     preserves_lines,
     solve_iso_pq,
     solving_set,
     solving_set_params,
 )
-from helpers import affine_image, validate
+from helpers import affine_image, reference_solving_set, validate
 
 
 def test_params_frozen_values():
@@ -50,62 +45,33 @@ def test_params_rejections():
         solving_set_params(7, 7)
 
 
-def test_class_shift_action():
-    tau0 = _class_shift(21, 3, 0)
-    assert tau0[0] == 3 and tau0[3] == 6 and tau0[18] == 0
-    assert tau0[1] == 1 and tau0[2] == 2
-    # p-th power of a class shift is the identity
-    power = tuple(range(21))
-    for _ in range(7):
-        power = _perm_compose(power, tau0)
-    assert power == tuple(range(21))
-    tau1 = _class_shift(21, 3, 1)
-    tau2 = _class_shift(21, 3, 2)
-    translation = tuple((x + 3) % 21 for x in range(21))
-    assert _perm_compose(_perm_compose(tau0, tau1), tau2) == translation
-    with pytest.raises(ValueError):
-        _class_shift(20, 3, 0)
-
-
-def test_class_multiplier_action():
-    g = _class_multiplier(21, 3, 0, 16)
-    assert g[0] == 0 and g[3] == 6 and g[9] == 18
-    assert g[1] == 1 and g[5] == 5
-    assert _class_multiplier(21, 3, 1, 1) == tuple(range(21))
-    full = tuple(range(21))
-    for i in range(3):
-        full = _perm_compose(full, _class_multiplier(21, 3, i, 16))
-    assert full == _multiplier_perm(21, 16)
-    with pytest.raises(ValueError):
-        _class_multiplier(21, 3, 0, 5)  # 5 is not 1 mod 3
-    with pytest.raises(ValueError):
-        _class_multiplier(21, 3, 0, 7)  # not a unit
-
-
-def test_layered_multiplier_layers():
+def test_solving_set_rejects_inconsistent_params():
+    # a = 7 is not a unit mod 21; a wrong alpha or b would build a wrong set
     P = solving_set_params(7, 3)
-    base = pow(P.a, P.alpha, P.v)
-    assert _layered_multiplier(P, 0) == _multiplier_perm(P.v, base)
-    for k in range(P.q):
-        g = _layered_multiplier(P, k)
-        assert tuple(sorted(g)) == tuple(range(P.v))
-        for x in range(P.v):
-            assert g[x] % P.q == x % P.q
+    C = CyclicConfiguration(21, (0, 1, 5))
+    for bad in (replace(P, a=7), replace(P, alpha=P.alpha + 1), replace(P, b=P.b * P.b % P.v)):
+        with pytest.raises(ValueError):
+            solving_set(C, bad)
 
 
-def test_layered_multiplier_rejects_inconsistent_params():
-    # a = 7 is not a unit mod 21, so no layer factor is one either
-    P = replace(solving_set_params(7, 3), a=7)
-    with pytest.raises(ValueError):
-        _layered_multiplier(P, 0)
+def _outcome(construct, C, params):
+    try:
+        return construct(C, params)
+    except SolvingSetUnavailable as exc:
+        return f"unavailable: {exc}"
 
 
-def test_perm_compose_is_left_factor_first():
-    first = _class_shift(6, 2, 0)
-    then = _multiplier_perm(6, 5)
-    combo = _perm_compose(first, then)
-    for x in range(6):
-        assert combo[x] == then[first[x]]
+@pytest.mark.parametrize(
+    "p, q, k",
+    [(3, 2, 3), (5, 2, 3), (7, 2, 3), (7, 3, 3), (11, 5, 3), (13, 2, 3), (13, 3, 3), (19, 3, 3), (7, 3, 4)],
+)
+def test_solving_set_matches_reference_construction(p, q, k):
+    # per-class scalings give the composed permutation tables, in order
+    # (the hypotheses hold only at q = 3 among these cases)
+    P = solving_set_params(p, q)
+    for S in enumerate_base_lines(P.v, k):
+        C = CyclicConfiguration(P.v, S)
+        assert _outcome(solving_set, C, P) == _outcome(reference_solving_set, C, P), S
 
 
 def test_preserves_lines_translation():

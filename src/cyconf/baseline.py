@@ -9,7 +9,10 @@ which is what makes the canonical form here decisive.
 
 Enumeration works on the translation slice (subsets containing 0): every
 base line has exactly k translates containing 0, so nothing is lost and
-the slice is v/k times smaller.
+the slice is v/k times smaller.  The slice is grown point by point in
+increasing order, with the differences used so far held as bits of one
+int, so a point that would repeat a difference is never placed; the
+members come out in lexicographic order.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Iterator
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 from math import gcd
 from typing import NamedTuple
 
@@ -27,8 +30,9 @@ from .residue_ring import (
     units,
 )
 
-# Enumeration is O(v**(k-1)) subsets before filtering; defaults keep runs
-# in the minutes range.  CLI callers may override per invocation.
+# The slice holds O(v**(k-1)) members (43662 at v=300, k=3), and the orbit
+# walk visits k*phi(v) images of each orbit; these defaults keep a run in
+# seconds.  CLI callers may override per invocation.
 DEFAULT_ENUMERATION_CAPS = {3: 300, 4: 60}
 FALLBACK_ENUMERATION_CAP = 40
 
@@ -99,15 +103,16 @@ def affine_map_between(S1, S2, v: int) -> tuple[int, int] | None:
 def _zero_images(S, v: int) -> Iterator[tuple[int, ...]]:
     """Yield a*(S - x) as a sorted tuple for each x in S, then each unit a.
 
-    The order is that of product(S, units(v)).  Any affine image of S
-    that contains 0 is among these.
+    S is first reduced to its sorted residues mod v, and the order is
+    that of product(S, units(v)).  Any affine image of S that contains 0
+    is among these.
     """
-    elems = [s % v for s in S]
+    elems = sorted({s % v for s in S})
     us = units(v)
     for x in elems:
         shifted = [(s - x) % v for s in elems]
         for a in us:
-            yield tuple(sorted(a * t % v for t in shifted))
+            yield tuple(sorted([a * t % v for t in shifted]))
 
 
 def canonical_form(S, v: int) -> tuple[int, ...]:
@@ -143,17 +148,50 @@ def _orbit_size(S, v: int, through_zero: int) -> int:
 
 @lru_cache(maxsize=16)
 def _slice(v: int, k: int, connected: bool) -> tuple[tuple[int, ...], ...]:
+    # Depth-first growth of X from (0,), one larger point at a time, with
+    # an explicit stack so that no call frame or closure outlives the walk.
+    # used has bits d and v - d for every difference d of X; banned is
+    # the set of points p whose new differences would repeat one:
+    # p - x in used for some x in X (used rotated by x), or p - x = y - p
+    # for x, y in X (2p = x + y, which for x = y is p - x = v/2).
     if k * k - k + 1 > v:
         return ()
+    full = (1 << v) - 1
+    halves = [0] * (2 * v - 1)  # halves[s]: the points p with 2p = s mod v
+    for p in range(v):
+        for s in (2 * p - v, 2 * p, 2 * p + v):
+            if 0 <= s < 2 * v - 1:
+                halves[s] |= 1 << p
+    coprime = {1: full}  # g -> the points p with gcd(g, p) = 1
     out = []
-    target = k * k - k + 1
-    for comb in combinations(range(1, v), k - 1):
-        X = (0,) + comb
-        if len(_difference_set(X, v)) != target:
+    # entries (X, used, the points p with 2p = x + y for x, y in X, gcd(v, *X))
+    stack = [((0,), 0, halves[0], v)]
+    while stack:
+        X, used, mids, g = stack.pop()
+        banned = mids
+        for x in X:
+            banned |= used << x | used >> (v - x)
+        above = X[-1] + 1
+        free = full >> above << above & ~banned
+        if len(X) + 1 == k:
+            if connected:
+                if g not in coprime:
+                    coprime[g] = sum(1 << p for p in range(v) if gcd(g, p) == 1)
+                free &= coprime[g]
+            while free:
+                low = free & -free
+                out.append(X + (low.bit_length() - 1,))
+                free ^= low
             continue
-        if connected and gcd(v, *comb) != 1:
-            continue
-        out.append(X)
+        free &= full >> (k - len(X) - 1)  # leave room for the later points
+        while free:  # largest first, so the stack pops the least
+            p = free.bit_length() - 1
+            free ^= 1 << p
+            grown, grown_mids = used, mids | halves[2 * p]
+            for x in X:
+                grown |= 1 << (p - x) | 1 << (v - p + x)
+                grown_mids |= halves[x + p]
+            stack.append((X + (p,), grown, grown_mids, gcd(g, p)))
     return tuple(out)
 
 

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from collections import deque
+from itertools import combinations
 from math import gcd
 
-from cyconf.baseline import canonical_form
+from cyconf.baseline import _difference_set, canonical_form
 from cyconf.circulant import CirculantMatrix, _gram_profile
 from cyconf.configuration import CyclicConfiguration, LeviGraph, _component_split, _maps_lines_onto
 from cyconf.residue_ring import factorization, inverse
@@ -15,6 +16,26 @@ from cyconf.solving_sets import SolvingSetParams, SolvingSetUnavailable
 def affine_image(S, a: int, b: int, v: int) -> tuple[int, ...]:
     """The sorted tuple a*S + b mod v."""
     return tuple(sorted((a * s + b) % v for s in S))
+
+
+def reference_slice(v: int, k: int, connected: bool) -> tuple[tuple[int, ...], ...]:
+    """The translation slice by filtering every (k-1)-subset of 1..v-1.
+
+    The filter `baseline._slice` used before it grew the slice from
+    difference masks; the two must agree member for member, in order.
+    """
+    if k * k - k + 1 > v:
+        return ()
+    out = []
+    target = k * k - k + 1
+    for comb in combinations(range(1, v), k - 1):
+        X = (0,) + comb
+        if len(_difference_set(X, v)) != target:
+            continue
+        if connected and gcd(v, *comb) != 1:
+            continue
+        out.append(X)
+    return tuple(out)
 
 
 def validate(C: CyclicConfiguration) -> bool:

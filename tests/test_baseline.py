@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import islice
+
 import pytest
 
 from cyconf import baseline
@@ -16,7 +18,7 @@ from cyconf.baseline import (
     slice_orbits,
 )
 from cyconf.residue_ring import CapExceeded, inverse, units
-from helpers import affine_image, contains_coset
+from helpers import affine_image, contains_coset, reference_slice
 
 # orbit counts frozen from the union-find scan over the whole slice
 ORBITS_K3 = {7: 1, 8: 1, 9: 1, 10: 1, 11: 1, 12: 3, 13: 2, 14: 2, 15: 4, 16: 3, 21: 6}
@@ -108,6 +110,15 @@ def test_zero_slice_orbit_contents():
     assert (0, 1, 3) in orb
 
 
+def test_canonical_form_and_orbit_size_reduce_to_residues():
+    # 7 = 0 mod 7, so (0, 7, 1) is the 2-set {0, 1}: 6 images through 0,
+    # 6 * 7 / 2 = 21 images in all
+    assert canonical_form((0, 7, 1), 7) == (0, 1)
+    assert orbit_size((0, 7, 1), 7) == 21
+    assert canonical_form((16, 14, 13), 13) == canonical_form((0, 1, 3), 13)
+    assert orbit_size((16, 14, 13), 13) == orbit_size((0, 1, 3), 13)
+
+
 def test_canonical_form_matches_full_affine_scan():
     for v in range(7, 17):
         for S in enumerate_base_lines(v, 3):
@@ -136,6 +147,20 @@ def test_orbit_size_on_periodic_sets():
     S = (0, 5, 10)
     direct = {affine_image(S, a, b, 15) for a in units(15) for b in range(15)}
     assert orbit_size(S, 15) == len(direct)
+
+
+SLICE_REFERENCE_CASES = [
+    *((v, 3) for v in range(1, 61)),
+    *((v, 4) for v in range(1, 41)),
+    *((v, 5) for v in range(1, 33)),
+    (31, 6),
+]
+
+
+@pytest.mark.parametrize("connected", [False, True])
+def test_slice_matches_reference_filter(connected):
+    for v, k in SLICE_REFERENCE_CASES:
+        assert baseline._slice(v, k, connected) == reference_slice(v, k, connected), (v, k)
 
 
 def test_enumerate_slice_sizes():
@@ -247,6 +272,21 @@ def test_slice_orbits_partition_check_raises(monkeypatch):
     broken = tuple(X for X in baseline._slice(13, 3, True) if X != (0, 1, 4))
     monkeypatch.setattr(baseline, "_slice", lambda v, k, connected: broken)
     with pytest.raises(ArithmeticError, match="not in the slice"):
+        list(slice_orbits(13, 3, True))
+
+
+def test_slice_orbits_overlap_check_raises(monkeypatch):
+    # the second representative gains an image in the first orbit
+    first, second = (orbit.rep for orbit in islice(slice_orbits(13, 3, True), 2))
+    zero_images = baseline._zero_images
+
+    def images(S, v):
+        if tuple(S) == second:
+            yield first
+        yield from zero_images(S, v)
+
+    monkeypatch.setattr(baseline, "_zero_images", images)
+    with pytest.raises(ArithmeticError, match="overlap"):
         list(slice_orbits(13, 3, True))
 
 

@@ -37,7 +37,6 @@ def line_bijections(
     lines2,
     *,
     fix_zero: bool = False,
-    cap: int | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Yield point bijections carrying the first line multiset onto the second.
 
@@ -46,8 +45,6 @@ def line_bijections(
     (composing with a translation moves sigma(0) anywhere).  Never set it
     when every solution is wanted.
     """
-    if cap is not None and v > cap:
-        raise ValueError(f"v={v} exceeds the search cap {cap}")
     lines1 = [frozenset(L) for L in lines1]
     lines2 = [frozenset(L) for L in lines2]
     if len(lines1) != len(lines2):

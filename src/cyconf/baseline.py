@@ -146,7 +146,7 @@ def _orbit_size(S, v: int, through_zero: int) -> int:
     return total // k
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)  # reused only within one command, at one (v, k, connected)
 def _slice(v: int, k: int, connected: bool) -> tuple[tuple[int, ...], ...]:
     # Depth-first growth of X from (0,), one larger point at a time, with
     # an explicit stack so that no call frame or closure outlives the walk.

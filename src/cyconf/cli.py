@@ -10,6 +10,7 @@ out over processes but prints each v as it finishes, in ascending v.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -261,6 +262,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # -------------------------------------------------------------------- parser
 
 
+@functools.cache  # built on the first call, then shared: parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cyconf",

@@ -6,6 +6,11 @@ point on exactly k of the v distinct lines, two lines sharing at most
 one point) precisely when S is a base line, a fact the tests check
 against a direct reading of the axioms.
 
+A configuration builds its lines once, on first use, and every later
+call hands out the same immutable tuple (``lines``) and frozenset
+(``line_set``).  The cached lines are not fields, so equality and
+hashing still look at v and the base alone.
+
 The incidence structure splits into connected components along the
 subgroup generated by the differences of S: if S (translated to contain
 0) generates the subgroup of order d, the structure is v/d disjoint
@@ -42,12 +47,19 @@ class CyclicConfiguration:
     def k(self) -> int:
         return len(self.base)
 
-    def lines(self) -> list[frozenset[int]]:
-        """The v translates of the base, indexed by translation amount."""
-        return incidence_matrix(self).translate_system()
+    def lines(self) -> tuple[frozenset[int], ...]:
+        """The v translates of the base, indexed by translation amount.
+
+        Built once per configuration; every call returns the same tuple.
+        """
+        if "_lines" not in self.__dict__:
+            self.__dict__["_lines"] = tuple(incidence_matrix(self).translate_system())
+        return self.__dict__["_lines"]
 
     def line_set(self) -> frozenset[frozenset[int]]:
-        return frozenset(self.lines())
+        if "_line_set" not in self.__dict__:
+            self.__dict__["_line_set"] = frozenset(self.lines())
+        return self.__dict__["_line_set"]
 
 
 def _maps_lines_onto(sigma, lines, target: frozenset[frozenset[int]]) -> bool:

@@ -35,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .baseline import canonical_form, ensure_enumerable, enumerate_base_lines, slice_orbits
+from .baseline import _check_enumeration, _slice, canonical_form, enumerate_base_lines, slice_orbits
 from .residue_ring import (
     big_phi,
     factorization,
@@ -96,10 +96,10 @@ def count_fixed_closed(v: int, l: int) -> int:
     return phi(v) if (l * l + l + 1) % v == 0 else 0
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)  # one modulus at a time: the callers walk every unit at one v
 def _slice_shift_keys(v: int, k: int) -> tuple[tuple[tuple[int, ...], ...], tuple[frozenset, ...]]:
-    # cap=v: permission is the caller's job, through ensure_enumerable
-    slice_ = tuple(enumerate_base_lines(v, k, connected_only=True, cap=v))
+    # checking k and the cap is the caller's job
+    slice_ = _slice(v, k, True)
     keys = tuple(
         frozenset(tuple(sorted((s - x) % v for s in X)) for x in X) for X in slice_
     )
@@ -112,7 +112,7 @@ def count_fixed_bruteforce(v: int, k: int, l: int, cap: int | None = None) -> in
     Walks the connected slice and counts the sets X with l*X equal to
     X - x for some x in X.  Shares no arithmetic with the closed forms.
     """
-    ensure_enumerable(v, k, cap)
+    _check_enumeration(v, k, expand=False, representatives_only=False, cap=cap)
     mult_order(l, v)  # rejects non-units
     slice_, keys = _slice_shift_keys(v, k)
     count = 0

@@ -70,25 +70,14 @@ def multiplier_equivalent(v: int, S1, S2) -> tuple[int, int] | None:
     return affine_map_between(S1, S2, v)
 
 
-def witness_valid(
-    C1: CyclicConfiguration,
-    C2: CyclicConfiguration,
-    w: IsoWitness,
-    target: frozenset[frozenset[int]] | None = None,
-) -> bool:
-    """Replay a witness: the point map must carry lines onto lines, bijectively.
-
-    ``target`` is C2's line set, for callers that replay many witnesses
-    onto the same C2.
-    """
+def witness_valid(C1: CyclicConfiguration, C2: CyclicConfiguration, w: IsoWitness) -> bool:
+    """Replay a witness: the point map must carry lines onto lines, bijectively."""
     if C1.v != C2.v:
         return False
     sigma = w.as_point_map(C1.v)
     if sorted(sigma) != list(range(C1.v)):
         return False
-    if target is None:
-        target = C2.line_set()
-    return _maps_lines_onto(sigma, C1.lines(), target)
+    return _maps_lines_onto(sigma, C1.lines(), C2.line_set())
 
 
 def refinement_invariant(C: CyclicConfiguration) -> tuple:
@@ -145,10 +134,9 @@ def exact_isomorphic(
     _check_exact_cap(C1.v, cap)
     if C1.k != C2.k:
         return None
-    lines1, lines2 = C1.lines(), C2.lines()
-    if set(lines1) == set(lines2):
+    if C1.line_set() == C2.line_set():
         return IsoWitness(kind="explicit", point_map=tuple(range(C1.v)))
-    for sigma in _search.line_bijections(C1.v, lines1, lines2, fix_zero=True):
+    for sigma in _search.line_bijections(C1.v, C1.lines(), C2.lines(), fix_zero=True):
         return IsoWitness(kind="explicit", point_map=sigma)
     return None
 
@@ -156,8 +144,7 @@ def exact_isomorphic(
 def automorphisms(C: CyclicConfiguration, cap: int | None = None) -> list[tuple[int, ...]]:
     """All point bijections preserving the line set, in search order."""
     _check_exact_cap(C.v, cap)
-    lines = C.lines()
-    return list(_search.line_bijections(C.v, lines, lines, fix_zero=False))
+    return list(_search.line_bijections(C.v, C.lines(), C.lines(), fix_zero=False))
 
 
 def _multiplier_complete(v: int, k: int) -> bool:
@@ -282,12 +269,11 @@ def completeness_report(
     orbits = sorted(slice_orbits(v, k, connected=True))
     reps = [CyclicConfiguration(v, orbit.rep) for orbit in orbits]
     for (rep, members), rep_cfg in zip(orbits, reps):
-        rep_lines = rep_cfg.line_set()
         for idx, (member, a, x) in enumerate(members):
             cfg = CyclicConfiguration(v, member)
             # member = a*(rep - x), so y -> y/a + x carries it onto rep
             w = IsoWitness(kind="multiplier", a=inverse(a, v), b=x)
-            if not witness_valid(cfg, rep_cfg, w, rep_lines):
+            if not witness_valid(cfg, rep_cfg, w):
                 mismatches.append(f"affine witness fails replay {member} -> {rep}")
             if exact_members is None or idx < exact_members:
                 if exact_isomorphic(cfg, rep_cfg, cap=cap) is None:

@@ -93,8 +93,7 @@ def _scaling(v: int, q: int, factors) -> tuple[int, ...]:
 
 def preserves_lines(perm: tuple[int, ...], C: CyclicConfiguration) -> bool:
     """True iff the permutation maps the line set of C onto itself."""
-    target = C.line_set()
-    return _maps_lines_onto(perm, target, target)
+    return _maps_lines_onto(perm, C.lines(), C.line_set())
 
 
 def _admissible_layers(C: CyclicConfiguration, params: SolvingSetParams) -> list[int]:
@@ -102,7 +101,6 @@ def _admissible_layers(C: CyclicConfiguration, params: SolvingSetParams) -> list
     # shift raised to b**((l+1)*k) mod p preserves the lines; layer 0
     # is the translation x -> x + q and always passes
     v, q = params.v, params.q
-    target = C.line_set()
     out = []
     for k in range(q):
         sigma = list(range(v))
@@ -110,7 +108,7 @@ def _admissible_layers(C: CyclicConfiguration, params: SolvingSetParams) -> list
             shift = pow(params.b, (l + 1) * k, params.p) * q % v
             for x in range(l, v, q):
                 sigma[x] = (x + shift) % v
-        if _maps_lines_onto(sigma, target, target):
+        if preserves_lines(tuple(sigma), C):
             out.append(k)
     return out
 
@@ -128,16 +126,15 @@ def solving_set(C: CyclicConfiguration, params: SolvingSetParams) -> list[tuple[
         raise ValueError(f"{params} are not the solving-set parameters for p={params.p}, q={q}")
     if C.v != v:
         raise ValueError(f"configuration lives on Z_{C.v}, params on Z_{v}")
-    target = C.line_set()
-    if not _maps_lines_onto(_scaling(v, 1, (params.b,)), target, target):
+    if not preserves_lines(_scaling(v, 1, (params.b,)), C):
         raise SolvingSetUnavailable("multiplier b is not an automorphism")
     class0_shift = tuple((x + q) % v if x % q == 0 else x for x in range(v))
-    if _maps_lines_onto(class0_shift, target, target):
+    if preserves_lines(class0_shift, C):
         raise SolvingSetUnavailable("class-0 shift is an automorphism")
 
     beta = next(
         (i for i in range(1, params.p)
-         if _maps_lines_onto(_scaling(v, 1, (pow(params.a, i, v),)), target, target)),
+         if preserves_lines(_scaling(v, 1, (pow(params.a, i, v),)), C)),
         None,
     )
     if beta is None:
@@ -197,9 +194,8 @@ def solve_iso_pq(
     w = _multiplier_witness(v, C1, C2)
     if w is not None:
         return w
-    lines1, target = C1.lines(), C2.line_set()
     for perm in delta:
-        if _maps_lines_onto(perm, lines1, target):
+        if _maps_lines_onto(perm, C1.lines(), C2.line_set()):
             return IsoWitness(kind="explicit", point_map=perm)
     return None
 

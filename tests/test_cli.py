@@ -9,8 +9,10 @@ import pytest
 
 import cyconf
 from cyconf import cli
-from cyconf.baseline import canonical_form, enumerate_base_lines
+from cyconf.baseline import _slice, canonical_form, enumerate_base_lines
+from cyconf.circulant import CirculantMatrix
 from cyconf.cli import _parse_span, main, entry
+from cyconf.counting import _slice_shift_keys
 
 
 def run(capsys, *argv):
@@ -180,6 +182,36 @@ def test_iso_witness_replay_failure_raises(monkeypatch):
         main(["iso", "--v", "8", "--s1", "0,1,3", "--s2", "0,5,7"])
 
 
+@pytest.mark.parametrize("method", [(), ("--method", "exact")])
+def test_exact_route_iso_builds_each_line_list_once(capsys, monkeypatch, method):
+    # k = 5 at v = 28: auto compares refinement invariants, then both
+    # routes search and the witness is replayed
+    built = []
+    translate_system = CirculantMatrix.translate_system
+
+    def counting_translate_system(A):
+        built.append(A.support)
+        return translate_system(A)
+
+    monkeypatch.setattr(CirculantMatrix, "translate_system", counting_translate_system)
+    rc, out, _ = run(capsys, "iso", "--v", "28", "--s1", "0,1,3,8,19", "--s2", "1,5,6,8,14", *method)
+    assert rc == 0 and out.startswith("ISO explicit ")
+    assert sorted(built) == [(0, 1, 3, 8, 19), (1, 5, 6, 8, 14)]
+
+
+def test_parser_is_built_once_across_calls(capsys):
+    cli._build_parser.cache_clear()
+    assert run(capsys, "count", "--v", "13", "--mode", "formula") == (0, "2\n", "")
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--mode", "formula"])  # --v is required
+    usage = capsys.readouterr()
+    assert exc.value.code == 2 and usage.out == ""
+    assert usage.err.startswith("usage: cyconf count") and "--v" in usage.err
+    assert run(capsys, "count", "--v", "9..7")[0] == 2
+    assert run(capsys, "count", "--v", "13", "--mode", "formula") == (0, "2\n", "")
+    assert cli._build_parser.cache_info().misses == 1
+
+
 def test_iso_rejects_non_base_line(capsys):
     rc, _, err = run(capsys, "iso", "--v", "7", "--s1", "0,1,2", "--s2", "0,1,3")
     assert rc == 2
@@ -220,6 +252,15 @@ def test_verify_small_sweep(capsys):
     lines = out.splitlines()
     assert lines[:4] == ["v=7 ok", "v=8 ok", "v=9 ok", "v=10 ok"]
     assert lines[-1] == "PASS 4 values checked"
+
+
+def test_a_span_of_moduli_keeps_one_cached_slice(capsys):
+    _slice.cache_clear()
+    _slice_shift_keys.cache_clear()
+    rc, out, _ = run(capsys, "verify", "--v", "20..26")
+    assert rc == 0 and out.endswith("PASS 7 values checked\n")
+    assert _slice.cache_info().currsize == _slice_shift_keys.cache_info().currsize == 1
+    assert _slice.cache_info().hits > 0  # reused within each modulus
 
 
 def test_verify_accepts_empty_moduli(capsys):

@@ -39,6 +39,23 @@ def test_lines_are_translates():
     assert len(FANO.line_set()) == 7
 
 
+def test_lines_are_built_once():
+    C = CyclicConfiguration(13, (0, 1, 4))
+    lines = C.lines()
+    assert isinstance(lines, tuple)
+    assert C.lines() is lines
+    assert lines == tuple(incidence_matrix(C).translate_system())
+    assert C.line_set() is C.line_set() == frozenset(lines)
+
+
+def test_cached_lines_leave_equality_and_hash_alone():
+    C = CyclicConfiguration(13, (0, 1, 4))
+    C.line_set()
+    fresh = CyclicConfiguration(13, (4, 1, 0))
+    assert C == fresh and hash(C) == hash(fresh) and repr(C) == repr(fresh)
+    assert {fresh: "found"}[C] == "found"
+
+
 def test_validate_fano():
     assert validate(FANO)
 

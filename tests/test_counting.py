@@ -134,6 +134,11 @@ def test_bruteforce_rejects_non_units():
         count_fixed_bruteforce(12, 3, 4)
 
 
+def test_bruteforce_rejects_lines_below_three_points():
+    with pytest.raises(ValueError, match="k >= 3"):
+        count_fixed_bruteforce(13, 2, 1)
+
+
 def test_bruteforce_cap():
     with pytest.raises(CapExceeded):
         count_fixed_bruteforce(400, 3, 1)

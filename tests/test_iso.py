@@ -309,9 +309,9 @@ def test_invariant_collision_falls_through_to_search(monkeypatch):
 def test_completeness_report_replays_every_member(monkeypatch):
     replayed = []
 
-    def counting_replay(C1, C2, w, target=None):
+    def counting_replay(C1, C2, w):
         replayed.append(C1.base)
-        return witness_valid(C1, C2, w, target)
+        return witness_valid(C1, C2, w)
 
     monkeypatch.setattr(iso, "witness_valid", counting_replay)
     rep = completeness_report(21, 3, exact_members=0)
@@ -320,7 +320,7 @@ def test_completeness_report_replays_every_member(monkeypatch):
 
 
 def test_completeness_report_flags_a_bad_witness(monkeypatch):
-    monkeypatch.setattr(iso, "witness_valid", lambda C1, C2, w, target=None: C1.base != (0, 1, 4))
+    monkeypatch.setattr(iso, "witness_valid", lambda C1, C2, w: C1.base != (0, 1, 4))
     rep = completeness_report(13, 3, exact_members=0)
     assert rep["mismatches"] == ["affine witness fails replay (0, 1, 4) -> (0, 1, 4)"]
 

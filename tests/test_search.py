@@ -238,9 +238,3 @@ def test_size_prechecks_and_edges_match_reference():
     ]
     for v, lines1, lines2, fix_zero in cases:
         assert_same_sequence(v, lines1, lines2, fix_zero=fix_zero)
-
-
-def test_cap_is_checked_before_anything_else():
-    with pytest.raises(ValueError, match="search cap"):
-        next(_search.line_bijections(10, [], [], cap=9))
-

@@ -64,7 +64,15 @@ class CirculantMatrix:
         return tuple(1 if j in shifted else 0 for j in range(self.v))
 
     def translate_system(self) -> list[frozenset[int]]:
-        return [frozenset((s + i) % self.v for s in self.support) for i in range(self.v)]
+        """The rows' supports S + i for i = 0..v-1, in row order.
+
+        Row i is entry i of the rotations points[s:] + points[:s] of
+        points = (0, ..., v-1), one rotation per s in S.
+        """
+        if not self.support:
+            return [frozenset()] * self.v
+        points = tuple(range(self.v))
+        return list(map(frozenset, zip(*[points[s:] + points[:s] for s in self.support])))
 
 
 def _gram_profile(A: CirculantMatrix) -> tuple[int, ...]:

@@ -4,7 +4,8 @@ Exit codes are a stable contract: 0 for success (including an ISO
 verdict and a passing verify sweep), 1 for NON-ISO or a verify
 mismatch, 2 for usage errors, 141 when the reader closes stdout early.
 Output is deterministic for identical flags; the verify sweep may fan
-out over processes but prints each v as it finishes, in ascending v.
+out over processes, with at most two moduli per process in flight, but
+prints each v as it finishes, in ascending v.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import functools
 import os
 import sys
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 
@@ -29,8 +31,8 @@ from .baseline import (
 from .circulant import incidence_text
 from .configuration import CyclicConfiguration, incidence_matrix, levi_graph, levi_text
 from .counting import (
+    _fixed_table,
     count_closed_formula,
-    count_fixed_bruteforce,
     count_fixed_closed,
     count_orbit_scan,
     count_unit_sum,
@@ -218,8 +220,9 @@ def _verify_one(payload: tuple[int, int, bool, int | None]) -> tuple[int, list[s
             if orbits != nf:
                 failures.append(f"orbit scan {orbits} != formula {nf}")
             total = 0
+            table = _fixed_table(v, 3)
             for l in units(v):
-                nb = count_fixed_bruteforce(v, 3, l, cap)
+                nb = table[l]
                 nc = count_fixed_closed(v, l)
                 if nb != nc:
                     failures.append(f"fixed counts split at l={l}: brute {nb}, closed {nc}")
@@ -236,16 +239,34 @@ def _verify_one(payload: tuple[int, int, bool, int | None]) -> tuple[int, list[s
     return v, failures
 
 
+def _bounded_map(pool, fn, items, depth: int):
+    """pool.map(fn, items) in order, with at most depth submissions pending."""
+    pending: deque = deque()
+    try:
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) == depth:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:  # left early: drop what has not started
+            future.cancel()
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     span = _parse_span(args.v)
     if span[0] < 5:
         raise CliError("verify needs v >= 5")
     payloads = ((v, args.k, args.oracle, args.cap) for v in span)
     bad = 0
-    # both maps yield in ascending v as results come in; the pool still
-    # submits the whole span up front
+    # both maps yield in ascending v as results come in
     with ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else nullcontext() as pool:
-        for v, failures in (pool.map if pool else map)(_verify_one, payloads):
+        if pool:
+            results = _bounded_map(pool, _verify_one, payloads, 2 * args.jobs)
+        else:
+            results = map(_verify_one, payloads)
+        for v, failures in results:
             if failures:
                 bad += 1
                 for f in failures:

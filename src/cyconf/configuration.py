@@ -62,9 +62,15 @@ class CyclicConfiguration:
         return self.__dict__["_line_set"]
 
 
-def _maps_lines_onto(sigma, lines, target: frozenset[frozenset[int]]) -> bool:
-    """True iff the point map sigma carries the lines exactly onto the set target."""
-    return {frozenset(sigma[x] for x in line) for line in lines} == target
+def _maps_lines_onto(sigma, base, target: frozenset[frozenset[int]]) -> bool:
+    """True iff the point map sigma carries the lines base + t exactly onto the set target.
+
+    Line base + t goes to {sigma[(s + t) % v] for s in base}, which is
+    entry t of the rotations sigma[s:] + sigma[:s]; zipping the
+    rotations replays all v lines without building them.
+    """
+    rotations = [sigma[s:] + sigma[:s] for s in base]
+    return set(map(frozenset, zip(*rotations))) == target
 
 
 def _component_split(C: CyclicConfiguration) -> tuple[int, list[int]]:

@@ -20,7 +20,10 @@ Three routes to the same number are implemented:
   taken from the closed per-unit case analysis count_fixed_closed
   (units of order 1, 2 or 3 contribute, the rest fix nothing).  The
   acceptance battery checks count_fixed_closed against brute force
-  for every unit (criterion 3).
+  for every unit (criterion 3), and `cyconf verify` checks it against
+  _fixed_table, which finds every unit's exhaustive fixed count in one
+  pass over the slice; count_fixed_bruteforce, one walk per unit,
+  is that table's test oracle.
 * count_orbit_scan: brute-force enumeration of the slice and a walk of
   the affine action over it.  No formula enters; this is the oracle for
   the other two.
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .baseline import _check_enumeration, _slice, canonical_form, enumerate_base_lines, slice_orbits
 from .residue_ring import (
@@ -111,6 +115,8 @@ def count_fixed_bruteforce(v: int, k: int, l: int, cap: int | None = None) -> in
 
     Walks the connected slice and counts the sets X with l*X equal to
     X - x for some x in X.  Shares no arithmetic with the closed forms.
+    `verify` reads all units at once from the one-pass _fixed_table;
+    this walk is the table's test oracle and criterion 3's.
     """
     _check_enumeration(v, k, expand=False, representatives_only=False, cap=cap)
     mult_order(l, v)  # rejects non-units
@@ -121,6 +127,39 @@ def count_fixed_bruteforce(v: int, k: int, l: int, cap: int | None = None) -> in
         if image in shifts:
             count += 1
     return count
+
+
+def _fixed_table(v: int, k: int) -> dict[int, int]:
+    """count_fixed_bruteforce(v, k, l) for every unit l, in one pass over the slice.
+
+    For each member X and each x in X, a unit l with l*X = X - x sends
+    one fixed nonzero s in X to some y in X - x, so l solves
+    l*s = y (mod v).  With g = gcd(s, v) (s chosen to make g least)
+    that congruence fixes l mod v/g; the solutions lift to the units
+    l0 + j*v/g, and each is kept if l*X is X - x.  Each l counts at most
+    once per X.  Shares no arithmetic with the closed forms.
+    """
+    # checking k and the cap is the caller's job
+    table = dict.fromkeys(units(v), 0)
+    solve = {}  # s -> (g, v/g, the inverse of s/g mod v/g)
+    for s in range(1, v):
+        g = gcd(s, v)
+        solve[s] = (g, v // g, pow(s // g, -1, v // g))
+    for X in _slice(v, k, True):
+        s = min(X[1:], key=lambda t: solve[t][0])  # X[0] is 0
+        g, step, inv = solve[s]
+        fixers = set()
+        for x in X:
+            shifted = {(t - x) % v for t in X}
+            for y in shifted:
+                if y % g:
+                    continue
+                for l in range((y // g) * inv % step, v, step):
+                    if l in table and l not in fixers and {l * t % v for t in X} == shifted:
+                        fixers.add(l)
+        for l in fixers:
+            table[l] += 1
+    return table
 
 
 # ------------------------------------------------------------------- the counts

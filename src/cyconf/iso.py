@@ -77,7 +77,7 @@ def witness_valid(C1: CyclicConfiguration, C2: CyclicConfiguration, w: IsoWitnes
     sigma = w.as_point_map(C1.v)
     if sorted(sigma) != list(range(C1.v)):
         return False
-    return _maps_lines_onto(sigma, C1.lines(), C2.line_set())
+    return _maps_lines_onto(sigma, C1.base, C2.line_set())
 
 
 def refinement_invariant(C: CyclicConfiguration) -> tuple:

@@ -93,7 +93,7 @@ def _scaling(v: int, q: int, factors) -> tuple[int, ...]:
 
 def preserves_lines(perm: tuple[int, ...], C: CyclicConfiguration) -> bool:
     """True iff the permutation maps the line set of C onto itself."""
-    return _maps_lines_onto(perm, C.lines(), C.line_set())
+    return _maps_lines_onto(perm, C.base, C.line_set())
 
 
 def _admissible_layers(C: CyclicConfiguration, params: SolvingSetParams) -> list[int]:
@@ -195,7 +195,7 @@ def solve_iso_pq(
     if w is not None:
         return w
     for perm in delta:
-        if _maps_lines_onto(perm, C1.lines(), C2.line_set()):
+        if _maps_lines_onto(perm, C1.base, C2.line_set()):
             return IsoWitness(kind="explicit", point_map=perm)
     return None
 

@@ -38,6 +38,15 @@ def reference_slice(v: int, k: int, connected: bool) -> tuple[tuple[int, ...], .
     return tuple(out)
 
 
+def reference_maps_lines_onto(sigma, lines, target: frozenset[frozenset[int]]) -> bool:
+    """True iff sigma carries the given lines exactly onto the set target.
+
+    The line-by-line replay `configuration._maps_lines_onto` used before
+    it read the lines off rotations of sigma; the two must agree.
+    """
+    return {frozenset(sigma[x] for x in line) for line in lines} == target
+
+
 def validate(C: CyclicConfiguration) -> bool:
     """Direct check of the (v_k) configuration axioms.
 
@@ -203,8 +212,7 @@ def _layered_multiplier(params: SolvingSetParams, k: int) -> tuple[int, ...]:
 
 def _preserves_lines(perm: tuple[int, ...], C: CyclicConfiguration) -> bool:
     """True iff the permutation maps the line set of C onto itself."""
-    target = C.line_set()
-    return _maps_lines_onto(perm, target, target)
+    return _maps_lines_onto(perm, C.base, C.line_set())
 
 
 def _admissible_layers(C: CyclicConfiguration, params: SolvingSetParams) -> list[int]:

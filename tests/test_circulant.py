@@ -87,6 +87,20 @@ def test_translate_system_is_line_set():
     assert system[2] == frozenset({2, 3, 5})
 
 
+def test_translate_system_matches_comprehension():
+    # rows in order, for random supports, periodic ones and the empty one
+    rng = random.Random(5)
+    cases = [(12, (0, 4, 8)), (12, (0, 1, 6, 7)), (10, (0, 2, 5, 7)), (9, (0, 3, 6)), (8, (0, 4))]
+    cases += [(1, (0,)), (6, ()), (7, tuple(range(7)))] + [
+        (v, tuple(rng.sample(range(3 * v), rng.randint(1, v))))
+        for v in rng.choices(range(1, 40), k=40)
+    ]
+    for v, support in cases:
+        A = CirculantMatrix(v, support)
+        want = [frozenset((s + i) % v for s in A.support) for i in range(v)]
+        assert A.translate_system() == want, (v, support)
+
+
 def test_gram_profile_properties():
     for v, S in ((7, (0, 1, 3)), (13, (0, 1, 3, 9)), (16, (0, 1, 2, 9))):
         A = CirculantMatrix(v, S)

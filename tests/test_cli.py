@@ -12,7 +12,7 @@ from cyconf import cli
 from cyconf.baseline import _slice, canonical_form, enumerate_base_lines
 from cyconf.circulant import CirculantMatrix
 from cyconf.cli import _parse_span, main, entry
-from cyconf.counting import _slice_shift_keys
+from cyconf.counting import _slice_shift_keys, count_fixed_bruteforce
 
 
 def run(capsys, *argv):
@@ -256,11 +256,16 @@ def test_verify_small_sweep(capsys):
 
 def test_a_span_of_moduli_keeps_one_cached_slice(capsys):
     _slice.cache_clear()
-    _slice_shift_keys.cache_clear()
     rc, out, _ = run(capsys, "verify", "--v", "20..26")
     assert rc == 0 and out.endswith("PASS 7 values checked\n")
-    assert _slice.cache_info().currsize == _slice_shift_keys.cache_info().currsize == 1
+    assert _slice.cache_info().currsize == 1
     assert _slice.cache_info().hits > 0  # reused within each modulus
+    _slice_shift_keys.cache_clear()
+    for v in range(20, 27):
+        for l in (1, v - 1):
+            count_fixed_bruteforce(v, 3, l)
+    assert _slice_shift_keys.cache_info().currsize == 1
+    assert _slice_shift_keys.cache_info().hits == 7  # the second unit at each v
 
 
 def test_verify_accepts_empty_moduli(capsys):
@@ -279,6 +284,55 @@ def test_verify_jobs_output_identical(capsys):
     rc1, out1, _ = run(capsys, "verify", "--v", "7..12")
     rc2, out2, _ = run(capsys, "verify", "--v", "7..12", "--jobs", "2")
     assert (rc1, out1) == (rc2, out2)
+
+
+class _CountingPool:
+    """Stands in for ProcessPoolExecutor: runs each submission at once and
+    counts the futures handed out but not yet read."""
+
+    def __init__(self, max_workers):
+        self.jobs = max_workers
+        self.submitted = self.pending = self.peak = 0
+        _CountingPool.last = self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, arg):
+        self.submitted += 1
+        self.pending += 1
+        self.peak = max(self.peak, self.pending)
+        return _CountedFuture(self, fn(arg))
+
+
+class _CountedFuture:
+    def __init__(self, pool, value):
+        self.pool, self.value = pool, value
+
+    def result(self):
+        self.pool.pending -= 1
+        return self.value
+
+    def cancel(self):
+        return False
+
+
+def test_verify_jobs_keeps_a_bounded_number_of_futures_pending(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _CountingPool)
+    # a trivial check per modulus that fails at v=5000 alone
+    monkeypatch.setattr(cli, "_verify_one", lambda p: (p[0], ["stub"] if p[0] == 5000 else []))
+    rc, out, _ = run(capsys, "verify", "--v", "5..10004", "--jobs", "3")
+    pool = _CountingPool.last
+    assert rc == 1 and pool.jobs == 3
+    assert pool.submitted == 10000 and pool.pending == 0
+    assert pool.peak == 6  # 2 * jobs
+    lines = out.splitlines()
+    assert lines[0] == "v=5 ok" and lines[9999] == "v=10004 ok"
+    assert lines[4995] == "v=5000 FAIL: stub"
+    assert lines[-1] == "FAIL 1 of 10000 values mismatched" and len(lines) == 10001
 
 
 def test_verify_prints_each_v_as_it_finishes(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import pytest
@@ -8,12 +9,14 @@ from cyconf.baseline import is_base_line
 from cyconf.configuration import (
     CyclicConfiguration,
     LeviGraph,
+    _maps_lines_onto,
     incidence_matrix,
     levi_graph,
     levi_text,
     parse_levi_text,
 )
-from helpers import decompose, girth, validate
+from cyconf.residue_ring import units
+from helpers import affine_image, decompose, girth, reference_maps_lines_onto, validate
 
 FANO = CyclicConfiguration(7, (0, 1, 3))
 
@@ -46,6 +49,44 @@ def test_lines_are_built_once():
     assert C.lines() is lines
     assert lines == tuple(incidence_matrix(C).translate_system())
     assert C.line_set() is C.line_set() == frozenset(lines)
+
+
+# bases whose lines repeat: each is a union of cosets of a subgroup
+PERIODIC = [(12, (0, 4, 8)), (12, (0, 1, 6, 7)), (10, (0, 2, 5, 7)), (9, (0, 3, 6)), (8, (0, 4))]
+
+
+def test_line_replay_matches_reference():
+    # random bases, base lines and periodic bases, under random
+    # permutations, affine maps and non-bijections, against the line
+    # sets of the image, of the base itself and of an unrelated base
+    rng = random.Random(11)
+    cases = PERIODIC + [
+        (v, tuple(rng.sample(range(v), rng.randint(1, min(6, v)))))
+        for v in rng.choices(range(2, 30), k=40)
+    ] + [(13, (0, 1, 4)), (21, (0, 1, 5)), (26, (0, 2, 6)), (31, (0, 1, 3, 8, 12, 18))]
+    verdicts = set()
+    for v, base in cases:
+        C = CyclicConfiguration(v, base)
+        a, b = rng.choice(units(v)), rng.randrange(v)
+        maps = [
+            tuple(range(v)),
+            tuple((a * x + b) % v for x in range(v)),
+            tuple(rng.sample(range(v), v)),
+            tuple(rng.randrange(v) for _ in range(v)),
+            (0,) * v,
+        ]
+        targets = [
+            C.line_set(),
+            CyclicConfiguration(v, affine_image(C.base, a, b, v)).line_set(),
+            CyclicConfiguration(v, rng.sample(range(v), C.k)).line_set(),
+        ]
+        for sigma in maps:
+            for target in targets:
+                want = reference_maps_lines_onto(sigma, C.lines(), target)
+                assert _maps_lines_onto(sigma, C.base, target) == want, (v, base, sigma)
+                assert _maps_lines_onto(list(sigma), C.base, target) == want
+                verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_cached_lines_leave_equality_and_hash_alone():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cyconf import counting
+from cyconf import cli, counting
 from cyconf.counting import (
     _count_fixed_identity,
     _formula_weight,
@@ -70,6 +70,28 @@ def test_fixed_closed_matches_bruteforce():
     for v in range(7, 36):
         for l in units(v):
             assert count_fixed_closed(v, l) == count_fixed_bruteforce(v, 3, l), (v, l)
+
+
+@pytest.mark.parametrize("k, top", [(3, 100), (4, 40)])
+def test_fixed_table_matches_bruteforce(k, top):
+    for v in range(5, top + 1):
+        want = {l: count_fixed_bruteforce(v, k, l) for l in units(v)}
+        assert counting._fixed_table(v, k) == want, v
+
+
+def test_verify_sees_a_corrupted_fixed_table(monkeypatch, capsys):
+    table = counting._fixed_table
+
+    def corrupted(v, k):
+        out = table(v, k)
+        out[2] += 1
+        return out
+
+    monkeypatch.setattr(cli, "_fixed_table", corrupted)
+    assert cli.main(["verify", "--v", "7"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "v=7 FAIL: fixed counts split at l=2: brute 7, closed 6" in out
+    assert out[-1] == "FAIL 1 of 1 values mismatched"
 
 
 def test_burnside_reduction():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import networkx as nx
@@ -20,7 +21,7 @@ from cyconf.iso import (
     witness_valid,
 )
 from cyconf.residue_ring import CapExceeded, units
-from helpers import affine_image
+from helpers import affine_image, reference_maps_lines_onto
 
 FANO = CyclicConfiguration(7, (0, 1, 3))
 MOEBIUS_KANTOR = CyclicConfiguration(8, (0, 1, 3))
@@ -40,6 +41,49 @@ def test_witness_valid_checks_bijectivity_and_lines():
     assert not witness_valid(FANO, FANO, shuffle)
     translation = IsoWitness(kind="multiplier", a=1, b=3)
     assert witness_valid(FANO, FANO, translation)
+
+
+def _reference_witness_valid(C1, C2, w):
+    sigma = w.as_point_map(C1.v)
+    bijective = sorted(sigma) == list(range(C1.v))
+    return bijective and reference_maps_lines_onto(sigma, C1.lines(), C2.line_set())
+
+
+def test_witness_valid_matches_reference_replay():
+    # affine witnesses, searched and component witnesses, automorphisms,
+    # random permutations and non-bijections, on base lines and on
+    # periodic bases whose lines repeat
+    rng = random.Random(3)
+    pairs = [
+        (CyclicConfiguration(v, S1), CyclicConfiguration(v, S2))
+        for v, S1, S2 in [
+            (13, (0, 1, 4), (0, 2, 8)), (13, (0, 1, 4), (0, 1, 6)), (21, (0, 1, 5), (0, 2, 10)),
+            (26, (0, 2, 6), (0, 4, 12)), (30, (0, 1, 3, 7, 12), (0, 7, 19, 21, 24)),
+            (12, (0, 4, 8), (1, 5, 9)), (12, (0, 1, 6, 7), (0, 5, 6, 11)),
+            (9, (0, 3, 6), (0, 3, 6)),
+        ]
+    ]
+    verdicts = set()
+    for C1, C2 in pairs:
+        v = C1.v
+        witnesses = [
+            IsoWitness(kind="multiplier", a=rng.choice(units(v)), b=rng.randrange(v))
+            for _ in range(4)
+        ] + [
+            IsoWitness(kind="explicit", point_map=tuple(rng.sample(range(v), v))),
+            IsoWitness(kind="explicit", point_map=tuple(rng.randrange(v) for _ in range(v))),
+            IsoWitness(kind="explicit", point_map=tuple(range(1, v)) + (0,)),
+        ]
+        for w in (isomorphic(C1, C2), exact_isomorphic(C1, C2)):
+            if w is not None:
+                witnesses.append(w)
+        witnesses += [IsoWitness(kind="explicit", point_map=s) for s in automorphisms(C1)[:20]]
+        for w in witnesses:
+            for pair in ((C1, C2), (C2, C1), (C1, C1)):
+                want = _reference_witness_valid(*pair, w)
+                assert witness_valid(*pair, w) == want, (pair, w)
+                verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_multiplier_equivalent_least_pair():

@@ -51,7 +51,11 @@ def line_bijections(
         return
     if Counter(map(len, lines1)) != Counter(map(len, lines2)):
         return
-    target = Counter(lines2)
+    # Every full assignment maps each line onto a same-size line of system
+    # 2 (its cand mask never empties).  Without repeats in lines1 those
+    # images are distinct, so they fill lines2 as a multiset; with repeats
+    # the leaf must compare multisets.
+    target = Counter(lines2) if len(set(lines1)) < len(lines1) else None
 
     point_lines1: list[list[int]] = [[] for _ in range(v)]
     point_mask1: list[int] = []  # the points of each line of system 1
@@ -114,7 +118,7 @@ def line_bijections(
         # to |cand[i]| * m + i, so its least value is the tightest line;
         # used holds the images taken and free the points not yet mapped
         if not free:
-            if Counter(frozenset(sigma[x] for x in L) for L in lines1) == target:
+            if target is None or Counter(frozenset(sigma[x] for x in L) for L in lines1) == target:
                 yield tuple(sigma)
             return
         # the least unassigned point on the tightest partially-assigned

@@ -13,14 +13,20 @@ the slice is v/k times smaller.  The slice is grown point by point in
 increasing order, with the differences used so far held as bits of one
 int, so a point that would repeat a difference is never placed; the
 members come out in lexicographic order.
+
+Two routes find the least affine image.  slice_orbits walks all k*phi(v)
+images a*(rep - x) of each orbit once, built a column per point, and
+takes the first member it reaches.  canonical_form solves for the least
+image instead: its second point is the least gcd(s - x, v) over the
+differences of S, and only the few units that send such a difference
+onto that gcd can produce it.  The two share no step past the slice, so
+count_orbit_scan can check the one against the other.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Iterator
 from functools import lru_cache
-from itertools import product
 from math import gcd
 from typing import NamedTuple
 
@@ -83,15 +89,18 @@ def is_connected(S, v: int) -> bool:
 def affine_map_between(S1, S2, v: int) -> tuple[int, int] | None:
     """Least (a, b) lexicographically with a*S1 + b == S2, or None.
 
-    Units are tried in increasing order; for each a only the b that send
-    the least element of S1 into S2 can work, so those are the only
-    candidates tested.
+    Sets with different canonical forms lie in different orbits and
+    return None at once.  Otherwise units are tried in increasing order;
+    for each a only the b that send the least element of S1 into S2 can
+    work, so those are the only candidates tested.
     """
     set1 = frozenset(s % v for s in S1)
     set2 = frozenset(s % v for s in S2)
     if len(set1) != len(set2):
         return None
     s0 = min(set1)
+    if canonical_form(set1, v) != canonical_form(set2, v):
+        return None  # different orbits: no unit can work
     for a in units(v):
         base = a * s0
         for b in sorted((t - base) % v for t in set2):
@@ -100,31 +109,54 @@ def affine_map_between(S1, S2, v: int) -> tuple[int, int] | None:
     return None
 
 
-def _zero_images(S, v: int) -> Iterator[tuple[int, ...]]:
-    """Yield a*(S - x) as a sorted tuple for each x in S, then each unit a.
+def _zero_images(S, v: int) -> list[tuple[int, ...]]:
+    """The sorted tuples a*(S - x) for each x in S, then each unit a.
 
     S is first reduced to its sorted residues mod v, and the order is
     that of product(S, units(v)).  Any affine image of S that contains 0
-    is among these.
+    is among these.  Each shifted point t gives one column a*t over all
+    units, and the images are the sorted rows of those columns.
     """
     elems = sorted({s % v for s in S})
     us = units(v)
+    images: list[tuple[int, ...]] = []
     for x in elems:
-        shifted = [(s - x) % v for s in elems]
-        for a in us:
-            yield tuple(sorted([a * t % v for t in shifted]))
+        columns = [[a * t % v for a in us] for t in ((s - x) % v for s in elems)]
+        images.extend(map(tuple, map(sorted, zip(*columns))))
+    return images
 
 
 def canonical_form(S, v: int) -> tuple[int, ...]:
     """Lexicographically least sorted tuple among all a*S + b.
 
-    The least image always contains 0 (translating the minimum to 0 can
-    only shrink the tuple), so scanning the images through 0 suffices;
-    the tests compare against a full a,b scan.
+    The least image contains 0 (translating the minimum to 0 can only
+    shrink the tuple), and its least nonzero point is
+    g = min gcd(s - x, v) over distinct s, x in S: a*(s - x) is a
+    multiple of gcd(s - x, v), and a solve below reaches g.  So only the
+    maps y -> a*(y - x) that send some difference t = s - x with
+    gcd(t, v) = g onto g can give the least image.  Those are the units
+    a = (t/g)**-1 mod v/g, lifted to Z_v: O(k*k*g) candidate images in
+    place of the k*phi(v) images through 0.  The tests compare against
+    a full a,b scan.
     """
-    best = min(_zero_images(S, v), default=None)
-    if best is None:
+    elems = sorted({s % v for s in S})
+    units(v)  # checks v, with CapExceeded beyond the enumeration cap
+    if not elems:
         raise ValueError("empty set has no canonical form")
+    if len(elems) == 1:
+        return (0,)
+    pairs = [(x, (s - x) % v) for x in elems for s in elems if s != x]
+    g = min(gcd(t, v) for _, t in pairs)
+    step = v // g
+    best = None
+    for x, t in pairs:
+        if gcd(t, v) != g:
+            continue
+        for a in range(pow(t // g, -1, step), v, step):
+            if gcd(a, v) == 1:
+                image = tuple(sorted([a * (s - x) % v for s in elems]))
+                if best is None or image < best:
+                    best = image
     return best
 
 
@@ -217,33 +249,45 @@ def slice_orbits(v: int, k: int, connected: bool) -> Iterator[SliceOrbit]:
     The slice is walked in sorted order, so the first member of an orbit
     reached is its least, which is its canonical form (the least affine
     image contains 0).  One pass over the images a*(rep - x) then finds
-    the whole orbit together with each member's witness.  Members are
-    marked by slice index, so nothing per member outlives its orbit.
-    The walk raises ArithmeticError unless every image of rep lies in
-    the slice and in no earlier orbit (an image below rep would be in
-    one).
+    the whole orbit together with each member's witness: the images are
+    looked up in a {member: slice index} table, and each member keeps
+    its first (a, x) in product order.  Members are marked by slice
+    index, so nothing per member outlives its orbit.  The walk raises
+    ArithmeticError unless every image of rep lies in the slice and in
+    no earlier orbit (an image below rep would be in one), naming the
+    first offending image in product order.
     """
     if k < 3:
         raise ValueError(f"base lines need k >= 3, got k={k}")
     slice_ = _slice(v, k, connected)
-    n = len(slice_)
-    seen = bytearray(n)
+    position = dict(zip(slice_, range(len(slice_))))
+    seen = bytearray(len(slice_))
     for i, rep in enumerate(slice_):
         if seen[i]:
             continue
-        found: dict[int, tuple[int, int]] = {}
-        for image, (x, a) in zip(_zero_images(rep, v), product(rep, units(v))):
-            j = bisect_left(slice_, image)
-            if j == n or slice_[j] != image:
-                raise ArithmeticError(f"image {image} of {rep} mod {v} is not in the slice")
-            if j in found:
-                continue
-            if seen[j]:
-                raise ArithmeticError(f"orbits of {slice_[j]} and {rep} mod {v} overlap")
-            found[j] = (a, x)
-        for j in found:
+        us = units(v)
+        n = len(us)
+        images = _zero_images(rep, v)
+        indices = list(map(position.get, images))
+        # each member's first position p in product order: the least p
+        # is written last; p is (rep[p // n], us[p % n]) as (x, a)
+        first = dict(zip(reversed(indices), range(len(indices) - 1, -1, -1)))
+        if None in first or any(map(seen.__getitem__, first)):
+            for p, j in enumerate(indices):
+                if j is None:
+                    raise ArithmeticError(f"image {images[p]} of {rep} mod {v} is not in the slice")
+                if seen[j]:
+                    raise ArithmeticError(f"orbits of {slice_[j]} and {rep} mod {v} overlap")
+        order = sorted(first)
+        for j in order:
             seen[j] = 1
-        yield SliceOrbit(rep, tuple((slice_[j], *found[j]) for j in sorted(found)))
+        ps = list(map(first.__getitem__, order))
+        members = zip(
+            map(slice_.__getitem__, order),
+            map(us.__getitem__, map(n.__rmod__, ps)),
+            map(rep.__getitem__, map(n.__rfloordiv__, ps)),
+        )
+        yield SliceOrbit(rep, tuple(members))
 
 
 def _check_enumeration(

@@ -19,6 +19,9 @@ Three routes to the same number are implemented:
 * count_unit_sum: the orbit-counting sum itself, with fixed(v, l)
   taken from the closed per-unit case analysis count_fixed_closed
   (units of order 1, 2 or 3 contribute, the rest fix nothing).  The
+  sum runs over the units with l**2 = 1 or l**3 = 1 only, built by the
+  Chinese remainder theorem from each prime power of v, so it reaches
+  FORMULA_CAP without a walk over the units.  The
   acceptance battery checks count_fixed_closed against brute force
   for every unit (criterion 3), and `cyconf verify` checks it against
   _fixed_table, which finds every unit's exhaustive fixed count in one
@@ -26,7 +29,9 @@ Three routes to the same number are implemented:
   is that table's test oracle.
 * count_orbit_scan: brute-force enumeration of the slice and a walk of
   the affine action over it.  No formula enters; this is the oracle for
-  the other two.
+  the other two.  Each orbit's representative is checked against
+  canonical_form, which finds the least image by a least-gcd solve
+  rather than by the walk's pass over every image.
 
 All intermediate division is done in exact rationals and checked
 integral (ArithmeticError otherwise), so a wrong formula fails loudly
@@ -193,10 +198,51 @@ def count_closed_formula(v: int) -> int:
     return int(total)
 
 
+def _prime_power_roots(p: int, e: int, n: int) -> list[int]:
+    # the solutions of l**n = 1 mod p**e, for n = 2 or 3
+    q = p**e
+    if n == 2:
+        if p > 2 or e <= 2:
+            return sorted({1, q - 1})
+        return [1, q // 2 - 1, q // 2 + 1, q - 1]
+    f = q // p * (p - 1)  # phi(q); for odd p the units mod q form a cyclic group
+    if f % 3:  # always so for p = 2
+        return [1]
+    # a non-cube g mod p is a non-cube mod q, and g**(f/3) then has order 3
+    c = next(c for c in (pow(g, f // 3, q) for g in range(2, p)) if c != 1)
+    return [1, c, c * c % q]
+
+
+def _roots_of_unity(v: int, n: int) -> list[int]:
+    """The units l of Z_v with l**n = 1, for n = 2 or 3, in increasing order.
+
+    Built by the Chinese remainder theorem from the roots modulo each
+    prime power of v: for n = 2, +-1 modulo an odd p**e and, modulo
+    2**e, {1} at e = 1, {1, 3} at e = 2 and {1, -1, 2**(e-1) +- 1}
+    beyond; for n = 3, {1, c, c*c} with c = g**(phi(p**e)/3) for a
+    non-cube g below p when 3 divides phi(p**e), else {1}.  No walk over
+    the units, so v may reach FORMULA_CAP.
+    """
+    if n not in (2, 3):
+        raise ValueError(f"roots of unity are built for n = 2 or 3, got n={n}")
+    roots, m = [0], 1
+    for p, e in factorization(v):
+        q = p**e
+        inv = pow(m, -1, q)
+        roots = [r + m * ((t - r) * inv % q) for r in roots for t in _prime_power_roots(p, e, n)]
+        m *= q
+    return sorted(r % v for r in roots)
+
+
 def count_unit_sum(v: int) -> int:
-    """Same count through the orbit-counting sum of the closed fixed counts."""
+    """Same count through the orbit-counting sum of the closed fixed counts.
+
+    Only units of order 1, 2 or 3 fix anything, so the sum runs over the
+    units with l**2 = 1 or l**3 = 1, built by _roots_of_unity.
+    """
     _require_v(v)
-    total = Fraction(sum(count_fixed_closed(v, l) for l in units(v)), 3 * phi(v))
+    roots = sorted({*_roots_of_unity(v, 2), *_roots_of_unity(v, 3)})
+    total = Fraction(sum(count_fixed_closed(v, l) for l in roots), 3 * phi(v))
     if total.denominator != 1:
         raise ArithmeticError(f"unit sum not integral at v={v}")
     return int(total)
@@ -206,9 +252,10 @@ def count_orbit_scan(v: int, k: int = 3, cap: int | None = None) -> int:
     """Count affine orbits on connected base lines by enumeration.
 
     Walks the connected translation slice with slice_orbits; no formula
-    enters.  The partition is checked against the canonicalizer: every
-    representative must be its own canonical form and the orbit sizes
-    must add up to the slice size, else ArithmeticError.
+    enters.  The partition is checked against the canonicalizer, whose
+    least-gcd solve shares no step with the walk: every representative
+    must be its own canonical form and the orbit sizes must add up to
+    the slice size, else ArithmeticError.
     """
     slice_ = enumerate_base_lines(v, k, connected_only=True, cap=cap)
     orbits = covered = 0

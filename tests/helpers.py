@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
-from itertools import combinations
+from collections.abc import Iterator
+from fractions import Fraction
+from itertools import combinations, product
 from math import gcd
 
-from cyconf.baseline import _difference_set, canonical_form
+from cyconf import baseline
+from cyconf.baseline import SliceOrbit, _difference_set, canonical_form
 from cyconf.circulant import CirculantMatrix, _gram_profile
 from cyconf.configuration import CyclicConfiguration, LeviGraph, _component_split, _maps_lines_onto
-from cyconf.residue_ring import factorization, inverse
+from cyconf.counting import count_fixed_closed
+from cyconf.residue_ring import factorization, inverse, phi, units
 from cyconf.solving_sets import SolvingSetParams, SolvingSetUnavailable
 
 
@@ -36,6 +41,63 @@ def reference_slice(v: int, k: int, connected: bool) -> tuple[tuple[int, ...], .
             continue
         out.append(X)
     return tuple(out)
+
+
+def reference_zero_images(S, v: int) -> Iterator[tuple[int, ...]]:
+    """Yield a*(S - x) as a sorted tuple for each x in S, then each unit a.
+
+    The image generator `baseline._zero_images` used before it built the
+    images column by column; the two must agree image for image, in order.
+    """
+    elems = sorted({s % v for s in S})
+    us = units(v)
+    for x in elems:
+        shifted = [(s - x) % v for s in elems]
+        for a in us:
+            yield tuple(sorted([a * t % v for t in shifted]))
+
+
+def reference_slice_orbits(v: int, k: int, connected: bool) -> Iterator[SliceOrbit]:
+    """The orbit walk `baseline.slice_orbits` used before it looked images up
+    in a {member: index} table, with bisect per image; the two must give
+    the same orbits, members and witnesses, in order.
+    """
+    if k < 3:
+        raise ValueError(f"base lines need k >= 3, got k={k}")
+    slice_ = baseline._slice(v, k, connected)
+    n = len(slice_)
+    seen = bytearray(n)
+    for i, rep in enumerate(slice_):
+        if seen[i]:
+            continue
+        found: dict[int, tuple[int, int]] = {}
+        for image, (x, a) in zip(reference_zero_images(rep, v), product(rep, units(v))):
+            j = bisect_left(slice_, image)
+            if j == n or slice_[j] != image:
+                raise ArithmeticError(f"image {image} of {rep} mod {v} is not in the slice")
+            if j in found:
+                continue
+            if seen[j]:
+                raise ArithmeticError(f"orbits of {slice_[j]} and {rep} mod {v} overlap")
+            found[j] = (a, x)
+        for j in found:
+            seen[j] = 1
+        yield SliceOrbit(rep, tuple((slice_[j], *found[j]) for j in sorted(found)))
+
+
+def reference_unit_sum(v: int) -> int:
+    """The orbit-counting sum walked over every residue of Z_v.
+
+    `counting.count_unit_sum` sums over roots of unity built by CRT.
+    Here every l in 1..v-1 is tested for l**2 = 1 or l**3 = 1 directly,
+    and count_fixed_closed is summed over those: it is 0 on every other
+    unit, which the tests check on the full unit walk at small v.
+    """
+    roots = [l for l in range(1, v) if l * l % v == 1 or l * l * l % v == 1]
+    total = Fraction(sum(count_fixed_closed(v, l) for l in roots), 3 * phi(v))
+    if total.denominator != 1:
+        raise ArithmeticError(f"unit sum not integral at v={v}")
+    return int(total)
 
 
 def reference_maps_lines_onto(sigma, lines, target: frozenset[frozenset[int]]) -> bool:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from itertools import islice
 
 import pytest
@@ -18,7 +19,13 @@ from cyconf.baseline import (
     slice_orbits,
 )
 from cyconf.residue_ring import CapExceeded, inverse, units
-from helpers import affine_image, contains_coset, reference_slice
+from helpers import (
+    affine_image,
+    contains_coset,
+    reference_slice,
+    reference_slice_orbits,
+    reference_zero_images,
+)
 
 # orbit counts frozen from the union-find scan over the whole slice
 ORBITS_K3 = {7: 1, 8: 1, 9: 1, 10: 1, 11: 1, 12: 3, 13: 2, 14: 2, 15: 4, 16: 3, 21: 6}
@@ -119,10 +126,52 @@ def test_canonical_form_and_orbit_size_reduce_to_residues():
     assert orbit_size((16, 14, 13), 13) == orbit_size((0, 1, 3), 13)
 
 
+def _structured_subsets(v, size, rng):
+    # disconnected sets (every point a multiple of some d | v, d > 1) and
+    # periodic ones (unions of cosets of a subgroup), where the least
+    # gcd of a difference with v exceeds 1
+    out = []
+    for d in range(2, v):
+        if v % d == 0 and v // d >= size:
+            out.append(tuple(rng.sample(range(0, v, d), size)))
+        if v % d == 0 and size % (v // d) == 0 and size // (v // d) <= d:
+            cosets = rng.sample(range(d), size // (v // d))
+            out.append(tuple(c + j * d for c in cosets for j in range(v // d)))
+    return out
+
+
 def test_canonical_form_matches_full_affine_scan():
     for v in range(7, 17):
         for S in enumerate_base_lines(v, 3):
             assert canonical_form(S, v) == _full_affine_scan(S, v)
+    # seeded subsets of every size up to 7, disconnected and periodic ones included
+    rng = random.Random(12)
+    checked = structured = 0
+    for v in range(1, 61):
+        for size in range(1, min(7, v) + 1):
+            picks = [tuple(rng.sample(range(v), size)) for _ in range(2)]
+            extra = _structured_subsets(v, size, rng)
+            for S in picks + rng.sample(extra, min(2, len(extra))):
+                assert canonical_form(S, v) == _full_affine_scan(S, v), (v, S)
+                checked += 1
+            structured += min(2, len(extra))
+    assert checked > 700 and structured > 100
+
+
+def test_canonical_form_on_unreduced_and_repeated_points():
+    # points are reduced mod v first; repeats collapse
+    assert canonical_form((3, 3, 10, 17), 7) == (0,)
+    assert canonical_form((1, 14, 2, 15), 13) == canonical_form((1, 2), 13) == (0, 1)
+    assert canonical_form((-1, 5, 30), 12) == _full_affine_scan((11, 5, 6), 12)
+
+
+def test_canonical_form_cap_and_empty_set():
+    with pytest.raises(CapExceeded, match="modulus 10001 exceeds the enumeration cap 10000"):
+        canonical_form((0, 1, 3), 10001)
+    with pytest.raises(CapExceeded, match="enumeration cap"):
+        canonical_form((), 10001)
+    with pytest.raises(ValueError, match="empty set"):
+        canonical_form((), 7)
 
 
 def test_canonical_form_is_orbit_invariant():
@@ -254,6 +303,28 @@ def test_slice_orbits_match_per_member_canonical_forms(connected):
         assert enumerate_base_lines(
             v, k, connected_only=connected, representatives_only=True
         ) == sorted(groups)
+
+
+BISECT_WALK_CASES = [
+    *((v, 3) for v in range(1, 121)),
+    *((v, 4) for v in range(1, 46)),
+    *((v, 5) for v in (21, 28, 30, 31)),
+]
+
+
+@pytest.mark.parametrize("connected", [True, False])
+def test_slice_orbits_match_the_bisect_walk(connected):
+    # same orbits, same members in the same order, same first witnesses
+    for v, k in BISECT_WALK_CASES:
+        assert list(slice_orbits(v, k, connected)) == list(reference_slice_orbits(v, k, connected)), (v, k)
+
+
+def test_zero_images_match_the_generator():
+    rng = random.Random(5)
+    cases = [((0, 1, 3), 7), ((16, 14, 13), 13), ((0, 7, 1), 7), ((0, 5, 10), 15), ((), 9)]
+    cases += [(tuple(rng.sample(range(-v, 2 * v), rng.randint(1, min(6, 3 * v)))), v) for v in range(1, 50)]
+    for S, v in cases:
+        assert _zero_images(S, v) == list(reference_zero_images(S, v)), (S, v)
 
 
 def test_slice_orbits_sizes_agree_with_orbit_size():

@@ -45,6 +45,34 @@ def test_count_range_lines(capsys):
     assert out.splitlines() == ["v=7 sum=1", "v=8 sum=1", "v=9 sum=1"]
 
 
+def test_count_sum_reaches_the_formula_cap(capsys):
+    # the unit sum runs over roots of unity, so it answers beyond 10**4
+    for v in ("10001", "999999937"):
+        rc, out, err = run(capsys, "count", "--v", v, "--mode", "sum")
+        assert (rc, err) == (0, "")
+        assert out == run(capsys, "count", "--v", v, "--mode", "formula")[1]
+    rc, out, _ = run(capsys, "count", "--v", "10001..10003", "--mode", "sum")
+    assert (rc, out) == (0, "v=10001 sum=1702\nv=10002 sum=3335\nv=10003 sum=1908\n")
+    assert out == run(capsys, "count", "--v", "10001..10003", "--mode", "formula")[1].replace(
+        "formula", "sum"
+    )
+    rc, out, err = run(capsys, "count", "--v", "1000000001", "--mode", "sum")
+    assert (rc, out) == (2, "")
+    assert err == "error: modulus 1000000001 exceeds the closed-form cap 1000000000\n"
+
+
+def test_count_all_beyond_the_scan_cap_names_the_orbit_scan(capsys):
+    rc, out, err = run(capsys, "count", "--v", "10001")
+    assert (rc, out) == (2, "")
+    assert err == "error: v=10001 exceeds the enumeration cap 300 for k=3\n"
+
+
+def test_verify_beyond_the_scan_cap_checks_formula_against_sum(capsys):
+    rc, out, err = run(capsys, "verify", "--v", "10001..10003")
+    assert (rc, err) == (0, "")
+    assert out.splitlines() == ["v=10001 ok", "v=10002 ok", "v=10003 ok", "PASS 3 values checked"]
+
+
 def test_count_orbits_k4(capsys):
     expected = len({canonical_form(S, 13) for S in enumerate_base_lines(13, 4)})
     rc, out, _ = run(capsys, "count", "--v", "13", "--k", "4", "--mode", "orbits")

@@ -15,7 +15,7 @@ from cyconf.counting import (
     count_unit_sum,
 )
 from cyconf.residue_ring import CapExceeded, phi, units
-from helpers import order2_contributors_closed
+from helpers import order2_contributors_closed, reference_unit_sum
 
 # frozen from the union-find orbit scan
 ORBITS_K3 = {
@@ -92,6 +92,44 @@ def test_verify_sees_a_corrupted_fixed_table(monkeypatch, capsys):
     out = capsys.readouterr().out.splitlines()
     assert "v=7 FAIL: fixed counts split at l=2: brute 7, closed 6" in out
     assert out[-1] == "FAIL 1 of 1 values mismatched"
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_roots_of_unity_match_a_unit_walk(n):
+    for v in range(2, 3001):
+        assert counting._roots_of_unity(v, n) == [l for l in units(v) if pow(l, n, v) == 1], v
+
+
+def test_roots_of_unity_at_the_formula_cap():
+    # 999999937 is prime and 1 mod 3; 2**29 is the largest power of two below the cap
+    v = 999999937
+    assert counting._roots_of_unity(v, 2) == [1, v - 1]
+    cubes = counting._roots_of_unity(v, 3)
+    assert len(cubes) == 3 and all(pow(l, 3, v) == 1 for l in cubes)
+    assert counting._roots_of_unity(2**29, 2) == [1, 2**28 - 1, 2**28 + 1, 2**29 - 1]
+    assert counting._roots_of_unity(2**29, 3) == [1]
+    with pytest.raises(ValueError, match="n = 2 or 3"):
+        counting._roots_of_unity(13, 4)
+
+
+def test_fixed_counts_vanish_off_the_roots_of_unity():
+    # so the unit sum may skip every unit with l**2 != 1 and l**3 != 1
+    for v in range(5, 401):
+        for l in units(v):
+            if pow(l, 2, v) != 1 and pow(l, 3, v) != 1:
+                assert count_fixed_closed(v, l) == 0, (v, l)
+
+
+def test_unit_sum_matches_the_walk_over_every_residue():
+    for v in range(5, 10**4 + 1):
+        assert count_unit_sum(v) == reference_unit_sum(v), v
+
+
+def test_unit_sum_reaches_the_formula_cap():
+    for v in (10**4 + 1, 2**29, 3**18, 999999937, 999999999, 10**9):
+        assert count_unit_sum(v) == count_closed_formula(v), v
+    with pytest.raises(CapExceeded, match="closed-form cap"):
+        count_unit_sum(10**9 + 1)
 
 
 def test_burnside_reduction():

@@ -81,6 +81,6 @@ def test_levi_text_round_trips(case):
 
 
 @SEEDED
-@given(st.integers(5, 10**4))
+@given(st.integers(5, 10**9))
 def test_closed_formula_equals_unit_sum(v):
     assert count_closed_formula(v) == count_unit_sum(v)

@@ -31,8 +31,8 @@ def _examples() -> list[tuple[str, str]]:
 EXAMPLES = _examples()
 
 
-def test_readme_has_eight_examples():
-    assert len(EXAMPLES) == 8
+def test_readme_has_nine_examples():
+    assert len(EXAMPLES) == 9
 
 
 @pytest.mark.parametrize("command, expected", EXAMPLES, ids=[c for c, _ in EXAMPLES])

@@ -226,6 +226,23 @@ def test_mixed_systems_match_reference():
     assert unreached > 100
 
 
+def test_repeated_lines_never_fill_distinct_ones():
+    # the leaf multiset check runs only when lines1 repeats a line; here
+    # every point map sends both copies of {0, 1} into lines2, which holds
+    # it once, so the leaf must still reject
+    cases = [
+        (3, [{0, 1}, {0, 1}], [{0, 1}, {1, 2}]),
+        (6, [{0, 3}, {1, 4}, {2, 5}] * 2, [frozenset({i, (i + 3) % 6}) for i in range(3)]
+         + [frozenset({i, (i + 1) % 6}) for i in range(3)]),
+    ]
+    for v, lines1, lines2 in cases:
+        for fix_zero in (True, False):
+            assert assert_same_sequence(v, lines1, lines2, fix_zero=fix_zero) == 0
+            assert assert_same_sequence(v, lines2, lines1, fix_zero=fix_zero) == 0
+    # a repeated system onto itself still yields
+    assert assert_same_sequence(3, [{0, 1}, {0, 1}], [{0, 1}, {0, 1}], fix_zero=False) == 2
+
+
 def test_size_prechecks_and_edges_match_reference():
     cases = [
         (0, [], [], False),

@@ -9,17 +9,13 @@ Two relations on circulants matter here:
   row/column incidence graphs, and is decided by the backtracking search.
 * Gram similarity: A1 A1^T and A2 A2^T have equal characteristic
   polynomials.  The Gram matrix of a circulant is the circulant of the
-  intersection profile c[d] = |S meet (S + d)|, and the characteristic
-  polynomial is computed exactly over the integers, never through
-  floats.  A circulant with first row c is f(P) for the cyclic shift P
-  and f(y) = sum c[d] y^d, so it acts as multiplication by f on
-  Q[y]/(y^v - 1).  That ring splits into the fields Q[y]/Phi_e(y), one
-  for each divisor e of v, where Phi_e is the e-th cyclotomic
-  polynomial.  The characteristic polynomial is therefore the
-  product over e | v of the characteristic polynomials of the
-  phi(e) x phi(e) integer matrices of multiplication by f mod Phi_e,
-  each computed by Berkowitz (no divisions).  The block sizes sum to v,
-  and the blocks cost far less than one dense v x v Berkowitz.
+  intersection profile c[d] = |S meet (S + d)|.  Its characteristic
+  polynomial is fixed by the power sums of its eigenvalues, and since c
+  is symmetric half of them suffice: the closed-walk counts (G^k)[0][0]
+  for k <= v/2 + 1, plus the eigenvalue sum_d (-1)^d c[d] at even v.
+  Each count is exact integer arithmetic on a vector over Z_v packed
+  into one Python int (Kronecker substitution); no floats, no
+  polynomial.  `_closed_walks` spells out why this is exact.
 
 For supports of weight at most 3 the two relations coincide with affine
 (multiplier) equivalence of the supports.  At weight 4 a single extra
@@ -31,7 +27,6 @@ subject to divisibility side conditions searched here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
@@ -40,6 +35,7 @@ from .baseline import affine_map_between
 from .residue_ring import CapExceeded, ENUMERATION_CAP
 
 PAQ_SEARCH_CAP = 300
+GRAM_CAP = 1000
 
 
 @dataclass(frozen=True)
@@ -79,111 +75,74 @@ def _gram_profile(A: CirculantMatrix) -> tuple[int, ...]:
     """Intersection numbers c[d] = |S meet (S + d)| for d in Z_v.
 
     A A^T is the circulant with first row c.  c[0] is the weight, c is
-    symmetric (c[d] = c[-d]) and sums to weight**2.
+    symmetric (c[d] = c[-d]) and sums to weight**2.  c[d] counts the
+    ordered pairs (s, t) of S with s - t = d.
     """
-    S = set(A.support)
-    return tuple(sum(1 for s in S if (s + d) % A.v in S) for d in range(A.v))
+    v, S = A.v, A.support
+    c = [0] * v
+    for s in S:
+        for t in S:
+            c[(s - t) % v] += 1
+    return tuple(c)
 
 
-def characteristic_polynomial(M: list[list[int]]) -> tuple[int, ...]:
-    """Coefficients of det(xI - M), highest power first, exact integers.
+def _closed_walks(c: tuple[int, ...]) -> tuple[int, ...]:
+    """lambda_{v/2} (0 for odd v), then (G^k)[0][0] for k = 1..v//2 + 1.
 
-    Berkowitz recursion: the coefficient vector of the leading k x k
-    principal submatrix is a lower-triangular Toeplitz image of the
-    previous one, with first column (1, -a_kk, -R S, -R A S, ...).
-    Division-free, so there is no intermediate rounding anywhere.
-    """
-    n = len(M)
-    if n == 0:
-        return (1,)
-    coeffs = [1, -M[0][0]]
-    for k in range(2, n + 1):
-        sub = [row[: k - 1] for row in M[: k - 1]]
-        R = M[k - 1][: k - 1]
-        Scol = [M[i][k - 1] for i in range(k - 1)]
-        col = [1, -M[k - 1][k - 1]]
-        w = R[:]
-        for step in range(k - 1):
-            col.append(-sum(wi * si for wi, si in zip(w, Scol)))
-            if step < k - 2:
-                w = [sum(w[i] * sub[i][j] for i in range(k - 1)) for j in range(k - 1)]
-        # lower-triangular Toeplitz product: new[t] = sum col[t-s] coeffs[s]
-        coeffs = [
-            sum(col[t - s] * coeffs[s] for s in range(min(t, k - 1) + 1))
-            for t in range(k + 1)
-        ]
-    return tuple(coeffs)
+    G is the circulant with first row c, a Gram profile: nonnegative and
+    symmetric.  Two profiles with equal sorted entries have equal
+    characteristic polynomials iff these tuples are equal:
 
+    * G is circulant, so Tr(G^k) = v (G^k)[0][0].  These are the power
+      sums of the eigenvalues lambda_j = sum_d c[d] z^(jd), z = e^(2 pi i/v),
+      and over Q equal power sums p_1..p_n are equivalent to equal
+      characteristic polynomials (Newton's identities).
+    * c is symmetric, so lambda_j = lambda_{-j}.  The spectrum is
+      2H - {lambda_0} - {lambda_{v/2}}, with H = {lambda_j : 0 <= j <= v/2}
+      of m = v//2 + 1 elements (no lambda_{v/2} term for odd v).
+    * lambda_0 = sum(c) agrees once the sorted profiles agree.  The values
+      of odd multiplicity in the spectrum are exactly lambda_0 and
+      lambda_{v/2}, unless the two are equal, so equal spectra force
+      equal lambda_{v/2} = sum_d (-1)^d c[d].  Given that, equal spectra
+      iff equal H iff equal p_1..p_m of H iff equal walk counts k <= m.
 
-def _divmod_monic(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of num by the monic den, lowest power first."""
-    n = len(den) - 1
-    rem = list(num) + [0] * max(n - len(num), 0)
-    quot = [0] * max(len(rem) - n, 0)
-    for i in range(len(rem) - 1, n - 1, -1):
-        q = rem[i]
-        if q:
-            quot[i - n] = q
-            for j in range(n + 1):
-                rem[i - n + j] -= q * den[j]
-    return quot, rem[:n]
-
-
-@lru_cache(maxsize=None)
-def _cyclotomic(e: int) -> tuple[int, ...]:
-    """Coefficients of the e-th cyclotomic polynomial, lowest power first.
-
-    y^e - 1 divided exactly by Phi_d for every proper divisor d of e.
-    """
-    num = [-1] + [0] * (e - 1) + [1]
-    for d in range(1, e):
-        if e % d == 0:
-            num, rem = _divmod_monic(num, _cyclotomic(d))
-            if any(rem):
-                raise ArithmeticError(f"Phi_{d} does not divide y^{e} - 1")
-    return tuple(num)
-
-
-def _circulant_charpoly(c: tuple[int, ...]) -> tuple[int, ...]:
-    """det(xI - C) for the circulant C with first row c, highest power first.
-
-    The product over e | v of the characteristic polynomials of
-    multiplication by f(y) = sum c[d] y^d on Z[y]/Phi_e(y), in the basis
-    1, y, ..., y^(phi(e) - 1).  Equal to characteristic_polynomial of
-    the dense v x v circulant.
+    G^k e_0 is held in one int, slot d in bits [d*w, (d+1)*w): multiplying
+    by G is one shift-add per nonzero c[d], and reducing mod y^v - 1
+    folds the top v slots onto the bottom ones.  Every entry is >= 0
+    and they sum to sum(c)^k <= sum(c)^m < 2^(w - 1), so no slot carries
+    into the next.
     """
     v = len(c)
-    out = [1]
-    for e in range(1, v + 1):
-        if v % e:
-            continue
-        cyclo = _cyclotomic(e)
-        # f mod (y^e - 1), then mod Phi_e, which divides y^e - 1
-        col = _divmod_monic([sum(c[i::e]) for i in range(e)], cyclo)[1]
-        cols = []
-        for _ in range(len(cyclo) - 1):
-            cols.append(col)
-            # y * col, with y^phi(e) replaced by -(Phi_e minus its leading term)
-            top = col[-1]
-            col = [a - top * b for a, b in zip([0] + col[:-1], cyclo)]
-        block = characteristic_polynomial([list(row) for row in zip(*cols)])
-        product = [0] * (len(out) + len(block) - 1)
-        for s, a in enumerate(out):
-            for t, b in enumerate(block):
-                product[s + t] += a * b
-        out = product
+    m = v // 2 + 1
+    w = m * max(sum(c), 2).bit_length() + 1
+    vw, low = v * w, (1 << w) - 1
+    mask = (1 << vw) - 1
+    terms = [(d * w, x) for d, x in enumerate(c) if x]
+    out = [sum(x if d % 2 == 0 else -x for d, x in enumerate(c)) if v % 2 == 0 else 0]
+    g = 1
+    for _ in range(m):
+        h = 0
+        for shift, x in terms:
+            h += (g << shift) * x if x > 1 else g << shift
+        g = (h & mask) + (h >> vw)
+        out.append(g & low)
     return tuple(out)
 
 
 def gram_similar(A1: CirculantMatrix, A2: CirculantMatrix) -> bool:
-    """True iff the two Gram matrices have equal characteristic polynomials."""
+    """True iff the two Gram matrices have equal characteristic polynomials.
+
+    Raises CapExceeded above v = GRAM_CAP, before building anything.
+    """
     if A1.v != A2.v:
         raise ValueError("gram similarity needs a common modulus")
+    if A1.v > GRAM_CAP:
+        raise CapExceeded(f"v={A1.v} exceeds the gram cap {GRAM_CAP}")
     c1, c2 = _gram_profile(A1), _gram_profile(A2)
     if sorted(c1) != sorted(c2):
         # permutation similarity preserves the entry multiset
         return False
-    return _circulant_charpoly(c1) == _circulant_charpoly(c2)
+    return _closed_walks(c1) == _closed_walks(c2)
 
 
 def paq_equivalent(

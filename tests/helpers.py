@@ -214,6 +214,38 @@ def gram_matrix(A: CirculantMatrix) -> list[list[int]]:
     return [[c[(j - i) % v] for j in range(v)] for i in range(v)]
 
 
+def characteristic_polynomial(M: list[list[int]]) -> tuple[int, ...]:
+    """Coefficients of det(xI - M), highest power first, exact integers.
+
+    Berkowitz recursion: the coefficient vector of the leading k x k
+    principal submatrix is a lower-triangular Toeplitz image of the
+    previous one, with first column (1, -a_kk, -R S, -R A S, ...).
+    Division-free, so there is no intermediate rounding anywhere.
+    `circulant.gram_similar` compares closed-walk counts instead; this
+    dense route is its test oracle.
+    """
+    n = len(M)
+    if n == 0:
+        return (1,)
+    coeffs = [1, -M[0][0]]
+    for k in range(2, n + 1):
+        sub = [row[: k - 1] for row in M[: k - 1]]
+        R = M[k - 1][: k - 1]
+        Scol = [M[i][k - 1] for i in range(k - 1)]
+        col = [1, -M[k - 1][k - 1]]
+        w = R[:]
+        for step in range(k - 1):
+            col.append(-sum(wi * si for wi, si in zip(w, Scol)))
+            if step < k - 2:
+                w = [sum(w[i] * sub[i][j] for i in range(k - 1)) for j in range(k - 1)]
+        # lower-triangular Toeplitz product: new[t] = sum col[t-s] coeffs[s]
+        coeffs = [
+            sum(col[t - s] * coeffs[s] for s in range(min(t, k - 1) + 1))
+            for t in range(k + 1)
+        ]
+    return tuple(coeffs)
+
+
 # --------------------------------------------- reference solving-set construction
 
 

@@ -1,25 +1,26 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 from math import gcd
+from time import process_time
 
 import pytest
 
 from cyconf import _search
 from cyconf.baseline import canonical_form, enumerate_base_lines
 from cyconf.circulant import (
+    GRAM_CAP,
     CirculantMatrix,
-    _circulant_charpoly,
-    _cyclotomic,
+    _closed_walks,
     _gram_profile,
-    characteristic_polynomial,
     exceptional_weight4_witness,
     gram_similar,
     incidence_text,
     paq_equivalent,
 )
-from cyconf.residue_ring import units
-from helpers import affine_image, gram_matrix
+from cyconf.residue_ring import CapExceeded, units
+from helpers import affine_image, characteristic_polynomial, gram_matrix
 
 
 def _rows(A):
@@ -110,6 +111,17 @@ def test_gram_profile_properties():
         assert all(c[d] == c[(v - d) % v] for d in range(v))
 
 
+def test_gram_profile_matches_the_per_shift_count():
+    # the count over each shift d, as the profile was first computed
+    rng = random.Random(40)
+    for v in range(1, 41):
+        for weight in range(v + 1):
+            A = CirculantMatrix(v, rng.sample(range(v), weight))
+            S = set(A.support)
+            want = tuple(sum(1 for s in S if (s + d) % v in S) for d in range(v))
+            assert _gram_profile(A) == want, (v, A.support)
+
+
 def test_gram_matrix_is_product():
     A = CirculantMatrix(7, (0, 1, 3))
     M = _rows(A)
@@ -147,43 +159,6 @@ def test_charpoly_against_cofactor_oracle_gram():
         assert characteristic_polynomial(G) == _charpoly_oracle(G)
 
 
-def _dense_circulant(c):
-    v = len(c)
-    return [[c[(j - i) % v] for j in range(v)] for i in range(v)]
-
-
-def test_block_charpoly_matches_dense_on_general_circulants():
-    rng = random.Random(20261018)
-    for v in range(1, 31):
-        for _ in range(2):
-            c = tuple(rng.randint(-5, 5) for _ in range(v))
-            assert _circulant_charpoly(c) == characteristic_polynomial(_dense_circulant(c)), v
-
-
-def test_block_charpoly_matches_dense_on_gram_profiles():
-    rng = random.Random(56)
-    for v in [*range(1, 41), 48, 56]:
-        S = rng.sample(range(v), min(v, rng.randint(1, 6)))
-        A = CirculantMatrix(v, S)
-        assert _circulant_charpoly(_gram_profile(A)) == characteristic_polynomial(gram_matrix(A)), v
-
-
-def test_block_charpoly_against_cofactor_oracle():
-    rng = random.Random(6)
-    for v in range(1, 7):
-        for _ in range(4):
-            c = tuple(rng.randint(-4, 4) for _ in range(v))
-            assert _circulant_charpoly(c) == _charpoly_oracle(_dense_circulant(c))
-
-
-def test_cyclotomic_matches_sympy():
-    sympy = pytest.importorskip("sympy")
-    y = sympy.symbols("y")
-    for e in range(1, 101):
-        expect = sympy.Poly(sympy.cyclotomic_poly(e, y), y).all_coeffs()
-        assert _cyclotomic(e) == tuple(int(a) for a in reversed(expect)), e
-
-
 def _exceptional_pair(v):
     # least family member at v = 2u with x = 2, from the parameter conditions
     u, x = v // 2, 2
@@ -198,14 +173,20 @@ def _exceptional_pair(v):
 
 
 def test_gram_similar_on_exceptional_and_affine_pairs():
+    # the family needs 8 | v; every call answers in under 0.5 s
     rng = random.Random(8)
-    for v in range(16, 57, 8):
-        S1, S2 = _exceptional_pair(v)
-        assert exceptional_weight4_witness(v, S1, S2) is not None
-        assert gram_similar(CirculantMatrix(v, S1), CirculantMatrix(v, S2))
+    for v in [*range(16, 57, 8), 64, 88, 96, 97, 127, 128, 256, 300]:
+        pairs = []
+        if v % 8 == 0:
+            S1, S2 = _exceptional_pair(v)
+            assert exceptional_weight4_witness(v, S1, S2) is not None
+            pairs.append((S1, S2))
         S = rng.sample(range(v), 4)
-        image = affine_image(S, rng.choice(units(v)), rng.randrange(v), v)
-        assert gram_similar(CirculantMatrix(v, S), CirculantMatrix(v, image))
+        pairs.append((S, affine_image(S, rng.choice(units(v)), rng.randrange(v), v)))
+        for S1, S2 in pairs:
+            t0 = process_time()
+            assert gram_similar(CirculantMatrix(v, S1), CirculantMatrix(v, S2)), (v, S1, S2)
+            assert process_time() - t0 < 0.5, (v, S1, S2)
 
 
 def test_gram_similar_separates_equal_profile_multisets():
@@ -222,6 +203,74 @@ def test_gram_similar_separates_equal_profile_multisets():
 def test_gram_similar_needs_common_modulus():
     with pytest.raises(ValueError):
         gram_similar(CirculantMatrix(7, (0, 1, 3)), CirculantMatrix(8, (0, 1, 3)))
+
+
+def test_closed_walks_match_dense_powers():
+    # full supports pack the slots tightest: every profile entry is v
+    rng = random.Random(13)
+    cases = [(v, tuple(range(v))) for v in range(1, 15)] + [(6, ()), (1, ()), (2, (1,))]
+    cases += [(v, rng.sample(range(v), rng.randint(0, v))) for v in range(1, 25) for _ in range(3)]
+    for v, S in cases:
+        A = CirculantMatrix(v, S)
+        G = gram_matrix(A)
+        walks = _closed_walks(_gram_profile(A))
+        assert len(walks) == v // 2 + 2
+        e = [1] + [0] * (v - 1)
+        for k in range(1, v // 2 + 2):
+            e = [sum(G[i][j] * e[j] for j in range(v)) for i in range(v)]
+            assert walks[k] == e[0], (v, S, k)
+        # the alternating vector is an eigenvector for lambda_{v/2}
+        u = [(-1) ** j for j in range(v)]
+        if v % 2 == 0:
+            Gu = [sum(G[i][j] * u[j] for j in range(v)) for i in range(v)]
+            assert Gu == [walks[0] * x for x in u], (v, S)
+        else:
+            assert walks[0] == 0
+
+
+def _supports(v, rng):
+    """Every support for v <= 8; else seeded samples of every weight, each
+    with an affine image, so that equal-profile buckets hold pairs."""
+    if v <= 8:
+        return [S for w in range(v + 1) for S in combinations(range(v), w)]
+    out = []
+    for w in range(v + 1):
+        for _ in range(2):
+            S = tuple(rng.sample(range(v), w))
+            out += [S, affine_image(S, rng.choice(units(v)), rng.randrange(v), v)]
+    return out
+
+
+def test_gram_similar_matches_dense_berkowitz():
+    # every pair of profiles with equal sorted entries, against the dense
+    # charpoly; supports with the same profile give the same verdicts
+    rng = random.Random(24)
+    verdicts = {True: 0, False: 0}
+    for v in range(1, 25):
+        buckets: dict[tuple[int, ...], dict] = {}
+        for S in _supports(v, rng):
+            c = _gram_profile(CirculantMatrix(v, S))
+            buckets.setdefault(tuple(sorted(c)), {}).setdefault(c, S)
+        for bucket in buckets.values():
+            poly = {
+                S: characteristic_polynomial(gram_matrix(CirculantMatrix(v, S))) for S in bucket.values()
+            }
+            for S1 in poly:
+                for S2 in poly:
+                    same = gram_similar(CirculantMatrix(v, S1), CirculantMatrix(v, S2))
+                    assert same == (poly[S1] == poly[S2]), (v, S1, S2)
+                    verdicts[same] += 1
+    assert verdicts[True] and verdicts[False], verdicts
+
+
+def test_gram_similar_cap():
+    # at the cap a weight-1 pair still answers; past it nothing is built
+    assert gram_similar(CirculantMatrix(GRAM_CAP, (0,)), CirculantMatrix(GRAM_CAP, (7,)))
+    for v in (GRAM_CAP + 1, 10**9):
+        t0 = process_time()
+        with pytest.raises(CapExceeded, match=f"v={v} exceeds the gram cap {GRAM_CAP}"):
+            gram_similar(CirculantMatrix(v, (0, 1, 3)), CirculantMatrix(v, (0, 1, 4)))
+        assert process_time() - t0 < 0.05
 
 
 def test_paq_witness_replays_as_matrix_identity():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyconf.baseline import canonical_form, enumerate_base_lines
+from cyconf.circulant import CirculantMatrix, gram_similar, paq_equivalent
 from cyconf.configuration import CyclicConfiguration, levi_graph, levi_text, parse_levi_text
 from cyconf.counting import count_closed_formula, count_unit_sum
 from cyconf.iso import isomorphic, witness_valid
@@ -84,3 +85,36 @@ def test_levi_text_round_trips(case):
 @given(st.integers(5, 10**9))
 def test_closed_formula_equals_unit_sum(v):
     assert count_closed_formula(v) == count_unit_sum(v)
+
+
+@st.composite
+def supports(draw, max_v, weights):
+    """(v, S) with S a random support of Z_v, v <= max_v, |S| in weights."""
+    v = draw(st.integers(min(weights), max_v))
+    w = draw(st.sampled_from([w for w in weights if w <= v]))
+    S = draw(st.lists(st.integers(0, v - 1), min_size=w, max_size=w, unique=True))
+    return v, tuple(S)
+
+
+@settings(SEEDED, max_examples=40)
+@given(supports(300, range(1, 9)), st.data())
+def test_gram_similar_on_affine_images(case, data):
+    v, S = case
+    a = data.draw(st.sampled_from(units(v)), "a")
+    b = data.draw(st.integers(0, v - 1), "b")
+    assert gram_similar(CirculantMatrix(v, S), CirculantMatrix(v, affine_image(S, a, b, v)))
+
+
+@SEEDED
+@given(supports(40, [4]), st.data())
+def test_paq_equivalence_implies_gram_similarity(case, data):
+    # half the pairs are affine images, so both verdicts of the search occur
+    v, S1 = case
+    if data.draw(st.booleans(), "image"):
+        a = data.draw(st.sampled_from(units(v)), "a")
+        S2 = affine_image(S1, a, data.draw(st.integers(0, v - 1), "b"), v)
+    else:
+        S2 = data.draw(st.lists(st.integers(0, v - 1), min_size=4, max_size=4, unique=True), "S2")
+    A1, A2 = CirculantMatrix(v, S1), CirculantMatrix(v, S2)
+    if paq_equivalent(A1, A2) is not None:
+        assert gram_similar(A1, A2)

@@ -23,6 +23,13 @@ The partially assigned lines are kept in a dict that maps each to its
 (|cand|, index) rank, so choosing the next point looks at those lines
 only.  Each node passes copies of ``cand`` and that dict to its
 children instead of undoing its changes.
+
+A caller that knows a point colouring every solution respects, such as
+the final colouring of equal refinement traces, can pass it to restrict
+each point's candidates to its own colour class.  The ``cand`` masks are
+left alone, and the next point is chosen from them alone, so the tree is
+the same tree less subtrees that hold no solution: the solutions, and
+their order, do not change.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ def line_bijections(
     lines2,
     *,
     fix_zero: bool = False,
+    colours: tuple | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Yield point bijections carrying the first line multiset onto the second.
 
@@ -44,6 +52,11 @@ def line_bijections(
     for finding one witness whenever lines2 is closed under translation
     (composing with a translation moves sigma(0) anywhere).  Never set it
     when every solution is wanted.
+
+    ``colours``, a pair (c1, c2) of point colourings, restricts each
+    point x to the images y with c2[y] == c1[x].  It must be a colouring
+    that every yielded bijection respects, such as equal refinement
+    traces give; then the yields and their order are unchanged.
     """
     lines1 = [frozenset(L) for L in lines1]
     lines2 = [frozenset(L) for L in lines2]
@@ -73,12 +86,20 @@ def line_bijections(
             through2[y] |= bit
         of_size[len(L)] = of_size.get(len(L), 0) | bit
     everything = (1 << v) - 1
+    if colours is None:
+        allowed_for = [everything] * v
+    else:
+        c1, c2 = colours
+        same_colour: dict[int, int] = {}  # the points of system 2 of each colour
+        for y, c in enumerate(c2):
+            same_colour[c] = same_colour.get(c, 0) | 1 << y
+        allowed_for = [same_colour.get(c, 0) for c in c1]
     m = len(lines1)
     sigma: list[int] = [-1] * v
     pools: dict[int, int] = {}  # the points covered by each cand mask met so far
 
     def candidates(x: int, cand: list[int], used: int) -> int:
-        allowed = everything & ~used
+        allowed = allowed_for[x] & ~used
         for i in point_lines1[x]:
             c = cand[i]
             pool = pools.get(c)

@@ -90,9 +90,13 @@ def affine_map_between(S1, S2, v: int) -> tuple[int, int] | None:
     """Least (a, b) lexicographically with a*S1 + b == S2, or None.
 
     Sets with different canonical forms lie in different orbits and
-    return None at once.  Otherwise units are tried in increasing order;
-    for each a only the b that send the least element of S1 into S2 can
-    work, so those are the only candidates tested.
+    return None at once.  Otherwise the multiplier is solved for, as in
+    canonical_form: take d = s - s0 with the least g = gcd(d, v).  A
+    valid a sends d onto a difference e of S2 with gcd(e, v) = g, so a
+    is (e/g) * (d/g)**-1 mod v/g, lifted to a unit of Z_v.  Those
+    candidates are tried in increasing order; for each a only the b
+    that send s0 = min S1 into S2 can work.  Every valid a is a
+    candidate, so this is the least pair a scan over all units finds.
     """
     set1 = frozenset(s % v for s in S1)
     set2 = frozenset(s % v for s in S2)
@@ -101,7 +105,19 @@ def affine_map_between(S1, S2, v: int) -> tuple[int, int] | None:
     s0 = min(set1)
     if canonical_form(set1, v) != canonical_form(set2, v):
         return None  # different orbits: no unit can work
-    for a in units(v):
+    if len(set1) == 1:
+        candidates = units(v)  # every unit works
+    else:
+        d = min(((s - s0) % v for s in set1 if s != s0), key=lambda t: gcd(t, v))
+        g = gcd(d, v)
+        step = v // g
+        inv = pow(d // g, -1, step)
+        solved = set()
+        for e in {(u - t) % v for t in set2 for u in set2}:
+            if gcd(e, v) == g:
+                solved.update(a for a in range(e // g * inv % step, v, step) if gcd(a, v) == 1)
+        candidates = sorted(solved)
+    for a in candidates:
         base = a * s0
         for b in sorted((t - base) % v for t in set2):
             if all((a * s + b) % v in set2 for s in set1):

@@ -7,12 +7,13 @@ Two relations on circulants matter here:
 * PAQ equivalence: A1 = P A2 Q for permutation matrices P, Q.  This is
   the same thing as a color-preserving isomorphism of the two bipartite
   row/column incidence graphs, and is decided by the backtracking search.
-* Gram similarity: A1 A1^T and A2 A2^T have equal characteristic
-  polynomials.  The Gram matrix of a circulant is the circulant of the
-  intersection profile c[d] = |S meet (S + d)|.  Its characteristic
-  polynomial is fixed by the power sums of its eigenvalues, and since c
-  is symmetric half of them suffice: the closed-walk counts (G^k)[0][0]
-  for k <= v/2 + 1, plus the eigenvalue sum_d (-1)^d c[d] at even v.
+* Gram similarity: A1 A1^T and A2 A2^T have equal sorted Gram profiles
+  and equal characteristic polynomials.  The Gram matrix of a circulant
+  is the circulant of the intersection profile c[d] = |S meet (S + d)|,
+  its Gram profile.  Its characteristic polynomial is fixed by the
+  power sums of its eigenvalues, and since c is symmetric half of them
+  suffice: the closed-walk counts (G^k)[0][0] for k <= v/2 + 1, plus
+  the eigenvalue sum_d (-1)^d c[d] at even v.
   Each count is exact integer arithmetic on a vector over Z_v packed
   into one Python int (Kronecker substitution); no floats, no
   polynomial.  `_closed_walks` spells out why this is exact.
@@ -130,9 +131,13 @@ def _closed_walks(c: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def gram_similar(A1: CirculantMatrix, A2: CirculantMatrix) -> bool:
-    """True iff the two Gram matrices have equal characteristic polynomials.
+    """True iff the two Gram matrices have equal sorted Gram profiles and
+    equal characteristic polynomials.
 
-    Raises CapExceeded above v = GRAM_CAP, before building anything.
+    The sorted profile is a PAQ invariant, and some pairs with equal
+    polynomials differ in it (at v=12, {0,1,2,6,7} and {0,1,3,6,9}), so
+    this is stricter than equal spectra.  Raises CapExceeded above
+    v = GRAM_CAP, before building anything.
     """
     if A1.v != A2.v:
         raise ValueError("gram similarity needs a common modulus")

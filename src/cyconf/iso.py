@@ -12,7 +12,11 @@ of two distinct primes, or coprime to phi(v), multiplier equivalence is
 complete: isomorphic configurations are always affinely related.  The
 dispatcher uses the cheap route exactly in those cases.  Elsewhere it
 first compares refinement invariants, which prove NON-ISO when they
-differ, and searches only when they agree.  Disconnected
+differ, and searches only when they agree.  Then the refinement's final
+point colouring restricts each point's images to its own colour class.
+Every bijection fixing point 0 respects that colouring, so the search
+loses only subtrees that hold no witness and still returns the first
+witness in increasing candidate order.  Disconnected
 configurations are compared through their component decompositions, and
 the returned witness is still a full point bijection, assembled from an
 affine match of the components and replayable like any other witness.
@@ -35,7 +39,6 @@ from .configuration import (
     CyclicConfiguration,
     _component_split,
     _maps_lines_onto,
-    levi_graph,
 )
 from .residue_ring import CapExceeded, factorization, inverse, is_ci_order
 
@@ -93,23 +96,41 @@ def refinement_invariant(C: CyclicConfiguration) -> tuple:
     Translations are automorphisms, so any isomorphism can be composed
     with one that fixes point 0; isomorphic configurations therefore
     have equal invariants, and unequal invariants prove NON-ISO.  Equal
-    invariants prove nothing.
+    invariants prove nothing.  Computed once per configuration.
     """
-    v = C.v
-    adj = levi_graph(C).adjacency()
-    colour = [0] + [1] * (v - 1) + [2] * v
-    classes = len(set(colour))
-    trace = []
-    while True:
-        sigs = [(colour[u], tuple(sorted(colour[w] for w in nbrs))) for u, nbrs in enumerate(adj)]
-        counts = Counter(sigs)
-        order = sorted(counts)
-        trace.append(tuple((sig, counts[sig]) for sig in order))
-        if len(order) == classes:
-            return tuple(trace)
-        index = {sig: n for n, sig in enumerate(order)}
-        colour = [index[sig] for sig in sigs]
-        classes = len(order)
+    return _refinement(C)[0]
+
+
+def _refinement(C: CyclicConfiguration) -> tuple[tuple, tuple[int, ...]]:
+    """(trace, final point colouring) of the refinement, kept on C.
+
+    Works on Z_v directly: point x lies on the lines x - s and line i
+    holds the points i + s, so a round's neighbour colours are the
+    rotations of the line and point colour lists by each s in the base,
+    zipped.  Like ``lines()``, the result lives in C.__dict__ and not in
+    a field, so equality and hashing do not see it.
+    """
+    if "_refinement" not in C.__dict__:
+        v, S = C.v, C.base
+        points = [0] + [1] * (v - 1)
+        lines = [2] * v
+        classes = len(set(points + lines))
+        trace = []
+        while True:
+            around_points = zip(*[lines[v - s:] + lines[:v - s] for s in S])
+            around_lines = zip(*[points[s:] + points[:s] for s in S])
+            point_sigs = list(zip(points, map(tuple, map(sorted, around_points))))
+            line_sigs = list(zip(lines, map(tuple, map(sorted, around_lines))))
+            entry = tuple(sorted(Counter(point_sigs + line_sigs).items()))
+            trace.append(entry)
+            if len(entry) == classes:
+                break
+            index = {sig: n for n, (sig, _) in enumerate(entry)}
+            points = list(map(index.__getitem__, point_sigs))
+            lines = list(map(index.__getitem__, line_sigs))
+            classes = len(entry)
+        C.__dict__["_refinement"] = (tuple(trace), tuple(points))
+    return C.__dict__["_refinement"]
 
 
 def _check_exact_cap(v: int, cap: int | None) -> None:
@@ -128,6 +149,12 @@ def exact_isomorphic(
     pinned to 0, which is complete because translations are
     automorphisms.  Deterministic: the first witness in increasing
     candidate order is returned.
+
+    When both configurations have already been refined, unequal traces
+    answer None, and equal ones let each point be mapped only into its
+    own colour class.  Every bijection fixing 0 respects those classes,
+    so the search only skips subtrees that hold no witness, and returns
+    the same first witness.  Nothing is refined here otherwise.
     """
     if C1.v != C2.v:
         raise ValueError("isomorphism needs a common point count")
@@ -136,7 +163,15 @@ def exact_isomorphic(
         return None
     if C1.line_set() == C2.line_set():
         return IsoWitness(kind="explicit", point_map=tuple(range(C1.v)))
-    for sigma in _search.line_bijections(C1.v, C1.lines(), C2.lines(), fix_zero=True):
+    colours = None
+    if "_refinement" in C1.__dict__ and "_refinement" in C2.__dict__:
+        (trace1, colours1), (trace2, colours2) = _refinement(C1), _refinement(C2)
+        if trace1 != trace2:
+            return None
+        colours = (colours1, colours2)
+    for sigma in _search.line_bijections(
+        C1.v, C1.lines(), C2.lines(), fix_zero=True, colours=colours
+    ):
         return IsoWitness(kind="explicit", point_map=sigma)
     return None
 

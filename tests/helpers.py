@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Iterator
 from fractions import Fraction
 from itertools import combinations, product
@@ -12,7 +12,13 @@ from math import gcd
 from cyconf import baseline
 from cyconf.baseline import SliceOrbit, _difference_set, canonical_form
 from cyconf.circulant import CirculantMatrix, _gram_profile
-from cyconf.configuration import CyclicConfiguration, LeviGraph, _component_split, _maps_lines_onto
+from cyconf.configuration import (
+    CyclicConfiguration,
+    LeviGraph,
+    _component_split,
+    _maps_lines_onto,
+    levi_graph,
+)
 from cyconf.counting import count_fixed_closed
 from cyconf.residue_ring import factorization, inverse, phi, units
 from cyconf.solving_sets import SolvingSetParams, SolvingSetUnavailable
@@ -98,6 +104,51 @@ def reference_unit_sum(v: int) -> int:
     if total.denominator != 1:
         raise ArithmeticError(f"unit sum not integral at v={v}")
     return int(total)
+
+
+def reference_affine_map_between(S1, S2, v: int) -> tuple[int, int] | None:
+    """Least (a, b) lexicographically with a*S1 + b == S2, or None.
+
+    The unit scan `baseline.affine_map_between` used before it solved
+    for the candidate multipliers; the two must agree on every pair.
+    """
+    set1 = frozenset(s % v for s in S1)
+    set2 = frozenset(s % v for s in S2)
+    if len(set1) != len(set2):
+        return None
+    s0 = min(set1)
+    if canonical_form(set1, v) != canonical_form(set2, v):
+        return None  # different orbits: no unit can work
+    for a in units(v):
+        base = a * s0
+        for b in sorted((t - base) % v for t in set2):
+            if all((a * s + b) % v in set2 for s in set1):
+                return a, b
+    return None
+
+
+def reference_refinement_invariant(C: CyclicConfiguration) -> tuple:
+    """Colour refinement of the Levi graph with point 0 individualized.
+
+    The route `iso.refinement_invariant` used before it refined on Z_v
+    by rotating colour lists: here the Levi graph's adjacency lists are
+    walked vertex by vertex.  The two traces must be equal.
+    """
+    v = C.v
+    adj = levi_graph(C).adjacency()
+    colour = [0] + [1] * (v - 1) + [2] * v
+    classes = len(set(colour))
+    trace = []
+    while True:
+        sigs = [(colour[u], tuple(sorted(colour[w] for w in nbrs))) for u, nbrs in enumerate(adj)]
+        counts = Counter(sigs)
+        order = sorted(counts)
+        trace.append(tuple((sig, counts[sig]) for sig in order))
+        if len(order) == classes:
+            return tuple(trace)
+        index = {sig: n for n, sig in enumerate(order)}
+        colour = [index[sig] for sig in sigs]
+        classes = len(order)
 
 
 def reference_maps_lines_onto(sigma, lines, target: frozenset[frozenset[int]]) -> bool:

@@ -22,6 +22,7 @@ from cyconf.residue_ring import CapExceeded, inverse, units
 from helpers import (
     affine_image,
     contains_coset,
+    reference_affine_map_between,
     reference_slice,
     reference_slice_orbits,
     reference_zero_images,
@@ -108,6 +109,29 @@ def test_affine_map_between_replays():
             T = affine_image(S, units(v)[-1], 1, v)
             a, b = affine_map_between(S, T, v)
             assert affine_image(S, a, b, v) == T
+
+
+def test_affine_map_between_matches_the_unit_scan():
+    # seeded pairs over v 1..300 and |S| 1..6, 70% of them affine images,
+    # with v = 1 and single points included
+    rng = random.Random(12)
+    cases = [((0,), (0,), 1), ((3,), (5,), 7), ((0,), (4,), 8), ((2,), (2,), 2), ((0, 1), (0,), 5)]
+    for _ in range(3000):
+        v = rng.randint(1, 300)
+        S1 = rng.sample(range(v), rng.randint(1, min(6, v)))
+        if rng.random() < 0.7:
+            S2 = affine_image(S1, rng.choice(units(v)), rng.randrange(v), v)
+        else:
+            S2 = rng.sample(range(v), len(S1))
+        cases.append((S1, S2, v))
+    found = 0
+    for S1, S2, v in cases:
+        want = reference_affine_map_between(S1, S2, v)
+        assert affine_map_between(S1, S2, v) == want, (S1, S2, v)
+        found += want is not None
+    assert 0.6 * len(cases) < found < len(cases)
+    assert affine_map_between((0,), (0,), 1) == (0, 0)
+    assert affine_map_between((3,), (5,), 7) == (1, 2)
 
 
 def test_zero_slice_orbit_contents():

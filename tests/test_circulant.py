@@ -200,6 +200,19 @@ def test_gram_similar_separates_equal_profile_multisets():
         assert not gram_similar(A1, A2)
 
 
+def test_gram_similar_also_asks_for_equal_sorted_profiles():
+    # equal characteristic polynomials, unequal sorted Gram profiles: the
+    # profile check is a PAQ invariant, so these pairs answer False
+    for v, S1, S2 in ((12, (0, 1, 2, 6, 7), (0, 1, 3, 6, 9)), (16, (0, 1, 2, 3, 7), (0, 1, 2, 7, 11))):
+        A1, A2 = CirculantMatrix(v, S1), CirculantMatrix(v, S2)
+        assert sorted(_gram_profile(A1)) != sorted(_gram_profile(A2))
+        assert characteristic_polynomial(gram_matrix(A1)) == characteristic_polynomial(
+            gram_matrix(A2)
+        )
+        assert _closed_walks(_gram_profile(A1)) == _closed_walks(_gram_profile(A2))
+        assert not gram_similar(A1, A2)
+
+
 def test_gram_similar_needs_common_modulus():
     with pytest.raises(ValueError):
         gram_similar(CirculantMatrix(7, (0, 1, 3)), CirculantMatrix(8, (0, 1, 3)))

@@ -8,7 +8,7 @@ import pytest
 from networkx.algorithms.isomorphism import GraphMatcher
 
 from cyconf import _search, iso
-from cyconf.baseline import canonical_form, enumerate_base_lines
+from cyconf.baseline import canonical_form, enumerate_base_lines, slice_orbits
 from cyconf.configuration import CyclicConfiguration
 from cyconf.iso import (
     IsoWitness,
@@ -21,7 +21,7 @@ from cyconf.iso import (
     witness_valid,
 )
 from cyconf.residue_ring import CapExceeded, units
-from helpers import affine_image, reference_maps_lines_onto
+from helpers import affine_image, reference_maps_lines_onto, reference_refinement_invariant
 
 FANO = CyclicConfiguration(7, (0, 1, 3))
 MOEBIUS_KANTOR = CyclicConfiguration(8, (0, 1, 3))
@@ -310,6 +310,104 @@ def test_invariant_is_a_full_trace():
     assert isinstance(inv, tuple) and len(inv) > 1
     assert inv == refinement_invariant(CyclicConfiguration(13, (0, 3, 9)))  # 3 * (0, 1, 3)
     assert inv != refinement_invariant(CyclicConfiguration(13, (0, 1, 4)))
+
+
+def test_refinement_matches_the_levi_graph_reference():
+    # every k=3 representative and an affine image of it, every k=4
+    # representative, a seeded sample of k=5 representatives, and bases
+    # that are periodic, disconnected or tiny
+    rng = random.Random(14)
+    cases = [
+        (1, (0,)), (2, (0,)), (2, (0, 1)), (3, (0, 1)), (12, (0, 4, 8)), (12, (0, 1, 6, 7)),
+        (9, (0, 3, 6)), (8, (0, 4)), (26, (0, 2, 6)), (21, (0, 3, 9)), (16, (0, 1, 2, 9)),
+    ]
+    for v in range(7, 41):
+        for R in enumerate_base_lines(v, 3, representatives_only=True):
+            cases += [(v, R), (v, affine_image(R, units(v)[-1], 3, v))]
+    for v in range(13, 26):
+        cases += [(v, R) for R in enumerate_base_lines(v, 4, representatives_only=True)]
+    for v in range(28, 49):
+        reps = enumerate_base_lines(v, 5, representatives_only=True, cap=48)
+        cases += [(v, R) for R in rng.sample(reps, min(8, len(reps)))]
+    for v, S in cases:
+        C = CyclicConfiguration(v, S)
+        assert refinement_invariant(C) == reference_refinement_invariant(C), (v, S)
+
+
+def test_refinement_is_kept_on_the_configuration():
+    C = CyclicConfiguration(13, (0, 1, 3))
+    trace, colours = iso._refinement(C)
+    assert refinement_invariant(C) is trace
+    assert iso._refinement(C) == (trace, colours)
+    assert C == CyclicConfiguration(13, (0, 1, 3))
+    assert hash(C) == hash(CyclicConfiguration(13, (0, 1, 3)))
+    # point 0 keeps a class of its own; the colours are the final round's
+    assert colours.count(colours[0]) == 1 and len(colours) == 13
+
+
+def _first_unpruned(C1, C2):
+    return next(_search.line_bijections(C1.v, C1.lines(), C2.lines(), fix_zero=True), None)
+
+
+def _assert_pruning_keeps_the_witness(pairs):
+    # with both refinements cached exact_isomorphic prunes by colour; its
+    # witness must be the unpruned search's first yield
+    for C1, C2 in pairs:
+        assert C1.line_set() != C2.line_set()  # else the identity shortcut answers
+        assert refinement_invariant(C1) == refinement_invariant(C2)
+        w = exact_isomorphic(C1, C2)
+        assert (w.point_map if w else None) == _first_unpruned(C1, C2), (C1, C2)
+
+
+@pytest.mark.parametrize("k,vs", [(3, range(7, 31)), (4, range(13, 23)), (5, (28, 30, 33, 36))])
+def test_pruned_search_returns_the_unpruned_witness(k, vs):
+    # member/rep pairs, a few members per orbit, and every pair of
+    # representatives with equal invariants (none are known at these
+    # sizes); the other representative pairs must answer NON-ISO
+    rng = random.Random(k)
+    for v in vs:
+        orbits = list(slice_orbits(v, k, connected=True))
+        reps = [CyclicConfiguration(v, orbit.rep) for orbit in orbits]
+        pairs = []
+        for orbit, rep in zip(orbits, reps):
+            members = [m for m, _, _ in orbit.members if m != orbit.rep]
+            pairs += [(CyclicConfiguration(v, m), rep) for m in rng.sample(members, min(3, len(members)))]
+        for C1, C2 in combinations(reps, 2):
+            if refinement_invariant(C1) == refinement_invariant(C2):
+                pairs.append((C1, C2))
+            else:
+                assert exact_isomorphic(C1, C2) is None
+        pairs = [(C1, C2) for C1, C2 in pairs if C1.line_set() != C2.line_set()]
+        assert pairs
+        _assert_pruning_keeps_the_witness(pairs)
+
+
+def test_pruned_search_returns_the_unpruned_witness_at_k6():
+    # 56 and 84 are neither prime powers nor products of two primes, so
+    # auto takes the exact route there
+    pairs = []
+    for v, S, maps in [
+        (56, (0, 4, 7, 16, 21, 29), [(3, 10), (45, 7)]),
+        (84, (0, 1, 3, 7, 25, 38), [(5, 2), (71, 40)]),
+    ]:
+        for a, b in maps:
+            pairs.append((CyclicConfiguration(v, S), CyclicConfiguration(v, affine_image(S, a, b, v))))
+    _assert_pruning_keeps_the_witness(pairs)
+    for C1, C2 in pairs:
+        assert isomorphic(C1, C2) == exact_isomorphic(C1, C2)
+
+
+def test_exact_refines_nothing_itself(monkeypatch):
+    # an unrefined configuration is searched unpruned, and the search is
+    # skipped outright when cached traces differ
+    C1, C3, C4 = _reps(28, 5)[:3]
+    C2 = CyclicConfiguration(28, affine_image(C1.base, 3, 5, 28))
+    assert exact_isomorphic(C1, C2) is not None
+    assert "_refinement" not in C1.__dict__ and "_refinement" not in C2.__dict__
+    refinement_invariant(C3)
+    refinement_invariant(C4)
+    monkeypatch.setattr(_search, "line_bijections", None)
+    assert exact_isomorphic(C3, C4) is None
 
 
 def test_auto_proves_non_iso_by_invariant(monkeypatch):

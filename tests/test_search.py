@@ -21,7 +21,7 @@ from cyconf import _search
 from cyconf.baseline import enumerate_base_lines
 from cyconf.circulant import CirculantMatrix
 from cyconf.configuration import CyclicConfiguration
-from cyconf.iso import automorphisms
+from cyconf.iso import _refinement, automorphisms
 from cyconf.residue_ring import units
 from helpers import affine_image
 
@@ -255,3 +255,22 @@ def test_size_prechecks_and_edges_match_reference():
     ]
     for v, lines1, lines2, fix_zero in cases:
         assert_same_sequence(v, lines1, lines2, fix_zero=fix_zero)
+
+
+@pytest.mark.parametrize("k,vs", [(3, range(7, 31)), (4, range(13, 26)), (5, (28, 30))])
+def test_colour_pruning_keeps_every_pinned_automorphism(k, vs):
+    # the refinement's point colouring, fed to both sides, must cut only
+    # dead subtrees: the full fix-zero sequences are unchanged, in order.
+    # Disconnected representatives only up to v = 16: at (21, {0, 3, 9})
+    # alone 1354752 automorphisms fix 0
+    compared = 0
+    for v in vs:
+        for R in _reps(v, k, connected_only=v > 16):
+            C = CyclicConfiguration(v, R)
+            lines = C.lines()
+            colours = _refinement(C)[1]
+            want = list(_search.line_bijections(v, lines, lines, fix_zero=True))
+            got = list(_search.line_bijections(v, lines, lines, fix_zero=True, colours=(colours, colours)))
+            assert got == want, (v, R)
+            compared += len(want)
+    assert compared > len(vs)

@@ -12,7 +12,10 @@ of two distinct primes, or coprime to phi(v), multiplier equivalence is
 complete: isomorphic configurations are always affinely related.  The
 dispatcher uses the cheap route exactly in those cases.  Elsewhere it
 first compares refinement invariants, which prove NON-ISO when they
-differ, and searches only when they agree.  Then the refinement's final
+differ, and searches only when they agree.  The traces are compared
+round by round while they are computed, and refinement stops at the
+first round in which they differ, since the rest of the trace cannot
+make them equal again.  Then the refinement's final
 point colouring restricts each point's images to its own colour class.
 Every bijection fixing point 0 respects that colouring, so the search
 loses only subtrees that hold no witness and still returns the first
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 
 from . import _search
 from .baseline import (
@@ -43,6 +47,9 @@ from .configuration import (
 from .residue_ring import CapExceeded, factorization, inverse, is_ci_order
 
 EXACT_SEARCH_CAP = 300
+# automorphisms() refuses a group larger than this; three disjoint Fano
+# planes, (21, {0, 3, 9}), have 168**3 * 3! maps
+AUTOMORPHISM_CAP = 10**5
 
 
 @dataclass(frozen=True)
@@ -97,40 +104,87 @@ def refinement_invariant(C: CyclicConfiguration) -> tuple:
     with one that fixes point 0; isomorphic configurations therefore
     have equal invariants, and unequal invariants prove NON-ISO.  Equal
     invariants prove nothing.  Computed once per configuration.
+
+    Two traces already differ once one of their rounds does, so the
+    internal routes that compare configurations refine them round by
+    round and stop each at its first round that no other shares; only
+    configurations whose whole traces agree are refined to the end.
     """
     return _refinement(C)[0]
 
 
 def _refinement(C: CyclicConfiguration) -> tuple[tuple, tuple[int, ...]]:
-    """(trace, final point colouring) of the refinement, kept on C.
+    """(trace, final point colouring) of the refinement, kept on C."""
+    if "_refinement" not in C.__dict__:
+        for _ in _refinement_rounds(C):
+            pass
+    return C.__dict__["_refinement"]
+
+
+def _refinement_rounds(C: CyclicConfiguration):
+    """Yield the refinement trace of C one round at a time.
 
     Works on Z_v directly: point x lies on the lines x - s and line i
     holds the points i + s, so a round's neighbour colours are the
     rotations of the line and point colour lists by each s in the base,
-    zipped.  Like ``lines()``, the result lives in C.__dict__ and not in
-    a field, so equality and hashing do not see it.
+    zipped.  Only when the last round is reached is (trace, final point
+    colouring) kept on C; a caller that stops earlier leaves C unrefined.
+    Like ``lines()``, the result lives in C.__dict__ and not in a field,
+    so equality and hashing do not see it.  A refined C replays its
+    kept trace.
     """
-    if "_refinement" not in C.__dict__:
-        v, S = C.v, C.base
-        points = [0] + [1] * (v - 1)
-        lines = [2] * v
-        classes = len(set(points + lines))
-        trace = []
-        while True:
-            around_points = zip(*[lines[v - s:] + lines[:v - s] for s in S])
-            around_lines = zip(*[points[s:] + points[:s] for s in S])
-            point_sigs = list(zip(points, map(tuple, map(sorted, around_points))))
-            line_sigs = list(zip(lines, map(tuple, map(sorted, around_lines))))
-            entry = tuple(sorted(Counter(point_sigs + line_sigs).items()))
-            trace.append(entry)
-            if len(entry) == classes:
-                break
-            index = {sig: n for n, (sig, _) in enumerate(entry)}
-            points = list(map(index.__getitem__, point_sigs))
-            lines = list(map(index.__getitem__, line_sigs))
-            classes = len(entry)
-        C.__dict__["_refinement"] = (tuple(trace), tuple(points))
-    return C.__dict__["_refinement"]
+    if "_refinement" in C.__dict__:
+        yield from C.__dict__["_refinement"][0]
+        return
+    v, S = C.v, C.base
+    points = [0] + [1] * (v - 1)
+    lines = [2] * v
+    classes = len(set(points + lines))
+    trace = []
+    while True:
+        around_points = zip(*[lines[v - s:] + lines[:v - s] for s in S])
+        around_lines = zip(*[points[s:] + points[:s] for s in S])
+        point_sigs = list(zip(points, map(tuple, map(sorted, around_points))))
+        line_sigs = list(zip(lines, map(tuple, map(sorted, around_lines))))
+        entry = tuple(sorted(Counter(point_sigs + line_sigs).items()))
+        trace.append(entry)
+        done = len(entry) == classes
+        if done:
+            C.__dict__["_refinement"] = (tuple(trace), tuple(points))
+        yield entry
+        if done:
+            return
+        index = {sig: n for n, (sig, _) in enumerate(entry)}
+        points = list(map(index.__getitem__, point_sigs))
+        lines = list(map(index.__getitem__, line_sigs))
+        classes = len(entry)
+
+
+def _equal_trace_groups(configs) -> list[list[int]]:
+    """Index groups, two or more strong, of configs with equal refinement traces.
+
+    The configurations are refined in lock-step, one round each per
+    step, and split by the round they yield; one that ends up alone is
+    dropped at once, unrefined unless that was its last round.  So every
+    configuration in a returned group is fully refined, and no two
+    configurations in different groups, or outside all of them, share a
+    trace.  Groups come sorted, each in increasing index order.
+    """
+    rounds = [_refinement_rounds(C) for C in configs]
+    pending = [list(range(len(configs)))]
+    groups = []
+    while pending:
+        step = []
+        for group in pending:
+            by_round: dict = {}
+            for i in group:
+                # None once the trace has ended, which no round equals
+                by_round.setdefault(next(rounds[i], None), []).append(i)
+            for entry, same in by_round.items():
+                if len(same) > 1:
+                    (step if entry is not None else groups).append(same)
+        pending = step
+    return sorted(groups)
 
 
 def _check_exact_cap(v: int, cap: int | None) -> None:
@@ -177,14 +231,25 @@ def exact_isomorphic(
 
 
 def automorphisms(C: CyclicConfiguration, cap: int | None = None) -> list[tuple[int, ...]]:
-    """All point bijections preserving the line set, in search order."""
+    """All point bijections preserving the line set, in search order.
+
+    Raises CapExceeded as soon as more than AUTOMORPHISM_CAP are found.
+    """
     _check_exact_cap(C.v, cap)
-    return list(_search.line_bijections(C.v, C.lines(), C.lines(), fix_zero=False))
+    found = []
+    for sigma in _search.line_bijections(C.v, C.lines(), C.lines(), fix_zero=False):
+        if len(found) == AUTOMORPHISM_CAP:
+            raise CapExceeded(f"{C} has more than {AUTOMORPHISM_CAP} automorphisms")
+        found.append(sigma)
+    return found
 
 
 def _multiplier_complete(v: int, k: int) -> bool:
     # complete for k <= 4 always; otherwise for prime powers, products
-    # of two distinct primes, and orders coprime to phi(v)
+    # of two distinct primes, and orders coprime to phi(v).  k = 3 rests
+    # on the source paper's count of the (v_3) classes, which the
+    # acceptance battery's criterion 1 checks against the orbit scan;
+    # k = 4 has no cited theorem yet, and no counterexample is known
     if k in (3, 4):
         return True
     facs = factorization(v)
@@ -263,7 +328,7 @@ def isomorphic(
             return _component_witness(C1, C2)
         if not _multiplier_complete(v, C1.k):
             _check_exact_cap(v, cap)
-            if refinement_invariant(C1) != refinement_invariant(C2):
+            if not _equal_trace_groups((C1, C2)):
                 return None
             return exact_isomorphic(C1, C2, cap=cap)
     elif method != "multiplier":
@@ -271,6 +336,27 @@ def isomorphic(
     # the multiplier route, or auto where multipliers are complete
     ab = multiplier_equivalent(v, C1.base, C2.base)
     return IsoWitness(kind="multiplier", a=ab[0], b=ab[1]) if ab else None
+
+
+def _member_maps(v: int):
+    """A function (a, x) -> the point map y -> a^-1*y + x on Z_v.
+
+    An orbit member a*(rep - x) goes onto its representative by that
+    map, the multiplier witness (a^-1, x).  One table y -> a^-1*y is
+    built per unit a, on first use, and the map is that table rotated
+    by c = a*x, since a^-1*(y + c) = a^-1*y + x.
+    """
+    tables: dict[int, tuple[int, ...]] = {}
+
+    def point_map(a: int, x: int) -> tuple[int, ...]:
+        table = tables.get(a)
+        if table is None:
+            a_inv = inverse(a, v)
+            table = tables[a] = tuple(a_inv * y % v for y in range(v))
+        c = a * x % v
+        return table[c:] + table[:c]
+
+    return point_map
 
 
 def completeness_report(
@@ -294,7 +380,8 @@ def completeness_report(
     slice order otherwise) are additionally pushed through the
     backtracking oracle.  Two representatives with different refinement
     invariants are NON-ISO; every pair with equal invariants goes to the
-    backtracking oracle.
+    backtracking oracle.  The representatives are refined together
+    round by round, each only until its trace is its own.
 
     Returns a dict with orbit count, member count and a list of
     mismatch descriptions (empty means agreement).
@@ -303,23 +390,20 @@ def completeness_report(
     mismatches: list[str] = []
     orbits = sorted(slice_orbits(v, k, connected=True))
     reps = [CyclicConfiguration(v, orbit.rep) for orbit in orbits]
+    member_map = _member_maps(v)
     for (rep, members), rep_cfg in zip(orbits, reps):
         for idx, (member, a, x) in enumerate(members):
             cfg = CyclicConfiguration(v, member)
-            # member = a*(rep - x), so y -> y/a + x carries it onto rep
-            w = IsoWitness(kind="multiplier", a=inverse(a, v), b=x)
+            w = IsoWitness(kind="explicit", point_map=member_map(a, x))
             if not witness_valid(cfg, rep_cfg, w):
                 mismatches.append(f"affine witness fails replay {member} -> {rep}")
             if exact_members is None or idx < exact_members:
                 if exact_isomorphic(cfg, rep_cfg, cap=cap) is None:
                     mismatches.append(f"oracle misses {member} ~ {rep}")
-    invariants = [refinement_invariant(C) for C in reps]
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            if invariants[i] != invariants[j]:
-                continue
-            if exact_isomorphic(reps[i], reps[j], cap=cap) is not None:
-                mismatches.append(f"oracle merges {reps[i].base} ~ {reps[j].base}")
+    groups = _equal_trace_groups(reps)
+    for i, j in sorted(pair for group in groups for pair in combinations(group, 2)):
+        if exact_isomorphic(reps[i], reps[j], cap=cap) is not None:
+            mismatches.append(f"oracle merges {reps[i].base} ~ {reps[j].base}")
     return {
         "v": v,
         "k": k,

@@ -20,7 +20,7 @@ from cyconf.iso import (
     refinement_invariant,
     witness_valid,
 )
-from cyconf.residue_ring import CapExceeded, units
+from cyconf.residue_ring import CapExceeded, inverse, units
 from helpers import affine_image, reference_maps_lines_onto, reference_refinement_invariant
 
 FANO = CyclicConfiguration(7, (0, 1, 3))
@@ -133,6 +133,13 @@ def test_exact_deterministic():
     w1 = exact_isomorphic(MOEBIUS_KANTOR, C2)
     w2 = exact_isomorphic(MOEBIUS_KANTOR, C2)
     assert w1 == w2
+
+
+def test_automorphisms_refuse_a_huge_group():
+    # three disjoint Fano planes: 168**3 * 3! automorphisms
+    with pytest.raises(CapExceeded):
+        automorphisms(CyclicConfiguration(21, (0, 3, 9)))
+    assert len(automorphisms(CyclicConfiguration(12, (0, 4, 8)))) == 31104
 
 
 def test_automorphism_group_orders():
@@ -410,6 +417,76 @@ def test_exact_refines_nothing_itself(monkeypatch):
     assert exact_isomorphic(C3, C4) is None
 
 
+def _trace_groups_by_full_traces(configs):
+    """The groups _equal_trace_groups must return, from full traces of fresh copies."""
+    by_trace: dict = {}
+    for i, C in enumerate(configs):
+        by_trace.setdefault(refinement_invariant(CyclicConfiguration(C.v, C.base)), []).append(i)
+    return sorted(group for group in by_trace.values() if len(group) > 1)
+
+
+@pytest.mark.parametrize("k,vs", [(3, range(7, 41)), (4, range(13, 26)), (5, range(28, 37))])
+def test_trace_groups_are_full_trace_equality(k, vs):
+    # each representative and an affine image of it, which shares its trace
+    for v in vs:
+        reps = _reps(v, k)
+        a = units(v)[-2]
+        configs = reps + [CyclicConfiguration(v, affine_image(R.base, a, 5, v)) for R in reps]
+        want = _trace_groups_by_full_traces(configs)
+        got = iso._equal_trace_groups(configs)
+        assert got == want, (v, k)
+        for group in got:
+            trace = refinement_invariant(CyclicConfiguration(v, configs[group[0]].base))
+            assert all(configs[i].__dict__["_refinement"][0] == trace for i in group)
+
+
+def test_a_representative_refines_only_until_its_trace_parts():
+    # a representative whose trace prefix is its own before its last
+    # round is dropped there and keeps no refinement
+    reps = _reps(40, 3)
+    traces = [refinement_invariant(CyclicConfiguration(40, R.base)) for R in reps]
+    assert iso._equal_trace_groups(reps) == []
+    unrefined = 0
+    for C, trace in zip(reps, traces):
+        parts = next(
+            r for r in range(1, len(trace) + 2)
+            if all(other[:r] != trace[:r] for other in traces if other is not trace)
+        )
+        assert ("_refinement" in C.__dict__) == (parts >= len(trace)), C
+        unrefined += "_refinement" not in C.__dict__
+    assert unrefined
+
+
+def test_auto_verdicts_and_witnesses_match_the_full_trace_route():
+    # k = 5 at the moduli where auto searches: affine images and pairs of
+    # representatives, answered as when both traces were computed in full
+    rng = random.Random(15)
+    for v in (28, 30, 36, 40):
+        reps = enumerate_base_lines(v, 5, connected_only=True, representatives_only=True, cap=40)
+        for n in range(6):
+            S1 = rng.choice(reps)
+            if n % 2:
+                S2 = affine_image(S1, rng.choice(units(v)), rng.randrange(v), v)
+            else:
+                S2 = rng.choice(reps)
+            fresh = CyclicConfiguration(v, S1), CyclicConfiguration(v, S2)
+            want = None
+            if refinement_invariant(fresh[0]) == refinement_invariant(fresh[1]):
+                want = exact_isomorphic(*fresh)
+            got = isomorphic(CyclicConfiguration(v, S1), CyclicConfiguration(v, S2))
+            assert got == want, (v, S1, S2)
+
+
+@pytest.mark.parametrize("k,vs", [(3, range(7, 47)), (4, range(13, 23))])
+def test_member_maps_are_the_multiplier_witnesses(k, vs):
+    for v in vs:
+        member_map = iso._member_maps(v)
+        for orbit in slice_orbits(v, k, connected=True):
+            for _, a, x in orbit.members:
+                want = IsoWitness(kind="multiplier", a=inverse(a, v), b=x).as_point_map(v)
+                assert member_map(a, x) == want, (v, a, x)
+
+
 def test_auto_proves_non_iso_by_invariant(monkeypatch):
     # 28 = 4 * 7 at k = 5: auto cannot trust multipliers and must not search here
     C1, C2 = _reps(28, 5)[:2]
@@ -419,7 +496,7 @@ def test_auto_proves_non_iso_by_invariant(monkeypatch):
 
 def test_auto_checks_the_cap_before_the_invariant(monkeypatch):
     C1, C2 = _reps(28, 5)[:2]
-    monkeypatch.setattr(iso, "refinement_invariant", None)
+    monkeypatch.setattr(iso, "_refinement_rounds", None)
     with pytest.raises(CapExceeded):
         isomorphic(C1, C2, cap=20)
 
@@ -438,7 +515,8 @@ def test_invariant_collision_falls_through_to_search(monkeypatch):
         searched.append((C1.base, C2.base))
         return exact_isomorphic(C1, C2, cap=cap)
 
-    monkeypatch.setattr(iso, "refinement_invariant", lambda C: ())
+    # with no rounds at all every trace collides
+    monkeypatch.setattr(iso, "_refinement_rounds", lambda C: iter(()))
     monkeypatch.setattr(iso, "exact_isomorphic", counting_exact)
     assert [isomorphic(C1, C2) for C1, C2 in pairs] == verdicts
     assert searched == [(C1.base, C2.base) for C1, C2 in pairs]

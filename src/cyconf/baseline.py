@@ -97,6 +97,7 @@ def affine_map_between(S1, S2, v: int) -> tuple[int, int] | None:
     candidates are tried in increasing order; for each a only the b
     that send s0 = min S1 into S2 can work.  Every valid a is a
     candidate, so this is the least pair a scan over all units finds.
+    Equal canonical forms with no map found raise RuntimeError.
     """
     set1 = frozenset(s % v for s in S1)
     set2 = frozenset(s % v for s in S2)
@@ -122,7 +123,9 @@ def affine_map_between(S1, S2, v: int) -> tuple[int, int] | None:
         for b in sorted((t - base) % v for t in set2):
             if all((a * s + b) % v in set2 for s in set1):
                 return a, b
-    return None
+    raise RuntimeError(
+        f"equal canonical forms mod {v} but no affine map {sorted(set1)} -> {sorted(set2)}"
+    )
 
 
 def _zero_images(S, v: int) -> list[tuple[int, ...]]:

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 from . import _search
 from .baseline import affine_map_between
-from .residue_ring import CapExceeded, ENUMERATION_CAP
+from .residue_ring import CapExceeded, ENUMERATION_CAP, _check_enumeration
 
 PAQ_SEARCH_CAP = 300
 GRAM_CAP = 1000
@@ -57,6 +57,7 @@ class CirculantMatrix:
         return len(self.support)
 
     def row(self, i: int) -> tuple[int, ...]:
+        _check_enumeration(self.v)  # rows have v entries: refuse huge v first
         shifted = {(s + i) % self.v for s in self.support}
         return tuple(1 if j in shifted else 0 for j in range(self.v))
 
@@ -64,8 +65,10 @@ class CirculantMatrix:
         """The rows' supports S + i for i = 0..v-1, in row order.
 
         Row i is entry i of the rotations points[s:] + points[:s] of
-        points = (0, ..., v-1), one rotation per s in S.
+        points = (0, ..., v-1), one rotation per s in S.  Raises
+        CapExceeded above ENUMERATION_CAP, before building anything.
         """
+        _check_enumeration(self.v)
         if not self.support:
             return [frozenset()] * self.v
         points = tuple(range(self.v))
@@ -233,5 +236,8 @@ def exceptional_weight4_witness(v: int, S1, S2) -> Weight4Witness | None:
 
 
 def incidence_text(A: CirculantMatrix) -> str:
-    """v lines of v characters, row j the characteristic vector of S + j."""
+    """v lines of v characters, row j the characteristic vector of S + j.
+
+    Raises CapExceeded above ENUMERATION_CAP, from the first row.
+    """
     return "\n".join("".join(str(b) for b in A.row(i)) for i in range(A.v)) + "\n"

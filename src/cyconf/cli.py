@@ -148,27 +148,23 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     v = _parse_single(args.v)
-    if args.reps and args.format == "record":
-        # each orbit's representative is its canonical form, and the walk
-        # counts its images through 0
+    sets = args.format == "sets"
+    if args.reps:
+        # the walk yields each orbit's representative, its canonical form,
+        # in increasing order, and counts its images through 0
         _check_enumeration(v, args.k, args.expand, True, args.cap)
         records = [
-            _record_line(v, orbit.rep, orbit.rep, orbit.size(v))
+            _fmt_points(orbit.rep) if sets else _record_line(v, orbit.rep, orbit.rep, orbit.size(v))
             for orbit in slice_orbits(v, args.k, args.connected)
         ]
         for record in records:
             print(record)
         return 0
     lines = enumerate_base_lines(
-        v,
-        args.k,
-        connected_only=args.connected,
-        expand=args.expand,
-        representatives_only=args.reps,
-        cap=args.cap,
+        v, args.k, connected_only=args.connected, expand=args.expand, cap=args.cap
     )
     for S in lines:
-        print(_fmt_points(S) if args.format == "sets" else _record_line(v, S))
+        print(_fmt_points(S) if sets else _record_line(v, S))
     return 0
 
 

@@ -8,8 +8,8 @@ against a direct reading of the axioms.
 
 A configuration builds its lines once, on first use, and every later
 call hands out the same immutable tuple (``lines``) and frozenset
-(``line_set``).  The cached lines are not fields, so equality and
-hashing still look at v and the base alone.
+(``line_set``).  Such derived data is kept through ``_kept`` alone, off
+the fields, so equality and hashing still look at v and the base.
 
 The incidence structure splits into connected components along the
 subgroup generated by the differences of S: if S (translated to contain
@@ -52,14 +52,24 @@ class CyclicConfiguration:
 
         Built once per configuration; every call returns the same tuple.
         """
-        if "_lines" not in self.__dict__:
-            self.__dict__["_lines"] = tuple(incidence_matrix(self).translate_system())
-        return self.__dict__["_lines"]
+        return _kept(self, "_lines", lambda: tuple(incidence_matrix(self).translate_system()))
 
     def line_set(self) -> frozenset[frozenset[int]]:
-        if "_line_set" not in self.__dict__:
-            self.__dict__["_line_set"] = frozenset(self.lines())
-        return self.__dict__["_line_set"]
+        return _kept(self, "_line_set", lambda: frozenset(self.lines()))
+
+
+def _kept(C: CyclicConfiguration, name: str, build=None):
+    """The value kept on C under name, or None when none is kept.
+
+    With build, a missing value is first built by build() and kept.
+    Kept values live in the instance dict, not in fields, so equality
+    and hashing never see them; this is the one place that touches it.
+    Names start with "_", since a kept value would shadow a method.
+    """
+    kept = C.__dict__
+    if build is not None and name not in kept:
+        kept[name] = build()
+    return kept.get(name)
 
 
 def _maps_lines_onto(sigma, base, target: frozenset[frozenset[int]]) -> bool:

@@ -20,6 +20,7 @@ from cyconf.configuration import (
     levi_graph,
 )
 from cyconf.counting import count_fixed_closed
+from cyconf.iso import _refinement_rounds
 from cyconf.residue_ring import factorization, inverse, phi, units
 from cyconf.solving_sets import SolvingSetParams, SolvingSetUnavailable
 
@@ -127,10 +128,18 @@ def reference_affine_map_between(S1, S2, v: int) -> tuple[int, int] | None:
     return None
 
 
+def full_trace(C: CyclicConfiguration) -> tuple:
+    """C's whole refinement trace; refining to the last round keeps it on C.
+
+    Drains `iso._refinement_rounds`, which replays a kept trace.
+    """
+    return tuple(_refinement_rounds(C))
+
+
 def reference_refinement_invariant(C: CyclicConfiguration) -> tuple:
     """Colour refinement of the Levi graph with point 0 individualized.
 
-    The route `iso.refinement_invariant` used before it refined on Z_v
+    The route the refinement trace took before it was computed on Z_v
     by rotating colour lists: here the Levi graph's adjacency lists are
     walked vertex by vertex.  The two traces must be equal.
     """

@@ -103,6 +103,13 @@ def test_affine_map_between_absent():
     assert affine_map_between((0, 1), (0, 1, 3), 7) is None
 
 
+def test_affine_map_between_raises_when_equal_forms_have_no_map(monkeypatch):
+    # with every canonical form made equal, two different orbits must raise, not answer None
+    monkeypatch.setattr(baseline, "canonical_form", lambda S, v: (0,))
+    with pytest.raises(RuntimeError, match="no affine map"):
+        affine_map_between((0, 1, 3), (0, 1, 4), 13)
+
+
 def test_affine_map_between_replays():
     for v in (8, 13, 16):
         for S in enumerate_base_lines(v, 3):

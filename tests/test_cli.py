@@ -437,6 +437,14 @@ def test_python_m_cyconf():
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("fmt", ["levi", "incidence"])
+def test_export_refuses_a_huge_modulus(fmt):
+    # refused before a single row is built: no MemoryError, no endless print
+    done = _python_m_cyconf("export", "--v", "999999937", "--s", "0,1,3", "--format", fmt)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: modulus 999999937 exceeds the enumeration cap 10000\n"
+
+
 def test_broken_pipe_is_quiet():
     # about 400 KB of output, more than a pipe buffers: the writer meets the closed pipe
     proc = subprocess.Popen(

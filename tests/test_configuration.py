@@ -15,7 +15,7 @@ from cyconf.configuration import (
     levi_text,
     parse_levi_text,
 )
-from cyconf.residue_ring import units
+from cyconf.residue_ring import ENUMERATION_CAP, CapExceeded, units
 from helpers import affine_image, decompose, girth, reference_maps_lines_onto, validate
 
 FANO = CyclicConfiguration(7, (0, 1, 3))
@@ -49,6 +49,15 @@ def test_lines_are_built_once():
     assert C.lines() is lines
     assert lines == tuple(incidence_matrix(C).translate_system())
     assert C.line_set() is C.line_set() == frozenset(lines)
+
+
+def test_lines_refuse_a_modulus_past_the_enumeration_cap():
+    assert len(CyclicConfiguration(ENUMERATION_CAP, (0, 1, 3)).lines()) == ENUMERATION_CAP
+    C = CyclicConfiguration(ENUMERATION_CAP + 1, (0, 1, 3))
+    with pytest.raises(CapExceeded):
+        C.lines()
+    with pytest.raises(CapExceeded):
+        incidence_matrix(C).row(0)
 
 
 # bases whose lines repeat: each is a union of cosets of a subgroup

@@ -7,9 +7,9 @@ import networkx as nx
 import pytest
 from networkx.algorithms.isomorphism import GraphMatcher
 
-from cyconf import _search, iso
+from cyconf import _search, baseline, iso
 from cyconf.baseline import canonical_form, enumerate_base_lines, slice_orbits
-from cyconf.configuration import CyclicConfiguration
+from cyconf.configuration import CyclicConfiguration, _kept
 from cyconf.iso import (
     IsoWitness,
     automorphisms,
@@ -17,11 +17,10 @@ from cyconf.iso import (
     exact_isomorphic,
     isomorphic,
     multiplier_equivalent,
-    refinement_invariant,
     witness_valid,
 )
 from cyconf.residue_ring import CapExceeded, inverse, units
-from helpers import affine_image, reference_maps_lines_onto, reference_refinement_invariant
+from helpers import affine_image, full_trace, reference_maps_lines_onto, reference_refinement_invariant
 
 FANO = CyclicConfiguration(7, (0, 1, 3))
 MOEBIUS_KANTOR = CyclicConfiguration(8, (0, 1, 3))
@@ -283,7 +282,7 @@ def _three_verdicts(C1, C2):
     matcher = GraphMatcher(
         _coloured_levi(C1), _coloured_levi(C2), node_match=lambda a, b: a["colour"] == b["colour"]
     )
-    same = refinement_invariant(C1) == refinement_invariant(C2)
+    same = full_trace(C1) == full_trace(C2)
     return same, searched is not None, matcher.is_isomorphic()
 
 
@@ -313,10 +312,10 @@ def test_invariant_search_and_vf2_agree_at_k5(v):
 
 
 def test_invariant_is_a_full_trace():
-    inv = refinement_invariant(CyclicConfiguration(13, (0, 1, 3)))
+    inv = full_trace(CyclicConfiguration(13, (0, 1, 3)))
     assert isinstance(inv, tuple) and len(inv) > 1
-    assert inv == refinement_invariant(CyclicConfiguration(13, (0, 3, 9)))  # 3 * (0, 1, 3)
-    assert inv != refinement_invariant(CyclicConfiguration(13, (0, 1, 4)))
+    assert inv == full_trace(CyclicConfiguration(13, (0, 3, 9)))  # 3 * (0, 1, 3)
+    assert inv != full_trace(CyclicConfiguration(13, (0, 1, 4)))
 
 
 def test_refinement_matches_the_levi_graph_reference():
@@ -338,14 +337,16 @@ def test_refinement_matches_the_levi_graph_reference():
         cases += [(v, R) for R in rng.sample(reps, min(8, len(reps)))]
     for v, S in cases:
         C = CyclicConfiguration(v, S)
-        assert refinement_invariant(C) == reference_refinement_invariant(C), (v, S)
+        assert full_trace(C) == reference_refinement_invariant(C), (v, S)
 
 
 def test_refinement_is_kept_on_the_configuration():
     C = CyclicConfiguration(13, (0, 1, 3))
-    trace, colours = iso._refinement(C)
-    assert refinement_invariant(C) is trace
-    assert iso._refinement(C) == (trace, colours)
+    trace = full_trace(C)
+    kept = _kept(C, "_refined")
+    trace_kept, colours = kept
+    assert trace_kept == trace
+    assert full_trace(C) == trace and _kept(C, "_refined") is kept  # replayed, not redone
     assert C == CyclicConfiguration(13, (0, 1, 3))
     assert hash(C) == hash(CyclicConfiguration(13, (0, 1, 3)))
     # point 0 keeps a class of its own; the colours are the final round's
@@ -361,7 +362,7 @@ def _assert_pruning_keeps_the_witness(pairs):
     # witness must be the unpruned search's first yield
     for C1, C2 in pairs:
         assert C1.line_set() != C2.line_set()  # else the identity shortcut answers
-        assert refinement_invariant(C1) == refinement_invariant(C2)
+        assert full_trace(C1) == full_trace(C2)
         w = exact_isomorphic(C1, C2)
         assert (w.point_map if w else None) == _first_unpruned(C1, C2), (C1, C2)
 
@@ -380,7 +381,7 @@ def test_pruned_search_returns_the_unpruned_witness(k, vs):
             members = [m for m, _, _ in orbit.members if m != orbit.rep]
             pairs += [(CyclicConfiguration(v, m), rep) for m in rng.sample(members, min(3, len(members)))]
         for C1, C2 in combinations(reps, 2):
-            if refinement_invariant(C1) == refinement_invariant(C2):
+            if full_trace(C1) == full_trace(C2):
                 pairs.append((C1, C2))
             else:
                 assert exact_isomorphic(C1, C2) is None
@@ -410,9 +411,9 @@ def test_exact_refines_nothing_itself(monkeypatch):
     C1, C3, C4 = _reps(28, 5)[:3]
     C2 = CyclicConfiguration(28, affine_image(C1.base, 3, 5, 28))
     assert exact_isomorphic(C1, C2) is not None
-    assert "_refinement" not in C1.__dict__ and "_refinement" not in C2.__dict__
-    refinement_invariant(C3)
-    refinement_invariant(C4)
+    assert _kept(C1, "_refined") is None and _kept(C2, "_refined") is None
+    full_trace(C3)
+    full_trace(C4)
     monkeypatch.setattr(_search, "line_bijections", None)
     assert exact_isomorphic(C3, C4) is None
 
@@ -421,7 +422,7 @@ def _trace_groups_by_full_traces(configs):
     """The groups _equal_trace_groups must return, from full traces of fresh copies."""
     by_trace: dict = {}
     for i, C in enumerate(configs):
-        by_trace.setdefault(refinement_invariant(CyclicConfiguration(C.v, C.base)), []).append(i)
+        by_trace.setdefault(full_trace(CyclicConfiguration(C.v, C.base)), []).append(i)
     return sorted(group for group in by_trace.values() if len(group) > 1)
 
 
@@ -436,15 +437,15 @@ def test_trace_groups_are_full_trace_equality(k, vs):
         got = iso._equal_trace_groups(configs)
         assert got == want, (v, k)
         for group in got:
-            trace = refinement_invariant(CyclicConfiguration(v, configs[group[0]].base))
-            assert all(configs[i].__dict__["_refinement"][0] == trace for i in group)
+            trace = full_trace(CyclicConfiguration(v, configs[group[0]].base))
+            assert all(_kept(configs[i], "_refined")[0] == trace for i in group)
 
 
 def test_a_representative_refines_only_until_its_trace_parts():
     # a representative whose trace prefix is its own before its last
     # round is dropped there and keeps no refinement
     reps = _reps(40, 3)
-    traces = [refinement_invariant(CyclicConfiguration(40, R.base)) for R in reps]
+    traces = [full_trace(CyclicConfiguration(40, R.base)) for R in reps]
     assert iso._equal_trace_groups(reps) == []
     unrefined = 0
     for C, trace in zip(reps, traces):
@@ -452,8 +453,9 @@ def test_a_representative_refines_only_until_its_trace_parts():
             r for r in range(1, len(trace) + 2)
             if all(other[:r] != trace[:r] for other in traces if other is not trace)
         )
-        assert ("_refinement" in C.__dict__) == (parts >= len(trace)), C
-        unrefined += "_refinement" not in C.__dict__
+        refined = _kept(C, "_refined") is not None
+        assert refined == (parts >= len(trace)), C
+        unrefined += not refined
     assert unrefined
 
 
@@ -471,7 +473,7 @@ def test_auto_verdicts_and_witnesses_match_the_full_trace_route():
                 S2 = rng.choice(reps)
             fresh = CyclicConfiguration(v, S1), CyclicConfiguration(v, S2)
             want = None
-            if refinement_invariant(fresh[0]) == refinement_invariant(fresh[1]):
+            if full_trace(fresh[0]) == full_trace(fresh[1]):
                 want = exact_isomorphic(*fresh)
             got = isomorphic(CyclicConfiguration(v, S1), CyclicConfiguration(v, S2))
             assert got == want, (v, S1, S2)
@@ -546,6 +548,8 @@ def test_completeness_report_flags_a_bad_witness(monkeypatch):
 
 
 def test_component_witness_check_raises(monkeypatch):
-    monkeypatch.setattr(iso, "affine_map_between", lambda S1, S2, v: None)
+    # components (0, 1, 3) and (0, 1, 4) on Z_13 lie in different orbits;
+    # with their canonical forms made equal the affine match must raise
+    monkeypatch.setattr(baseline, "canonical_form", lambda S, v: (0,))
     with pytest.raises(RuntimeError, match="no affine map"):
-        isomorphic(CyclicConfiguration(26, (0, 2, 6)), CyclicConfiguration(26, (0, 4, 12)))
+        isomorphic(CyclicConfiguration(26, (0, 2, 6)), CyclicConfiguration(26, (0, 2, 8)))

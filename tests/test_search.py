@@ -20,10 +20,10 @@ import pytest
 from cyconf import _search
 from cyconf.baseline import enumerate_base_lines
 from cyconf.circulant import CirculantMatrix
-from cyconf.configuration import CyclicConfiguration
-from cyconf.iso import _refinement, automorphisms
+from cyconf.configuration import CyclicConfiguration, _kept
+from cyconf.iso import automorphisms
 from cyconf.residue_ring import units
-from helpers import affine_image
+from helpers import affine_image, full_trace
 
 
 def reference_line_bijections(v, lines1, lines2, *, fix_zero=False, cap=None):
@@ -268,7 +268,8 @@ def test_colour_pruning_keeps_every_pinned_automorphism(k, vs):
         for R in _reps(v, k, connected_only=v > 16):
             C = CyclicConfiguration(v, R)
             lines = C.lines()
-            colours = _refinement(C)[1]
+            full_trace(C)
+            colours = _kept(C, "_refined")[1]
             want = list(_search.line_bijections(v, lines, lines, fix_zero=True))
             got = list(_search.line_bijections(v, lines, lines, fix_zero=True, colours=(colours, colours)))
             assert got == want, (v, R)

@@ -19,8 +19,10 @@ images a*(rep - x) of each orbit once, built a column per point, and
 takes the first member it reaches.  canonical_form solves for the least
 image instead: its second point is the least gcd(s - x, v) over the
 differences of S, and only the few units that send such a difference
-onto that gcd can produce it.  The two share no step past the slice, so
-count_orbit_scan can check the one against the other.
+onto that gcd can produce it.  canonical_form, affine_map_between and
+counting's one-pass fixed table all find their units through one solve,
+_unit_solutions; the orbit walk shares none of it, nor any step past the
+slice, so count_orbit_scan can check the one route against the other.
 """
 
 from __future__ import annotations
@@ -86,18 +88,36 @@ def is_connected(S, v: int) -> bool:
     return gcd(v, *[s - s0 for s in elems[1:]]) == 1 if len(elems) > 1 else v == 1
 
 
+def _unit_solutions(t: int, e: int, v: int) -> list[int]:
+    """The units a of Z_v with a*t = e (mod v), in increasing order.
+
+    A unit preserves gcd(., v), so there are none unless
+    gcd(e, v) = gcd(t, v) = g.  Then the congruence is
+    a*(t/g) = e/g (mod v/g) with t/g a unit mod v/g, and the solutions
+    are the lifts of (e/g) * (t/g)**-1 mod v/g that are units of Z_v.
+    Without the gcd check, e // g could drop a remainder and solve a
+    different congruence.
+    """
+    g = gcd(t, v)
+    if gcd(e, v) != g:
+        return []
+    step = v // g
+    a = e // g * pow(t // g, -1, step) % step
+    if g == 1:
+        return [a]  # the one solution, a unit since gcd(e, v) = 1
+    return [a for a in range(a, v, step) if gcd(a, v) == 1]
+
+
 def affine_map_between(S1, S2, v: int) -> tuple[int, int] | None:
     """Least (a, b) lexicographically with a*S1 + b == S2, or None.
 
     Sets with different canonical forms lie in different orbits and
-    return None at once.  Otherwise the multiplier is solved for, as in
-    canonical_form: take d = s - s0 with the least g = gcd(d, v).  A
-    valid a sends d onto a difference e of S2 with gcd(e, v) = g, so a
-    is (e/g) * (d/g)**-1 mod v/g, lifted to a unit of Z_v.  Those
-    candidates are tried in increasing order; for each a only the b
-    that send s0 = min S1 into S2 can work.  Every valid a is a
-    candidate, so this is the least pair a scan over all units finds.
-    Equal canonical forms with no map found raise RuntimeError.
+    return None at once.  Otherwise a valid a sends d = s - s0 with the
+    least gcd(d, v) onto a difference e of S2: the candidates are
+    _unit_solutions(d, e, v) over those e, in increasing order, and for
+    each only the b sending s0 = min S1 into S2 are tried.  Every valid
+    a is a candidate, so this is the least pair a scan of all units
+    finds.  Equal forms with no map found raise RuntimeError.
     """
     set1 = frozenset(s % v for s in S1)
     set2 = frozenset(s % v for s in S2)
@@ -110,13 +130,9 @@ def affine_map_between(S1, S2, v: int) -> tuple[int, int] | None:
         candidates = units(v)  # every unit works
     else:
         d = min(((s - s0) % v for s in set1 if s != s0), key=lambda t: gcd(t, v))
-        g = gcd(d, v)
-        step = v // g
-        inv = pow(d // g, -1, step)
         solved = set()
         for e in {(u - t) % v for t in set2 for u in set2}:
-            if gcd(e, v) == g:
-                solved.update(a for a in range(e // g * inv % step, v, step) if gcd(a, v) == 1)
+            solved.update(_unit_solutions(d, e, v))
         candidates = sorted(solved)
     for a in candidates:
         base = a * s0
@@ -151,12 +167,10 @@ def canonical_form(S, v: int) -> tuple[int, ...]:
     The least image contains 0 (translating the minimum to 0 can only
     shrink the tuple), and its least nonzero point is
     g = min gcd(s - x, v) over distinct s, x in S: a*(s - x) is a
-    multiple of gcd(s - x, v), and a solve below reaches g.  So only the
-    maps y -> a*(y - x) that send some difference t = s - x with
-    gcd(t, v) = g onto g can give the least image.  Those are the units
-    a = (t/g)**-1 mod v/g, lifted to Z_v: O(k*k*g) candidate images in
-    place of the k*phi(v) images through 0.  The tests compare against
-    a full a,b scan.
+    multiple of gcd(s - x, v), and some unit reaches g.  So only the
+    maps y -> a*(y - x) with a in _unit_solutions(s - x, g, v) can give
+    the least image: O(k*k*g) candidate images in place of the k*phi(v)
+    images through 0.  The tests compare against a full a,b scan.
     """
     elems = sorted({s % v for s in S})
     units(v)  # checks v, with CapExceeded beyond the enumeration cap
@@ -166,16 +180,12 @@ def canonical_form(S, v: int) -> tuple[int, ...]:
         return (0,)
     pairs = [(x, (s - x) % v) for x in elems for s in elems if s != x]
     g = min(gcd(t, v) for _, t in pairs)
-    step = v // g
     best = None
     for x, t in pairs:
-        if gcd(t, v) != g:
-            continue
-        for a in range(pow(t // g, -1, step), v, step):
-            if gcd(a, v) == 1:
-                image = tuple(sorted([a * (s - x) % v for s in elems]))
-                if best is None or image < best:
-                    best = image
+        for a in _unit_solutions(t, g, v):
+            image = tuple(sorted([a * (s - x) % v for s in elems]))
+            if best is None or image < best:
+                best = image
     return best
 
 

@@ -166,8 +166,8 @@ def paq_equivalent(
     if A1.v != A2.v:
         raise ValueError("paq equivalence needs a common modulus")
     v = A1.v
-    limit = cap if cap is not None else PAQ_SEARCH_CAP
-    if v > min(limit, ENUMERATION_CAP):
+    limit = min(cap if cap is not None else PAQ_SEARCH_CAP, ENUMERATION_CAP)
+    if v > limit:
         raise CapExceeded(f"v={v} exceeds the paq search cap {limit}")
     lines1 = A1.translate_system()
     lines2 = A2.translate_system()
@@ -210,8 +210,7 @@ def exceptional_weight4_witness(v: int, S1, S2) -> Weight4Witness | None:
     """
     if v % 2:
         return None
-    if v > ENUMERATION_CAP:
-        raise CapExceeded(f"v={v} exceeds the enumeration cap {ENUMERATION_CAP}")
+    _check_enumeration(v)
     u = v // 2
     for x in range(2, u + 1, 2):
         if u % (2 * x):
@@ -238,6 +237,8 @@ def exceptional_weight4_witness(v: int, S1, S2) -> Weight4Witness | None:
 def incidence_text(A: CirculantMatrix) -> str:
     """v lines of v characters, row j the characteristic vector of S + j.
 
-    Raises CapExceeded above ENUMERATION_CAP, from the first row.
+    Row j is row 0 rotated right by j, so row 0's string is built once
+    and sliced.  Raises CapExceeded above ENUMERATION_CAP, from row 0.
     """
-    return "\n".join("".join(str(b) for b in A.row(i)) for i in range(A.v)) + "\n"
+    v, row = A.v, "".join(map(str, A.row(0)))
+    return "".join(row[v - j:] + row[:v - j] + "\n" for j in range(v))

@@ -44,7 +44,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .baseline import _check_enumeration, _slice, canonical_form, enumerate_base_lines, slice_orbits
+from .baseline import _check_enumeration, _slice, _unit_solutions, canonical_form
+from .baseline import enumerate_base_lines, slice_orbits
 from .residue_ring import (
     big_phi,
     factorization,
@@ -138,29 +139,21 @@ def _fixed_table(v: int, k: int) -> dict[int, int]:
     """count_fixed_bruteforce(v, k, l) for every unit l, in one pass over the slice.
 
     For each member X and each x in X, a unit l with l*X = X - x sends
-    one fixed nonzero s in X to some y in X - x, so l solves
-    l*s = y (mod v).  With g = gcd(s, v) (s chosen to make g least)
-    that congruence fixes l mod v/g; the solutions lift to the units
-    l0 + j*v/g, and each is kept if l*X is X - x.  Each l counts at most
-    once per X.  Shares no arithmetic with the closed forms.
+    the nonzero s in X with the least gcd(s, v) to some y in X - x, so
+    l is in _unit_solutions(s, y, v); each is kept if l*X is X - x, and
+    counts at most once per X.  Shares no arithmetic with the closed
+    forms.
     """
     # checking k and the cap is the caller's job
     table = dict.fromkeys(units(v), 0)
-    solve = {}  # s -> (g, v/g, the inverse of s/g mod v/g)
-    for s in range(1, v):
-        g = gcd(s, v)
-        solve[s] = (g, v // g, pow(s // g, -1, v // g))
     for X in _slice(v, k, True):
-        s = min(X[1:], key=lambda t: solve[t][0])  # X[0] is 0
-        g, step, inv = solve[s]
+        s = min(X[1:], key=lambda t: gcd(t, v))  # X[0] is 0
         fixers = set()
         for x in X:
             shifted = {(t - x) % v for t in X}
             for y in shifted:
-                if y % g:
-                    continue
-                for l in range((y // g) * inv % step, v, step):
-                    if l in table and l not in fixers and {l * t % v for t in X} == shifted:
+                for l in _unit_solutions(s, y, v):
+                    if l not in fixers and {l * t % v for t in X} == shifted:
                         fixers.add(l)
         for l in fixers:
             table[l] += 1

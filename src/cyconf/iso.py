@@ -45,7 +45,7 @@ from .configuration import (
     _kept,
     _maps_lines_onto,
 )
-from .residue_ring import CapExceeded, factorization, inverse, is_ci_order
+from .residue_ring import CapExceeded, _two_primes, factorization, inverse, is_ci_order
 
 EXACT_SEARCH_CAP = 300
 # automorphisms() refuses a group larger than this; three disjoint Fano
@@ -79,6 +79,12 @@ class IsoWitness:
 def multiplier_equivalent(v: int, S1, S2) -> tuple[int, int] | None:
     """Least (a, b) lexicographically with a*S1 + b = S2, or None."""
     return affine_map_between(S1, S2, v)
+
+
+def _multiplier_witness(C1: CyclicConfiguration, C2: CyclicConfiguration) -> IsoWitness | None:
+    """The multiplier witness for the least (a, b) with a*S1 + b = S2, or None."""
+    ab = affine_map_between(C1.base, C2.base, C1.v)
+    return IsoWitness(kind="multiplier", a=ab[0], b=ab[1]) if ab else None
 
 
 def witness_valid(C1: CyclicConfiguration, C2: CyclicConfiguration, w: IsoWitness) -> bool:
@@ -232,12 +238,7 @@ def _multiplier_complete(v: int, k: int) -> bool:
     # k = 4 has no cited theorem yet, and no counterexample is known
     if k in (3, 4):
         return True
-    facs = factorization(v)
-    if len(facs) == 1:
-        return True
-    if len(facs) == 2 and facs[0][1] == 1 and facs[1][1] == 1:
-        return True
-    return is_ci_order(v)
+    return len(factorization(v)) == 1 or _two_primes(v) is not None or is_ci_order(v)
 
 
 def _component_witness(
@@ -312,8 +313,7 @@ def isomorphic(
     elif method != "multiplier":
         raise ValueError(f"unknown method {method!r}")
     # the multiplier route, or auto where multipliers are complete
-    ab = multiplier_equivalent(v, C1.base, C2.base)
-    return IsoWitness(kind="multiplier", a=ab[0], b=ab[1]) if ab else None
+    return _multiplier_witness(C1, C2)
 
 
 def _member_maps(v: int):

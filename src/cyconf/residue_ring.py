@@ -56,6 +56,14 @@ def factorization(v: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def _two_primes(v: int) -> tuple[int, int] | None:
+    """(p1, p2) with p1 < p2 when v = p1*p2 for distinct primes, else None."""
+    facs = factorization(v)
+    if len(facs) == 2 and facs[0][1] == facs[1][1] == 1:
+        return facs[0][0], facs[1][0]
+    return None
+
+
 def phi(v: int) -> int:
     """Euler totient, the order of the unit group of Z_v."""
     return prod(p ** (e - 1) * (p - 1) for p, e in factorization(v))

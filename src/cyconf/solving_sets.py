@@ -30,8 +30,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .configuration import CyclicConfiguration, _maps_lines_onto
-from .iso import IsoWitness, exact_isomorphic, multiplier_equivalent
-from .residue_ring import factorization, inverse, mult_order, units
+from .iso import IsoWitness, _multiplier_witness, exact_isomorphic
+from .iso import multiplier_equivalent  # unused here; perfbench's selftest pins this binding
+from .residue_ring import _two_primes, factorization, inverse, mult_order, units
 
 
 class SolvingSetUnavailable(Exception):
@@ -155,13 +156,6 @@ def solving_set(C: CyclicConfiguration, params: SolvingSetParams) -> list[tuple[
     return out
 
 
-def _two_primes(v: int) -> tuple[int, int] | None:
-    facs = factorization(v)
-    if len(facs) == 2 and facs[0][1] == 1 and facs[1][1] == 1:
-        return facs[0][0], facs[1][0]
-    return None
-
-
 def solve_iso_pq(
     C1: CyclicConfiguration, C2: CyclicConfiguration, cap: int | None = None
 ) -> IsoWitness | None:
@@ -182,26 +176,19 @@ def solve_iso_pq(
         raise ValueError(f"v={v} is not a product of two distinct primes")
     p, q = max(pq), min(pq)
     if (p - 1) % q:
-        return _multiplier_witness(v, C1, C2)
+        return _multiplier_witness(C1, C2)
 
     params = solving_set_params(p, q)
     if not preserves_lines(_scaling(v, 1, (params.b,)), C1):
-        return _multiplier_witness(v, C1, C2)
+        return _multiplier_witness(C1, C2)
     try:
         delta = solving_set(C1, params)
     except SolvingSetUnavailable:
         return exact_isomorphic(C1, C2, cap=cap)
-    w = _multiplier_witness(v, C1, C2)
+    w = _multiplier_witness(C1, C2)
     if w is not None:
         return w
     for perm in delta:
         if _maps_lines_onto(perm, C1.base, C2.line_set()):
             return IsoWitness(kind="explicit", point_map=perm)
     return None
-
-
-def _multiplier_witness(
-    v: int, C1: CyclicConfiguration, C2: CyclicConfiguration
-) -> IsoWitness | None:
-    ab = multiplier_equivalent(v, C1.base, C2.base)
-    return IsoWitness(kind="multiplier", a=ab[0], b=ab[1]) if ab else None

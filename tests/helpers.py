@@ -267,6 +267,11 @@ def order2_contributors_closed(v: int) -> int:
     return 2 ** (k + 1) - 3
 
 
+def reference_incidence_text(A: CirculantMatrix) -> str:
+    """`incidence_text` row by row, as it was built before it rotated row 0."""
+    return "\n".join("".join(str(b) for b in A.row(i)) for i in range(A.v)) + "\n"
+
+
 def gram_matrix(A: CirculantMatrix) -> list[list[int]]:
     """A A^T as a dense integer matrix, the circulant of the Gram profile."""
     c = _gram_profile(A)

@@ -7,6 +7,7 @@ import pytest
 
 from cyconf import baseline
 from cyconf.baseline import (
+    _unit_solutions,
     affine_map_between,
     _difference_set,
     _zero_images,
@@ -396,3 +397,14 @@ def test_orbit_size_check_raises(monkeypatch):
     monkeypatch.setattr(baseline, "_zero_images", lambda S, v: iter([tuple(S)]))
     with pytest.raises(ArithmeticError):
         orbit_size((0, 1, 3), 13)
+
+
+def test_unit_solutions_are_the_units_solving_the_congruence():
+    # the one solve behind canonical_form, affine_map_between and
+    # _fixed_table, against a scan over the units for every t and e
+    for v in range(1, 61):
+        us = units(v)
+        for t in range(v):
+            for e in range(v):
+                want = [a for a in us if (a * t - e) % v == 0]
+                assert _unit_solutions(t, e, v) == want, (t, e, v)

@@ -20,7 +20,7 @@ from cyconf.circulant import (
     paq_equivalent,
 )
 from cyconf.residue_ring import CapExceeded, units
-from helpers import affine_image, characteristic_polynomial, gram_matrix
+from helpers import affine_image, characteristic_polynomial, gram_matrix, reference_incidence_text
 
 
 def _rows(A):
@@ -405,3 +405,32 @@ def test_incidence_text_fano():
     assert rows[0] == "1101000"
     assert rows[3] == "0001101"
     assert len(rows) == 7
+
+
+def test_incidence_text_matches_the_row_by_row_join():
+    rng = random.Random(17)
+    cases = [CirculantMatrix(1, (0,)), CirculantMatrix(1, ()), CirculantMatrix(9, ())]
+    cases += [CirculantMatrix(12, (0, 3, 6, 9)), CirculantMatrix(20, (1, 6, 11, 16))]  # periodic
+    for _ in range(30):
+        v = rng.randint(1, 60)
+        cases.append(CirculantMatrix(v, rng.sample(range(v), rng.randint(0, v))))
+    for A in cases:
+        assert incidence_text(A) == reference_incidence_text(A), A
+
+
+def test_paq_cap_message_names_the_binding_limit():
+    A = CirculantMatrix(15000, (0, 1, 3))
+    with pytest.raises(CapExceeded) as exc:
+        paq_equivalent(A, A, cap=20000)
+    assert str(exc.value) == "v=15000 exceeds the paq search cap 10000"
+    A = CirculantMatrix(301, (0, 1, 3))
+    with pytest.raises(CapExceeded) as exc:
+        paq_equivalent(A, A)
+    assert str(exc.value) == "v=301 exceeds the paq search cap 300"
+
+
+def test_exceptional_weight4_refuses_past_the_enumeration_cap():
+    assert exceptional_weight4_witness(10001, (0, 1, 2, 9), (0, 1, 9, 10)) is None  # odd v first
+    with pytest.raises(CapExceeded) as exc:
+        exceptional_weight4_witness(10002, (0, 1, 2, 9), (0, 1, 9, 10))
+    assert str(exc.value) == "modulus 10002 exceeds the enumeration cap 10000"

@@ -19,7 +19,7 @@ from cyconf.iso import (
     multiplier_equivalent,
     witness_valid,
 )
-from cyconf.residue_ring import CapExceeded, inverse, units
+from cyconf.residue_ring import CapExceeded, factorization, inverse, is_ci_order, units
 from helpers import affine_image, full_trace, reference_maps_lines_onto, reference_refinement_invariant
 
 FANO = CyclicConfiguration(7, (0, 1, 3))
@@ -553,3 +553,12 @@ def test_component_witness_check_raises(monkeypatch):
     monkeypatch.setattr(baseline, "canonical_form", lambda S, v: (0,))
     with pytest.raises(RuntimeError, match="no affine map"):
         isomorphic(CyclicConfiguration(26, (0, 2, 6)), CyclicConfiguration(26, (0, 2, 8)))
+
+
+def test_multiplier_complete_reads_the_factorization():
+    # at k=5 the answer is the factorization alone: a prime power, two
+    # distinct primes once each, or a CI order
+    for v in range(1, 2001):
+        facs = factorization(v)
+        two_primes = len(facs) == 2 and facs[0][1] == 1 and facs[1][1] == 1
+        assert iso._multiplier_complete(v, 5) == (len(facs) == 1 or two_primes or is_ci_order(v)), v

@@ -1,16 +1,19 @@
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
+from functools import cache
 
 import pytest
 
-from cyconf import solving_sets
+from cyconf import baseline, solving_sets
 from cyconf.baseline import canonical_form, enumerate_base_lines
 from cyconf.configuration import CyclicConfiguration
-from cyconf.iso import exact_isomorphic, witness_valid
-from cyconf.residue_ring import mult_order, phi
+from cyconf.iso import exact_isomorphic, isomorphic, witness_valid
+from cyconf.residue_ring import _two_primes, mult_order, phi
 from cyconf.solving_sets import (
     SolvingSetUnavailable,
+    _scaling,
     preserves_lines,
     solve_iso_pq,
     solving_set,
@@ -171,3 +174,42 @@ def test_solve_iso_pq_input_validation():
         solve_iso_pq(CyclicConfiguration(12, (0, 1, 3)), CyclicConfiguration(12, (0, 1, 3)))
     with pytest.raises(ValueError):
         solve_iso_pq(CyclicConfiguration(7, (0, 1, 3)), CyclicConfiguration(7, (0, 1, 3)))
+
+
+@pytest.mark.parametrize(
+    "v, k, branches",
+    [
+        (15, 3, {"q does not divide p - 1"}),
+        (35, 3, {"q does not divide p - 1"}),
+        (21, 3, {"b is not an automorphism", "solving set"}),
+        (21, 4, {"b is not an automorphism", "solving set"}),
+    ],
+    ids=["v15-k3", "v35-k3", "v21-k3", "v21-k4"],
+)
+def test_solve_iso_pq_multiplier_returns_are_the_multiplier_route(monkeypatch, v, k, branches):
+    # every ordered pair of connected slice members whose answer comes
+    # from one of solve_iso_pq's three multiplier returns; canonical
+    # forms are memoized so the ~250000 pairs at v=35 stay in seconds
+    monkeypatch.setattr(baseline, "canonical_form", cache(baseline.canonical_form))
+    q, p = _two_primes(v)
+    params = None if (p - 1) % q else solving_set_params(p, q)
+    members = [CyclicConfiguration(v, S) for S in enumerate_base_lines(v, k, connected_only=True)]
+    seen = Counter()
+    for C1 in members:
+        if params is None:
+            branch = "q does not divide p - 1"
+        elif not preserves_lines(_scaling(v, 1, (params.b,)), C1):
+            branch = "b is not an automorphism"
+        else:
+            try:
+                solving_set(C1, params)
+            except SolvingSetUnavailable:
+                continue  # the exact search answers
+            branch = "solving set"
+        for C2 in members:
+            want = isomorphic(C1, C2, method="multiplier")
+            if want is None and branch == "solving set":
+                continue  # the solving set's members answer
+            assert solve_iso_pq(C1, C2) == want, (C1, C2)
+            seen[branch] += 1
+    assert set(seen) == branches

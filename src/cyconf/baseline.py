@@ -63,6 +63,11 @@ def _difference_set(S, v: int) -> frozenset[int]:
     return frozenset((a - b) % v for a in S for b in S)
 
 
+def _require_k(k: int) -> None:
+    if k < 3:
+        raise ValueError(f"base lines need k >= 3, got k={k}")
+
+
 def is_base_line(S, v: int, k: int | None = None) -> bool:
     """True iff S is a k-subset of Z_v with |S - S| = k*k - k + 1.
 
@@ -72,8 +77,7 @@ def is_base_line(S, v: int, k: int | None = None) -> bool:
     elems = {s % v for s in S}
     if k is None:
         k = len(elems)
-    if k < 3:
-        raise ValueError(f"base lines need k >= 3, got k={k}")
+    _require_k(k)
     if len(elems) != k:
         return False
     return len(_difference_set(elems, v)) == k * k - k + 1
@@ -286,8 +290,7 @@ def slice_orbits(v: int, k: int, connected: bool) -> Iterator[SliceOrbit]:
     no earlier orbit (an image below rep would be in one), naming the
     first offending image in product order.
     """
-    if k < 3:
-        raise ValueError(f"base lines need k >= 3, got k={k}")
+    _require_k(k)
     slice_ = _slice(v, k, connected)
     position = dict(zip(slice_, range(len(slice_))))
     seen = bytearray(len(slice_))
@@ -319,12 +322,11 @@ def slice_orbits(v: int, k: int, connected: bool) -> Iterator[SliceOrbit]:
         yield SliceOrbit(rep, tuple(members))
 
 
-def _check_enumeration(
+def _check_enumerate_args(
     v: int, k: int, expand: bool, representatives_only: bool, cap: int | None
 ) -> None:
     # the argument checks of enumerate_base_lines, in its order
-    if k < 3:
-        raise ValueError(f"base lines need k >= 3, got k={k}")
+    _require_k(k)
     if expand and representatives_only:
         raise ValueError("expand and representatives_only are mutually exclusive")
     ensure_enumerable(v, k, cap)
@@ -346,7 +348,7 @@ def enumerate_base_lines(
     collapses to one canonical representative per affine orbit.  The
     result is empty when k*k - k + 1 > v.
     """
-    _check_enumeration(v, k, expand, representatives_only, cap)
+    _check_enumerate_args(v, k, expand, representatives_only, cap)
     if representatives_only:
         return sorted(orbit.rep for orbit in slice_orbits(v, k, connected_only))
     slice_ = _slice(v, k, connected_only)

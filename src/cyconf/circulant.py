@@ -234,11 +234,13 @@ def exceptional_weight4_witness(v: int, S1, S2) -> Weight4Witness | None:
     return None
 
 
-def incidence_text(A: CirculantMatrix) -> str:
-    """v lines of v characters, row j the characteristic vector of S + j.
-
-    Row j is row 0 rotated right by j, so row 0's string is built once
-    and sliced.  Raises CapExceeded above ENUMERATION_CAP, from row 0.
-    """
+def _incidence_rows(A: CirculantMatrix):
+    # incidence_text's rows, each with its newline: row j is row 0 rotated
+    # right by j, and row 0 is built, or CapExceeded raised, at the call
     v, row = A.v, "".join(map(str, A.row(0)))
-    return "".join(row[v - j:] + row[:v - j] + "\n" for j in range(v))
+    return (row[v - j:] + row[:v - j] + "\n" for j in range(v))
+
+
+def incidence_text(A: CirculantMatrix) -> str:
+    """v lines of v characters, row j the characteristic vector of S + j."""
+    return "".join(_incidence_rows(A))

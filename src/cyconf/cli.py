@@ -19,8 +19,10 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 
 from .baseline import (
-    _check_enumeration,
+    _check_enumerate_args,
+    _require_k,
     canonical_form,
+    ensure_enumerable,
     enumerate_base_lines,
     enumeration_cap,
     is_base_line,
@@ -28,7 +30,7 @@ from .baseline import (
     orbit_size,
     slice_orbits,
 )
-from .circulant import incidence_text
+from .circulant import _incidence_rows
 from .configuration import CyclicConfiguration, incidence_matrix, levi_graph, levi_text
 from .counting import (
     _fixed_table,
@@ -125,23 +127,19 @@ def cmd_count(args: argparse.Namespace) -> int:
         raise CliError(f"mode {args.mode!r} has a closed form only for k=3")
     disagreed = False
     for v in span:
-        try:
-            if args.mode == "all":
-                nf = count_closed_formula(v)
-                ns = count_unit_sum(v)
-                no = count_orbit_scan(v, 3, args.cap)
-                verdict = "AGREE" if nf == ns == no else "DISAGREE"
-                disagreed |= verdict == "DISAGREE"
-                print(f"v={v} formula={nf} sum={ns} orbits={no} {verdict}")
-                continue
-            if args.mode == "formula":
-                n = count_closed_formula(v)
-            elif args.mode == "sum":
-                n = count_unit_sum(v)
-            else:
-                n = count_orbit_scan(v, args.k, args.cap)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+        if args.mode == "all":
+            nf, ns, no, failures = _cross_check(v, 3, args.cap)
+            if no is None:
+                ensure_enumerable(v, 3, args.cap)  # mode all needs the scan: refuse
+            disagreed |= bool(failures)
+            print(f"v={v} formula={nf} sum={ns} orbits={no} {'DISAGREE' if failures else 'AGREE'}")
+            continue
+        if args.mode == "formula":
+            n = count_closed_formula(v)
+        elif args.mode == "sum":
+            n = count_unit_sum(v)
+        else:
+            n = count_orbit_scan(v, args.k, args.cap)
         print(n if len(span) == 1 else f"v={v} {args.mode}={n}")
     return 1 if disagreed else 0
 
@@ -152,7 +150,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.reps:
         # the walk yields each orbit's representative, its canonical form,
         # in increasing order, and counts its images through 0
-        _check_enumeration(v, args.k, args.expand, True, args.cap)
+        _check_enumerate_args(v, args.k, args.expand, True, args.cap)
         records = [
             _fmt_points(orbit.rep) if sets else _record_line(v, orbit.rep, orbit.rep, orbit.size(v))
             for orbit in slice_orbits(v, args.k, args.connected)
@@ -192,7 +190,8 @@ def cmd_export(args: argparse.Namespace) -> int:
     S = _parse_base_line(args.s, v)
     C = CyclicConfiguration(v, S)
     if args.format == "incidence":
-        print(incidence_text(incidence_matrix(C)))
+        sys.stdout.writelines(_incidence_rows(incidence_matrix(C)))  # one row held at a time
+        print()
     elif args.format == "levi":
         print(levi_text(levi_graph(C)))
     else:
@@ -200,36 +199,41 @@ def cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cross_check(v: int, k: int, cap: int | None):
+    """(formula, unit sum, orbit scan, failures) at (v, k); None for a route not run.
+
+    The formula and the sum run at k = 3, the scan wherever v is within
+    the enumeration cap; failures is empty iff the routes that ran agree.
+    """
+    nf = count_closed_formula(v) if k == 3 else None
+    ns = count_unit_sum(v) if k == 3 else None
+    no = count_orbit_scan(v, k, cap) if v <= enumeration_cap(k, cap) else None
+    failures = []
+    if nf != ns:
+        failures.append(f"formula {nf} != unit sum {ns}")
+    if nf is not None and no is not None and no != nf:
+        failures.append(f"orbit scan {no} != formula {nf}")
+    return nf, ns, no, failures
+
+
 def _verify_one(payload: tuple[int, int, bool, int | None]) -> tuple[int, list[str]]:
     """All checks for one modulus; returns (v, failure descriptions)."""
     v, k, oracle, cap = payload
-    failures: list[str] = []
-    scannable = v <= enumeration_cap(k, cap)
-    orbits = None
-    if k == 3:
-        nf = count_closed_formula(v)
-        ns = count_unit_sum(v)
-        if nf != ns:
-            failures.append(f"formula {nf} != unit sum {ns}")
-        if scannable:
-            orbits = count_orbit_scan(v, 3, cap)
-            if orbits != nf:
-                failures.append(f"orbit scan {orbits} != formula {nf}")
-            total = 0
-            table = _fixed_table(v, 3)
-            for l in units(v):
-                nb = table[l]
-                nc = count_fixed_closed(v, l)
-                if nb != nc:
-                    failures.append(f"fixed counts split at l={l}: brute {nb}, closed {nc}")
-                total += nb
-            if total != 3 * phi(v) * orbits:
-                failures.append(f"orbit identity fails: fixed sum {total}, orbits {orbits}")
-    elif scannable:
-        orbits = count_orbit_scan(v, k, cap)
-    if oracle and scannable:
+    _, _, orbits, failures = _cross_check(v, k, cap)
+    if k == 3 and orbits is not None:
+        total = 0
+        table = _fixed_table(v, 3)
+        for l in units(v):
+            nb = table[l]
+            nc = count_fixed_closed(v, l)
+            if nb != nc:
+                failures.append(f"fixed counts split at l={l}: brute {nb}, closed {nc}")
+            total += nb
+        if total != 3 * phi(v) * orbits:
+            failures.append(f"orbit identity fails: fixed sum {total}, orbits {orbits}")
+    if oracle and orbits is not None:
         report = completeness_report(v, k, exact_members=2, cap=cap)
-        if orbits is not None and report["orbits"] != orbits:
+        if report["orbits"] != orbits:
             failures.append(f"oracle sees {report['orbits']} orbits, scan {orbits}")
         failures.extend(report["mismatches"])
     return v, failures
@@ -254,6 +258,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     span = _parse_span(args.v)
     if span[0] < 5:
         raise CliError("verify needs v >= 5")
+    _require_k(args.k)  # else no route would run above the cap, and verify would pass
     payloads = ((v, args.k, args.oracle, args.cap) for v in span)
     bad = 0
     # both maps yield in ascending v as results come in

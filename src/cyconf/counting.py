@@ -44,7 +44,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .baseline import _check_enumeration, _slice, _unit_solutions, canonical_form
+from .baseline import _check_enumerate_args, _slice, _unit_solutions, canonical_form
 from .baseline import enumerate_base_lines, slice_orbits
 from .residue_ring import (
     big_phi,
@@ -124,7 +124,7 @@ def count_fixed_bruteforce(v: int, k: int, l: int, cap: int | None = None) -> in
     `verify` reads all units at once from the one-pass _fixed_table;
     this walk is the table's test oracle and criterion 3's.
     """
-    _check_enumeration(v, k, expand=False, representatives_only=False, cap=cap)
+    _check_enumerate_args(v, k, expand=False, representatives_only=False, cap=cap)
     mult_order(l, v)  # rejects non-units
     slice_, keys = _slice_shift_keys(v, k)
     count = 0

@@ -10,7 +10,7 @@ import pytest
 import cyconf
 from cyconf import cli
 from cyconf.baseline import _slice, canonical_form, enumerate_base_lines
-from cyconf.circulant import CirculantMatrix
+from cyconf.circulant import CirculantMatrix, incidence_text
 from cyconf.cli import _parse_span, main, entry
 from cyconf.counting import _slice_shift_keys, count_fixed_bruteforce
 
@@ -65,6 +65,14 @@ def test_count_all_beyond_the_scan_cap_names_the_orbit_scan(capsys):
     rc, out, err = run(capsys, "count", "--v", "10001")
     assert (rc, out) == (2, "")
     assert err == "error: v=10001 exceeds the enumeration cap 300 for k=3\n"
+    # the moduli below the cap are printed before the refusal
+    rc, out, err = run(capsys, "count", "--v", "5..8", "--cap", "6")
+    assert (rc, out) == (2, "v=5 formula=0 sum=0 orbits=0 AGREE\nv=6 formula=0 sum=0 orbits=0 AGREE\n")
+    assert err == "error: v=7 exceeds the enumeration cap 6 for k=3\n"
+    # the formula's own refusal comes before the cap's
+    rc, out, err = run(capsys, "count", "--v", "3", "--cap", "2")
+    assert (rc, out) == (2, "")
+    assert err == "error: counts are defined for v > 4, got v=3\n"
 
 
 def test_verify_beyond_the_scan_cap_checks_formula_against_sum(capsys):
@@ -258,6 +266,27 @@ def test_export_incidence(capsys):
     rows = out.strip().splitlines()
     assert len(rows) == 7
     assert rows[0] == "1101000"
+    # written row by row, then the newline print adds
+    for v, S in [(7, (0, 1, 3)), (50, (0, 1, 7, 19))]:
+        argv = ("export", "--v", str(v), "--s", ",".join(map(str, S)), "--format", "incidence")
+        assert run(capsys, *argv) == (0, incidence_text(CirculantMatrix(v, S)) + "\n", "")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_export_incidence_holds_one_row_at_a_time():
+    # the whole text at v = 9973 is 99.5 MB; a child that held it would
+    # peak past 200 MB, and a bare interpreter with cyconf is about 18 MB
+    probe = (
+        "import resource, subprocess, sys\n"
+        "argv = ['export', '--v', '9973', '--s', '0,1,3', '--format', 'incidence']\n"
+        "subprocess.run([sys.executable, '-m', 'cyconf', *argv], stdout=subprocess.DEVNULL, check=True)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_cyconf_env(), timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 40 * 1024
 
 
 def test_export_levi(capsys):
@@ -376,6 +405,65 @@ def test_verify_prints_each_v_as_it_finishes(capsys, monkeypatch):
     assert seen[7] == ""
     assert seen[8] == "v=7 ok\n"
     assert seen[9] == "v=8 ok\n"
+
+
+def _off_by_one_at_8(real):
+    return lambda v, *args, **kwargs: real(v, *args, **kwargs) + (v == 8)
+
+
+def _oracle_off_by_one_at_8(real):
+    def report(v, *args, **kwargs):
+        out = real(v, *args, **kwargs)
+        return {**out, "orbits": out["orbits"] + (v == 8)}
+
+    return report
+
+
+@pytest.mark.parametrize(
+    "route, corrupt, count_line, verify_args, fails",
+    [
+        (
+            "count_unit_sum", _off_by_one_at_8,
+            "v=8 formula=1 sum=2 orbits=1 DISAGREE", (), ["formula 1 != unit sum 2"],
+        ),
+        (
+            "count_orbit_scan", _off_by_one_at_8,
+            "v=8 formula=1 sum=1 orbits=2 DISAGREE", (),
+            ["orbit scan 2 != formula 1", "orbit identity fails: fixed sum 12, orbits 2"],
+        ),
+        (
+            "completeness_report", _oracle_off_by_one_at_8,
+            None, ("--oracle",), ["oracle sees 2 orbits, scan 1"],
+        ),
+    ],
+    ids=["unit-sum", "orbit-scan", "oracle"],
+)
+def test_a_corrupted_route_fails_count_and_verify(
+    capsys, monkeypatch, route, corrupt, count_line, verify_args, fails
+):
+    monkeypatch.setattr(cli, route, corrupt(getattr(cli, route)))
+    rc, out, _ = run(capsys, "count", "--v", "7..9")
+    lines = [f"v={v} formula=1 sum=1 orbits=1 AGREE" for v in (7, 8, 9)]
+    if count_line is None:  # count runs no oracle
+        assert (rc, out.splitlines()) == (0, lines)
+    else:
+        assert (rc, out.splitlines()) == (1, [lines[0], count_line, lines[2]])
+    rc, out, _ = run(capsys, "verify", "--v", "7..9", *verify_args)
+    assert rc == 1
+    assert out.splitlines() == [
+        "v=7 ok", *(f"v=8 FAIL: {f}" for f in fails), "v=9 ok", "FAIL 1 of 3 values mismatched"
+    ]
+
+
+def test_verify_refuses_k_below_3_before_any_worker_starts(capsys, monkeypatch):
+    # above the fallback cap no route runs at such k, so verify used to pass
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", None)  # calling it would raise
+    for k in ("2", "-7"):
+        for jobs in ("1", "2"):
+            rc, out, err = run(capsys, "verify", "--v", "41..43", "--k", k, "--jobs", jobs)
+            assert (rc, out, err) == (2, "", f"error: base lines need k >= 3, got k={k}\n")
+    rc, out, _ = run(capsys, "verify", "--v", "41")
+    assert (rc, out) == (0, "v=41 ok\nPASS 1 values checked\n")
 
 
 def test_verify_k4(capsys):

@@ -14,9 +14,11 @@ increasing order, with the differences used so far held as bits of one
 int, so a point that would repeat a difference is never placed; the
 members come out in lexicographic order.
 
-Two routes find the least affine image.  slice_orbits walks all k*phi(v)
-images a*(rep - x) of each orbit once, built a column per point, and
-takes the first member it reaches.  canonical_form solves for the least
+Two routes find the least affine image.  The orbit walk visits all
+k*phi(v) images a*(rep - x) of each orbit once, built a column per point,
+and takes the first member it reaches; slice_orbits dresses its orbits
+with a witness per member, and the callers that only count or list
+representatives read the bare walk.  canonical_form solves for the least
 image instead: its second point is the least gcd(s - x, v) over the
 differences of S, and only the few units that send such a difference
 onto that gcd can produce it.  canonical_form, affine_map_between and
@@ -35,6 +37,7 @@ from typing import NamedTuple
 from .residue_ring import (
     CapExceeded,
     ENUMERATION_CAP,
+    _check_enumeration,
     units,
 )
 
@@ -148,19 +151,32 @@ def affine_map_between(S1, S2, v: int) -> tuple[int, int] | None:
     )
 
 
+@lru_cache(maxsize=1)  # one modulus at a time, as for _slice
+def _unit_columns(v: int) -> dict[int, tuple[int, ...]]:
+    # t -> the column (a*t % v for each unit a), filled by _zero_images
+    return {}
+
+
 def _zero_images(S, v: int) -> list[tuple[int, ...]]:
     """The sorted tuples a*(S - x) for each x in S, then each unit a.
 
     S is first reduced to its sorted residues mod v, and the order is
     that of product(S, units(v)).  Any affine image of S that contains 0
     is among these.  Each shifted point t gives one column a*t over all
-    units, and the images are the sorted rows of those columns.
+    units, and the images are the sorted rows of those columns.  A
+    column depends on t and v alone, so each is built once per modulus.
     """
     elems = sorted({s % v for s in S})
     us = units(v)
+    table = _unit_columns(v)
     images: list[tuple[int, ...]] = []
     for x in elems:
-        columns = [[a * t % v for a in us] for t in ((s - x) % v for s in elems)]
+        columns = []
+        for t in ((s - x) % v for s in elems):
+            column = table.get(t)
+            if column is None:
+                column = table[t] = tuple([a * t % v for a in us])
+            columns.append(column)
         images.extend(map(tuple, map(sorted, zip(*columns))))
     return images
 
@@ -177,7 +193,7 @@ def canonical_form(S, v: int) -> tuple[int, ...]:
     images through 0.  The tests compare against a full a,b scan.
     """
     elems = sorted({s % v for s in S})
-    units(v)  # checks v, with CapExceeded beyond the enumeration cap
+    _check_enumeration(v)
     if not elems:
         raise ValueError("empty set has no canonical form")
     if len(elems) == 1:
@@ -260,31 +276,16 @@ def _slice(v: int, k: int, connected: bool) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-class SliceOrbit(NamedTuple):
-    """One affine orbit of the translation slice.
+def _orbit_walk(v: int, k: int, connected: bool) -> Iterator[tuple[tuple[int, ...], dict[int, int]]]:
+    """The affine orbits of the slice of base lines through 0, bare.
 
-    rep is the orbit's canonical form.  members lists every slice member
-    in slice order as (X, a, x) with X = a*(rep - x), so the affine map
-    y -> a**-1 * y + x carries X onto rep.
-    """
-
-    rep: tuple[int, ...]
-    members: tuple[tuple[tuple[int, ...], int, int], ...]
-
-    def size(self, v: int) -> int:
-        """Number of distinct affine images of rep, as `orbit_size` counts them."""
-        return _orbit_size(self.rep, v, len(self.members))
-
-
-def slice_orbits(v: int, k: int, connected: bool) -> Iterator[SliceOrbit]:
-    """The affine orbits of the slice of base lines through 0.
-
-    The slice is walked in sorted order, so the first member of an orbit
-    reached is its least, which is its canonical form (the least affine
-    image contains 0).  One pass over the images a*(rep - x) then finds
-    the whole orbit together with each member's witness: the images are
-    looked up in a {member: slice index} table, and each member keeps
-    its first (a, x) in product order.  Members are marked by slice
+    Yields (rep, first) per orbit, reps in increasing order.  The slice
+    is walked in sorted order, so the first member of an orbit reached
+    is its least, which is its canonical form (the least affine image
+    contains 0).  One pass over the images a*(rep - x) then finds the
+    whole orbit: the images are looked up in a {member: slice index}
+    table, and first maps each member's slice index to its first
+    position p in product(rep, units(v)).  Members are marked by slice
     index, so nothing per member outlives its orbit.  The walk raises
     ArithmeticError unless every image of rep lies in the slice and in
     no earlier orbit (an image below rep would be in one), naming the
@@ -297,12 +298,9 @@ def slice_orbits(v: int, k: int, connected: bool) -> Iterator[SliceOrbit]:
     for i, rep in enumerate(slice_):
         if seen[i]:
             continue
-        us = units(v)
-        n = len(us)
         images = _zero_images(rep, v)
         indices = list(map(position.get, images))
-        # each member's first position p in product order: the least p
-        # is written last; p is (rep[p // n], us[p % n]) as (x, a)
+        # the least p is written last
         first = dict(zip(reversed(indices), range(len(indices) - 1, -1, -1)))
         if None in first or any(map(seen.__getitem__, first)):
             for p, j in enumerate(indices):
@@ -310,10 +308,38 @@ def slice_orbits(v: int, k: int, connected: bool) -> Iterator[SliceOrbit]:
                     raise ArithmeticError(f"image {images[p]} of {rep} mod {v} is not in the slice")
                 if seen[j]:
                     raise ArithmeticError(f"orbits of {slice_[j]} and {rep} mod {v} overlap")
-        order = sorted(first)
-        for j in order:
+        for j in first:
             seen[j] = 1
+        yield rep, first
+
+
+class SliceOrbit(NamedTuple):
+    """One affine orbit of the translation slice.
+
+    rep is the orbit's canonical form.  members lists every slice member
+    in slice order as (X, a, x) with X = a*(rep - x), so the affine map
+    y -> a**-1 * y + x carries X onto rep.
+    """
+
+    rep: tuple[int, ...]
+    members: tuple[tuple[tuple[int, ...], int, int], ...]
+
+
+def slice_orbits(v: int, k: int, connected: bool) -> Iterator[SliceOrbit]:
+    """The affine orbits of the slice of base lines through 0, witnessed.
+
+    The orbits of _orbit_walk, reps in increasing order, with each
+    member's first (a, x) in product order as its witness.  Raises as
+    the walk does.
+    """
+    _require_k(k)
+    slice_ = _slice(v, k, connected)
+    for rep, first in _orbit_walk(v, k, connected):
+        us = units(v)
+        n = len(us)
+        order = sorted(first)
         ps = list(map(first.__getitem__, order))
+        # p is (rep[p // n], us[p % n]) as (x, a)
         members = zip(
             map(slice_.__getitem__, order),
             map(us.__getitem__, map(n.__rmod__, ps)),
@@ -350,7 +376,7 @@ def enumerate_base_lines(
     """
     _check_enumerate_args(v, k, expand, representatives_only, cap)
     if representatives_only:
-        return sorted(orbit.rep for orbit in slice_orbits(v, k, connected_only))
+        return [rep for rep, _ in _orbit_walk(v, k, connected_only)]
     slice_ = _slice(v, k, connected_only)
     if expand:
         seen = {tuple(sorted((x + b) % v for x in X)) for X in slice_ for b in range(v)}

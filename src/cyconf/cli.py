@@ -20,6 +20,8 @@ from contextlib import nullcontext
 
 from .baseline import (
     _check_enumerate_args,
+    _orbit_size,
+    _orbit_walk,
     _require_k,
     canonical_form,
     ensure_enumerable,
@@ -28,7 +30,6 @@ from .baseline import (
     is_base_line,
     is_connected,
     orbit_size,
-    slice_orbits,
 )
 from .circulant import _incidence_rows
 from .configuration import CyclicConfiguration, incidence_matrix, levi_graph, levi_text
@@ -152,8 +153,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         # in increasing order, and counts its images through 0
         _check_enumerate_args(v, args.k, args.expand, True, args.cap)
         records = [
-            _fmt_points(orbit.rep) if sets else _record_line(v, orbit.rep, orbit.rep, orbit.size(v))
-            for orbit in slice_orbits(v, args.k, args.connected)
+            _fmt_points(rep) if sets else _record_line(v, rep, rep, _orbit_size(rep, v, len(first)))
+            for rep, first in _orbit_walk(v, args.k, args.connected)
         ]
         for record in records:
             print(record)

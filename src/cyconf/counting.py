@@ -44,8 +44,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .baseline import _check_enumerate_args, _slice, _unit_solutions, canonical_form
-from .baseline import enumerate_base_lines, slice_orbits
+from .baseline import _check_enumerate_args, _orbit_walk, _slice, _unit_solutions
+from .baseline import canonical_form, enumerate_base_lines
 from .residue_ring import (
     big_phi,
     factorization,
@@ -244,19 +244,19 @@ def count_unit_sum(v: int) -> int:
 def count_orbit_scan(v: int, k: int = 3, cap: int | None = None) -> int:
     """Count affine orbits on connected base lines by enumeration.
 
-    Walks the connected translation slice with slice_orbits; no formula
-    enters.  The partition is checked against the canonicalizer, whose
-    least-gcd solve shares no step with the walk: every representative
-    must be its own canonical form and the orbit sizes must add up to
-    the slice size, else ArithmeticError.
+    Walks the connected translation slice with baseline's bare orbit
+    walk; no formula enters.  The partition is checked against the
+    canonicalizer, whose least-gcd solve shares no step with the walk:
+    every representative must be its own canonical form and the orbit
+    sizes must add up to the slice size, else ArithmeticError.
     """
     slice_ = enumerate_base_lines(v, k, connected_only=True, cap=cap)
     orbits = covered = 0
-    for orbit in slice_orbits(v, k, connected=True):
-        if canonical_form(orbit.rep, v) != orbit.rep:
-            raise ArithmeticError(f"orbit representative {orbit.rep} is not canonical at v={v}")
+    for rep, first in _orbit_walk(v, k, connected=True):
+        if canonical_form(rep, v) != rep:
+            raise ArithmeticError(f"orbit representative {rep} is not canonical at v={v}")
         orbits += 1
-        covered += len(orbit.members)
+        covered += len(first)
     if covered != len(slice_):
         raise ArithmeticError(f"orbits cover {covered} of {len(slice_)} slice members at v={v}")
     return orbits

@@ -366,7 +366,7 @@ def completeness_report(
     """
     ensure_enumerable(v, k, cap)
     mismatches: list[str] = []
-    orbits = sorted(slice_orbits(v, k, connected=True))
+    orbits = list(slice_orbits(v, k, connected=True))
     reps = [CyclicConfiguration(v, orbit.rep) for orbit in orbits]
     member_map = _member_maps(v)
     for (rep, members), rep_cfg in zip(orbits, reps):

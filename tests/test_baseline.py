@@ -7,6 +7,7 @@ import pytest
 
 from cyconf import baseline
 from cyconf.baseline import (
+    _orbit_walk,
     _unit_solutions,
     affine_map_between,
     _difference_set,
@@ -19,6 +20,7 @@ from cyconf.baseline import (
     orbit_size,
     slice_orbits,
 )
+from cyconf.counting import count_orbit_scan
 from cyconf.residue_ring import CapExceeded, inverse, units
 from helpers import (
     affine_image,
@@ -351,10 +353,24 @@ def test_slice_orbits_match_the_bisect_walk(connected):
         assert list(slice_orbits(v, k, connected)) == list(reference_slice_orbits(v, k, connected)), (v, k)
 
 
+@pytest.mark.parametrize("connected", [True, False])
+def test_bare_walk_matches_slice_orbits(connected):
+    # the same representatives and member slice indices, witnesses aside
+    for v, k in BISECT_WALK_CASES:
+        position = {X: j for j, X in enumerate(baseline._slice(v, k, connected))}
+        bare = [(rep, set(first)) for rep, first in _orbit_walk(v, k, connected)]
+        dressed = [
+            (rep, {position[X] for X, _, _ in members}) for rep, members in slice_orbits(v, k, connected)
+        ]
+        assert bare == dressed, (v, k)
+
+
 def test_zero_images_match_the_generator():
     rng = random.Random(5)
     cases = [((0, 1, 3), 7), ((16, 14, 13), 13), ((0, 7, 1), 7), ((0, 5, 10), 15), ((), 9)]
     cases += [(tuple(rng.sample(range(-v, 2 * v), rng.randint(1, min(6, 3 * v)))), v) for v in range(1, 50)]
+    # the moduli alternate while the shifts t recur: a column is kept per modulus
+    cases += [((0, 1, 4, 6), v) for v in (13, 14, 13, 26, 13)]
     for S, v in cases:
         assert _zero_images(S, v) == list(reference_zero_images(S, v)), (S, v)
 
@@ -370,15 +386,13 @@ def test_slice_orbits_rejects_small_k():
         list(slice_orbits(7, 2, True))
 
 
-def test_slice_orbits_partition_check_raises(monkeypatch):
+def _drop_a_slice_member(monkeypatch):
     # a slice that lost a member no longer holds every image of its orbit
     broken = tuple(X for X in baseline._slice(13, 3, True) if X != (0, 1, 4))
     monkeypatch.setattr(baseline, "_slice", lambda v, k, connected: broken)
-    with pytest.raises(ArithmeticError, match="not in the slice"):
-        list(slice_orbits(13, 3, True))
 
 
-def test_slice_orbits_overlap_check_raises(monkeypatch):
+def _overlap_two_orbits(monkeypatch):
     # the second representative gains an image in the first orbit
     first, second = (orbit.rep for orbit in islice(slice_orbits(13, 3, True), 2))
     zero_images = baseline._zero_images
@@ -389,8 +403,40 @@ def test_slice_orbits_overlap_check_raises(monkeypatch):
         yield from zero_images(S, v)
 
     monkeypatch.setattr(baseline, "_zero_images", images)
+
+
+BARE_WALK_ROUTES = {
+    "count_orbit_scan": lambda: count_orbit_scan(13, 3),
+    "representatives_only": lambda: enumerate_base_lines(
+        13, 3, connected_only=True, representatives_only=True
+    ),
+}
+
+
+def test_slice_orbits_partition_check_raises(monkeypatch):
+    _drop_a_slice_member(monkeypatch)
+    with pytest.raises(ArithmeticError, match="not in the slice"):
+        list(slice_orbits(13, 3, True))
+
+
+def test_slice_orbits_overlap_check_raises(monkeypatch):
+    _overlap_two_orbits(monkeypatch)
     with pytest.raises(ArithmeticError, match="overlap"):
         list(slice_orbits(13, 3, True))
+
+
+@pytest.mark.parametrize("route", sorted(BARE_WALK_ROUTES))
+def test_bare_walk_partition_check_raises(monkeypatch, route):
+    _drop_a_slice_member(monkeypatch)
+    with pytest.raises(ArithmeticError, match="not in the slice"):
+        BARE_WALK_ROUTES[route]()
+
+
+@pytest.mark.parametrize("route", sorted(BARE_WALK_ROUTES))
+def test_bare_walk_overlap_check_raises(monkeypatch, route):
+    _overlap_two_orbits(monkeypatch)
+    with pytest.raises(ArithmeticError, match="overlap"):
+        BARE_WALK_ROUTES[route]()
 
 
 def test_orbit_size_check_raises(monkeypatch):

@@ -29,10 +29,10 @@ slice, so count_orbit_scan can check the one route against the other.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
 from functools import lru_cache
 from math import gcd
-from typing import NamedTuple
 
 from .residue_ring import (
     CapExceeded,
@@ -313,7 +313,7 @@ def _orbit_walk(v: int, k: int, connected: bool) -> Iterator[tuple[tuple[int, ..
         yield rep, first
 
 
-class SliceOrbit(NamedTuple):
+class SliceOrbit(namedtuple("SliceOrbit", "rep members")):
     """One affine orbit of the translation slice.
 
     rep is the orbit's canonical form.  members lists every slice member
@@ -321,6 +321,7 @@ class SliceOrbit(NamedTuple):
     y -> a**-1 * y + x carries X onto rep.
     """
 
+    __slots__ = ()
     rep: tuple[int, ...]
     members: tuple[tuple[tuple[int, ...], int, int], ...]
 

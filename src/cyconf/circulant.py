@@ -27,11 +27,11 @@ subject to divisibility side conditions searched here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
-from typing import NamedTuple
 
 from . import _search
+from ._record import Record
 from .baseline import affine_map_between
 from .residue_ring import CapExceeded, ENUMERATION_CAP, _check_enumeration
 
@@ -39,18 +39,17 @@ PAQ_SEARCH_CAP = 300
 GRAM_CAP = 1000
 
 
-@dataclass(frozen=True)
-class CirculantMatrix:
+class CirculantMatrix(Record, namedtuple("CirculantMatrix", "v support")):
     """v x v circulant 0/1 matrix with the given support in row 0."""
 
+    __slots__ = ()
     v: int
     support: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.v < 1:
+    def __new__(cls, v: int, support) -> CirculantMatrix:
+        if v < 1:
             raise ValueError("modulus must be positive")
-        cleaned = tuple(sorted({s % self.v for s in self.support}))
-        object.__setattr__(self, "support", cleaned)
+        return super().__new__(cls, v, tuple(sorted({s % v for s in support})))
 
     @property
     def weight(self) -> int:
@@ -187,9 +186,10 @@ def paq_equivalent(
     return tuple(pi), sigma
 
 
-class Weight4Witness(NamedTuple):
+class Weight4Witness(namedtuple("Weight4Witness", "x y u a1 b1 a2 b2")):
     """Parameters of the exceptional weight-4 family at even v = 2u."""
 
+    __slots__ = ()
     x: int
     y: int
     u: int

@@ -15,7 +15,6 @@ import functools
 import os
 import sys
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 
 from .baseline import (
@@ -262,8 +261,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _require_k(args.k)  # else no route would run above the cap, and verify would pass
     payloads = ((v, args.k, args.oracle, args.cap) for v in span)
     bad = 0
+    if args.jobs > 1:
+        # imported here alone: loading the process pool costs about as much
+        # as importing cyconf, and no other command needs it
+        from concurrent.futures import ProcessPoolExecutor
+
+        executor = ProcessPoolExecutor(max_workers=args.jobs)
+    else:
+        executor = nullcontext()
     # both maps yield in ascending v as results come in
-    with ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else nullcontext() as pool:
+    with executor as pool:
         if pool:
             results = _bounded_map(pool, _verify_one, payloads, 2 * args.jobs)
         else:

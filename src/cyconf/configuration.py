@@ -22,26 +22,27 @@ is at least 6 exactly when the configuration axioms hold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
+from ._record import Record
 from .circulant import CirculantMatrix
 
 
-@dataclass(frozen=True)
-class CyclicConfiguration:
+class CyclicConfiguration(Record, namedtuple("CyclicConfiguration", "v base")):
     """Points Z_v, lines S + i for the stored base tuple S."""
 
+    # no __slots__: _kept keeps derived data in the instance dict
     v: int
     base: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.v < 1:
+    def __new__(cls, v: int, base) -> CyclicConfiguration:
+        if v < 1:
             raise ValueError("modulus must be positive")
-        cleaned = tuple(sorted({s % self.v for s in self.base}))
+        cleaned = tuple(sorted({s % v for s in base}))
         if not cleaned:
             raise ValueError("base must be nonempty")
-        object.__setattr__(self, "base", cleaned)
+        return super().__new__(cls, v, cleaned)
 
     @property
     def k(self) -> int:
@@ -94,10 +95,10 @@ def _component_split(C: CyclicConfiguration) -> tuple[int, list[int]]:
     return g, [s // g for s in shifted]
 
 
-@dataclass(frozen=True)
-class LeviGraph:
+class LeviGraph(Record, namedtuple("LeviGraph", "v k edges")):
     """Bipartite incidence graph: point vertices p0..p(v-1), line vertices l0..l(v-1)."""
 
+    __slots__ = ()
     v: int
     k: int
     edges: tuple[tuple[int, int], ...]

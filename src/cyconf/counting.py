@@ -45,7 +45,7 @@ from functools import lru_cache
 from math import gcd
 
 from .baseline import _check_enumerate_args, _orbit_walk, _slice, _unit_solutions
-from .baseline import canonical_form, enumerate_base_lines
+from .baseline import canonical_form
 from .residue_ring import (
     big_phi,
     factorization,
@@ -250,13 +250,14 @@ def count_orbit_scan(v: int, k: int = 3, cap: int | None = None) -> int:
     every representative must be its own canonical form and the orbit
     sizes must add up to the slice size, else ArithmeticError.
     """
-    slice_ = enumerate_base_lines(v, k, connected_only=True, cap=cap)
+    _check_enumerate_args(v, k, False, False, cap)  # enumerate_base_lines' checks
+    size = len(_slice(v, k, True))
     orbits = covered = 0
     for rep, first in _orbit_walk(v, k, connected=True):
         if canonical_form(rep, v) != rep:
             raise ArithmeticError(f"orbit representative {rep} is not canonical at v={v}")
         orbits += 1
         covered += len(first)
-    if covered != len(slice_):
-        raise ArithmeticError(f"orbits cover {covered} of {len(slice_)} slice members at v={v}")
+    if covered != size:
+        raise ArithmeticError(f"orbits cover {covered} of {size} slice members at v={v}")
     return orbits

@@ -27,11 +27,11 @@ affine match of the components and replayable like any other witness.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import combinations
 
 from . import _search
+from ._record import Record
 from .baseline import (
     affine_map_between,
     canonical_form,  # unused here; perfbench's selftest pins this binding
@@ -53,18 +53,21 @@ EXACT_SEARCH_CAP = 300
 AUTOMORPHISM_CAP = 10**5
 
 
-@dataclass(frozen=True)
-class IsoWitness:
+class IsoWitness(
+    Record, namedtuple("IsoWitness", "kind a b point_map", defaults=(None, None, None))
+):
     """A verified isomorphism: either an affine map or an explicit bijection.
 
-    kind is "multiplier" (fields a, b) or "explicit" (field point_map).
-    Either way, as_point_map gives the bijection on points.
+    kind is "multiplier" (fields a, b) or "explicit" (field point_map);
+    the fields a kind does not use default to None.  Either way,
+    as_point_map gives the bijection on points.
     """
 
+    __slots__ = ()
     kind: str
-    a: int | None = None
-    b: int | None = None
-    point_map: tuple[int, ...] | None = None
+    a: int | None
+    b: int | None
+    point_map: tuple[int, ...] | None
 
     def as_point_map(self, v: int) -> tuple[int, ...]:
         if self.kind == "multiplier":

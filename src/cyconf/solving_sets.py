@@ -26,9 +26,10 @@ Multipliers alone solve X when b is not an automorphism of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
+from ._record import Record
 from .configuration import CyclicConfiguration, _maps_lines_onto
 from .iso import IsoWitness, _multiplier_witness, exact_isomorphic
 from .iso import multiplier_equivalent  # unused here; perfbench's selftest pins this binding
@@ -39,8 +40,7 @@ class SolvingSetUnavailable(Exception):
     """The construction's hypotheses fail for this object; fall back."""
 
 
-@dataclass(frozen=True)
-class SolvingSetParams:
+class SolvingSetParams(Record, namedtuple("SolvingSetParams", "p q v a b s alpha")):
     """Arithmetic data for the two-prime solving set.
 
     p, q: the primes, q | p - 1; v = p*q.
@@ -50,6 +50,7 @@ class SolvingSetParams:
     alpha: least exponent >= 1 with a**alpha = -s mod p.
     """
 
+    __slots__ = ()
     p: int
     q: int
     v: int

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import os
 import subprocess
 import sys
@@ -378,7 +379,7 @@ class _CountedFuture:
 
 
 def test_verify_jobs_keeps_a_bounded_number_of_futures_pending(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _CountingPool)
     # a trivial check per modulus that fails at v=5000 alone
     monkeypatch.setattr(cli, "_verify_one", lambda p: (p[0], ["stub"] if p[0] == 5000 else []))
     rc, out, _ = run(capsys, "verify", "--v", "5..10004", "--jobs", "3")
@@ -457,7 +458,7 @@ def test_a_corrupted_route_fails_count_and_verify(
 
 def test_verify_refuses_k_below_3_before_any_worker_starts(capsys, monkeypatch):
     # above the fallback cap no route runs at such k, so verify used to pass
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", None)  # calling it would raise
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)  # calling it would raise
     for k in ("2", "-7"):
         for jobs in ("1", "2"):
             rc, out, err = run(capsys, "verify", "--v", "41..43", "--k", k, "--jobs", jobs)
@@ -506,6 +507,20 @@ def _cyconf_env():
     src = str(Path(cyconf.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
     return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+def test_import_loads_neither_the_process_pool_nor_dataclasses():
+    # no default command needs these, and together they took longer to
+    # import than cyconf; verify --jobs N loads the pool only when N > 1
+    probe = "import sys, cyconf, cyconf.cli; print(*sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True, text=True, env=_cyconf_env(), timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "cyconf.cli" in loaded
+    assert loaded & {"concurrent.futures", "dataclasses", "typing", "inspect"} == set()
 
 
 def _python_m_cyconf(*argv):

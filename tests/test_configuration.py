@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from cyconf.baseline import is_base_line
+from cyconf.circulant import CirculantMatrix
 from cyconf.configuration import (
     CyclicConfiguration,
     LeviGraph,
@@ -15,7 +16,9 @@ from cyconf.configuration import (
     levi_text,
     parse_levi_text,
 )
+from cyconf.iso import IsoWitness
 from cyconf.residue_ring import ENUMERATION_CAP, CapExceeded, units
+from cyconf.solving_sets import SolvingSetParams, solving_set_params
 from helpers import affine_image, decompose, girth, reference_maps_lines_onto, validate
 
 FANO = CyclicConfiguration(7, (0, 1, 3))
@@ -103,7 +106,33 @@ def test_cached_lines_leave_equality_and_hash_alone():
     C.line_set()
     fresh = CyclicConfiguration(13, (4, 1, 0))
     assert C == fresh and hash(C) == hash(fresh) and repr(C) == repr(fresh)
+    assert repr(C) == "CyclicConfiguration(v=13, base=(0, 1, 4))"
     assert {fresh: "found"}[C] == "found"
+    # every record class, built by keyword, prints what its frozen dataclass
+    # printed, equals only its own kind and refuses assignment
+    records = {
+        "CyclicConfiguration(v=7, base=(1, 3, 4))": CyclicConfiguration(v=7, base=[10, 8, 4]),
+        "CirculantMatrix(v=7, support=(0, 1, 3))": CirculantMatrix(v=7, support=(3, 1, 0, 7)),
+        "LeviGraph(v=2, k=1, edges=((0, 0), (1, 1)))": LeviGraph(v=2, k=1, edges=((0, 0), (1, 1))),
+        "IsoWitness(kind='multiplier', a=1, b=2, point_map=None)": IsoWitness(
+            kind="multiplier", a=1, b=2
+        ),
+        "SolvingSetParams(p=7, q=3, v=21, a=10, b=16, s=2, alpha=5)": solving_set_params(7, 3),
+    }
+    for text, R in records.items():
+        assert repr(R) == text
+        twin = type(R)(**R._asdict())
+        assert R == twin and not R != twin and hash(R) == hash(twin)
+        assert R != tuple(R) and tuple(R) != R and not R == tuple(R)
+        for name in R._fields:
+            with pytest.raises(AttributeError):
+                setattr(R, name, None)
+    assert solving_set_params(7, 3) == SolvingSetParams(p=7, q=3, v=21, a=10, b=16, s=2, alpha=5)
+    assert FANO != CirculantMatrix(7, (0, 1, 3)) != FANO
+    assert FANO != (7, (0, 1, 3)) != FANO and not FANO == (7, (0, 1, 3))
+    assert FANO._replace(base=(8, 10, 7)) == FANO  # _replace normalises as the constructor does
+    with pytest.raises(AttributeError):
+        C.lines = None
 
 
 def test_validate_fano():

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import replace
 from functools import cache
 
 import pytest
@@ -52,7 +51,7 @@ def test_solving_set_rejects_inconsistent_params():
     # a = 7 is not a unit mod 21; a wrong alpha or b would build a wrong set
     P = solving_set_params(7, 3)
     C = CyclicConfiguration(21, (0, 1, 5))
-    for bad in (replace(P, a=7), replace(P, alpha=P.alpha + 1), replace(P, b=P.b * P.b % P.v)):
+    for bad in (P._replace(a=7), P._replace(alpha=P.alpha + 1), P._replace(b=P.b * P.b % P.v)):
         with pytest.raises(ValueError):
             solving_set(C, bad)
 

@@ -21,8 +21,12 @@ mask; a line with no assigned point is compatible with every line of
 its size, so those lines share one mask and one memoized point set.
 The partially assigned lines are kept in a dict that maps each to its
 (|cand|, index) rank, so choosing the next point looks at those lines
-only.  Each node passes copies of ``cand`` and that dict to its
-children instead of undoing its changes.
+only.  The nodes live on one explicit stack, a frame per assigned point
+holding its untried candidates, so the depth is not bounded by Python's
+recursion limit; each frame holds copies of ``cand`` and that dict
+instead of an undo log.  No line is partially assigned at the root, so
+the first point chosen is always point 0, and ``fix_zero`` only narrows
+its candidates to 0.  The last point yields at its leaf directly.
 
 A caller that knows a point colouring every solution respects, such as
 the final colouring of equal refinement traces, can pass it to restrict
@@ -116,11 +120,32 @@ def line_bijections(
                 break
         return allowed
 
-    def assign(
-        x: int, y: int, cand: list[int], partial: dict[int, int], free: int
-    ) -> tuple[list[int], dict[int, int]]:
-        # the state after x -> y, where free no longer holds x; y is a
-        # candidate of x, so every line through x keeps some cand line
+    # frames (x, untried candidates of x, cand, partial, used, free
+    # without x): cand[i] holds the system-2 lines still compatible with
+    # line i; partial maps each partially assigned line to
+    # |cand[i]| * m + i, so its least value is the tightest line; used
+    # holds the images taken and free the points not yet mapped
+    if not v:
+        if not fix_zero:
+            yield ()
+        return
+    cand = [of_size[len(L)] for L in lines1]
+    ys = candidates(0, cand, 0)
+    stack = [(0, ys & 1 if fix_zero else ys, cand, {}, 0, everything ^ 1)]
+    while stack:
+        x, ys, cand, partial, used, free = stack[-1]
+        if not ys:
+            stack.pop()
+            continue
+        low = ys & -ys
+        stack[-1] = (x, ys ^ low, cand, partial, used, free)
+        y = sigma[x] = low.bit_length() - 1
+        if not free:
+            if target is None or Counter(frozenset(sigma[x] for x in L) for L in lines1) == target:
+                yield tuple(sigma)
+            continue
+        # the state after x -> y; y is a candidate of x, so every line
+        # through x keeps some cand line
         mask = through2[y]
         old, cand, partial = cand, cand.copy(), partial.copy()
         for i in point_lines1[x]:
@@ -129,35 +154,9 @@ def line_bijections(
                 partial[i] = c.bit_count() * m + i
             else:
                 partial.pop(i, None)
-        return cand, partial
-
-    def search(
-        cand: list[int], partial: dict[int, int], used: int, free: int
-    ) -> Iterator[tuple[int, ...]]:
-        # cand[i] holds the system-2 lines still compatible with line i;
-        # partial maps each line with some but not all points assigned
-        # to |cand[i]| * m + i, so its least value is the tightest line;
-        # used holds the images taken and free the points not yet mapped
-        if not free:
-            if target is None or Counter(frozenset(sigma[x] for x in L) for L in lines1) == target:
-                yield tuple(sigma)
-            return
+        used |= low
         # the least unassigned point on the tightest partially-assigned
         # line, falling back to the least unassigned point
         left = point_mask1[min(partial.values()) % m] & free if partial else free
         x = (left & -left).bit_length() - 1
-        rest = free ^ (1 << x)
-        ys = candidates(x, cand, used)
-        while ys:
-            low = ys & -ys
-            ys ^= low
-            sigma[x] = low.bit_length() - 1
-            yield from search(*assign(x, sigma[x], cand, partial, rest), used | low, rest)
-        sigma[x] = -1
-
-    cand = [of_size[len(L)] for L in lines1]
-    if not fix_zero:
-        yield from search(cand, {}, 0, everything)
-    elif v and candidates(0, cand, 0) & 1:
-        sigma[0] = 0
-        yield from search(*assign(0, 0, cand, {}, everything ^ 1), 1, everything ^ 1)
+        stack.append((x, candidates(x, cand, used), cand, partial, used, free ^ (1 << x)))

@@ -2,7 +2,8 @@
 
 Exit codes are a stable contract: 0 for success (including an ISO
 verdict and a passing verify sweep), 1 for NON-ISO or a verify
-mismatch, 2 for usage errors, 141 when the reader closes stdout early.
+mismatch, 2 for usage errors, 3 for an internal error (its traceback
+goes to stderr), 141 when the reader closes stdout early.
 Output is deterministic for identical flags; the verify sweep may fan
 out over processes, with at most two moduli per process in flight, but
 prints each v as it finishes, in ascending v.
@@ -374,4 +375,11 @@ def entry() -> None:
         # with stdout pointed at devnull so the exit-time flush stays silent
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 141  # 128 + SIGPIPE
+    except Exception:
+        # an internal error is no verdict, so it exits with a code of its
+        # own; traceback loads only here, off the start-up path
+        import traceback
+
+        traceback.print_exc()
+        code = 3
     raise SystemExit(code)

@@ -73,6 +73,11 @@ def _kept(C: CyclicConfiguration, name: str, build=None):
     return kept.get(name)
 
 
+def _is_permutation(perm) -> bool:
+    """True iff perm, an image table on range(len(perm)), is a bijection."""
+    return sorted(perm) == list(range(len(perm)))
+
+
 def _maps_lines_onto(sigma, base, target: frozenset[frozenset[int]]) -> bool:
     """True iff the point map sigma carries the lines base + t exactly onto the set target.
 

@@ -42,10 +42,13 @@ from .baseline import (
 from .configuration import (
     CyclicConfiguration,
     _component_split,
+    _is_permutation,
     _kept,
     _maps_lines_onto,
 )
-from .residue_ring import CapExceeded, _two_primes, factorization, inverse, is_ci_order
+from .residue_ring import (
+    ENUMERATION_CAP, CapExceeded, _two_primes, factorization, inverse, is_ci_order
+)
 
 EXACT_SEARCH_CAP = 300
 # automorphisms() refuses a group larger than this; three disjoint Fano
@@ -95,7 +98,7 @@ def witness_valid(C1: CyclicConfiguration, C2: CyclicConfiguration, w: IsoWitnes
     if C1.v != C2.v:
         return False
     sigma = w.as_point_map(C1.v)
-    if sorted(sigma) != list(range(C1.v)):
+    if len(sigma) != C1.v or not _is_permutation(sigma):
         return False
     return _maps_lines_onto(sigma, C1.base, C2.line_set())
 
@@ -177,7 +180,8 @@ def _equal_trace_groups(configs) -> list[list[int]]:
 
 
 def _check_exact_cap(v: int, cap: int | None) -> None:
-    limit = cap if cap is not None else EXACT_SEARCH_CAP
+    # a raised cap is clamped to ENUMERATION_CAP, as every brute-force cap is
+    limit = min(cap if cap is not None else EXACT_SEARCH_CAP, ENUMERATION_CAP)
     if v > limit:
         raise CapExceeded(f"v={v} exceeds the exact search cap {limit}")
 

@@ -30,7 +30,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from ._record import Record
-from .configuration import CyclicConfiguration, _maps_lines_onto
+from .configuration import CyclicConfiguration, _is_permutation, _maps_lines_onto
 from .iso import IsoWitness, _multiplier_witness, exact_isomorphic
 from .iso import multiplier_equivalent  # unused here; perfbench's selftest pins this binding
 from .residue_ring import _two_primes, factorization, inverse, mult_order, units
@@ -82,10 +82,6 @@ def solving_set_params(p: int, q: int) -> SolvingSetParams:
 # ------------------------------------------------------------- permutations
 #
 # permutations are image tables: perm[x] is the image of x.
-
-
-def _is_permutation(perm: tuple[int, ...]) -> bool:
-    return sorted(perm) == list(range(len(perm)))
 
 
 def _scaling(v: int, q: int, factors) -> tuple[int, ...]:

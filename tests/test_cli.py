@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import cyconf
-from cyconf import cli
+from cyconf import cli, iso
 from cyconf.baseline import _slice, canonical_form, enumerate_base_lines
 from cyconf.circulant import CirculantMatrix, incidence_text
 from cyconf.cli import _parse_span, main, entry
@@ -213,10 +213,18 @@ def test_iso_solving_set_method(capsys):
     assert out2.startswith("ISO ")
 
 
-def test_iso_witness_replay_failure_raises(monkeypatch):
+def test_iso_witness_replay_failure_raises(capsys, monkeypatch):
     monkeypatch.setattr(cli, "witness_valid", lambda C1, C2, w: False)
+    argv = ["iso", "--v", "8", "--s1", "0,1,3", "--s2", "0,5,7"]
     with pytest.raises(RuntimeError, match="fails replay"):
-        main(["iso", "--v", "8", "--s1", "0,1,3", "--s2", "0,5,7"])
+        main(argv)
+    # through the console script it is an internal error, not a verdict
+    monkeypatch.setattr(sys, "argv", ["cyconf", *argv])
+    with pytest.raises(SystemExit) as info:
+        entry()
+    assert info.value.code == 3
+    out = capsys.readouterr()
+    assert out.out == "" and "fails replay" in out.err
 
 
 @pytest.mark.parametrize("method", [(), ("--method", "exact")])
@@ -234,6 +242,25 @@ def test_exact_route_iso_builds_each_line_list_once(capsys, monkeypatch, method)
     rc, out, _ = run(capsys, "iso", "--v", "28", "--s1", "0,1,3,8,19", "--s2", "1,5,6,8,14", *method)
     assert rc == 0 and out.startswith("ISO explicit ")
     assert sorted(built) == [(0, 1, 3, 8, 19), (1, 5, 6, 8, 14)]
+
+
+def test_iso_answers_past_the_recursion_limit(capsys):
+    pair = ("--v", "1000", "--s1", "0,708,815,862,966", "--s2", "3,357,381,455,488", "--cap", "1000")
+    rc, out, err = run(capsys, "iso", *pair, "--method", "exact")
+    assert rc == 0 and out.startswith("ISO explicit 0,19,38,") and err == ""
+    assert run(capsys, "iso", *pair) == (rc, out, err)
+    assert run(capsys, "iso", *pair, "--method", "multiplier") == (0, "ISO multiplier a=19 b=3\n", "")
+
+
+def test_iso_refuses_a_cap_past_the_enumeration_cap_before_refining(capsys, monkeypatch):
+    def refine(C):
+        raise RuntimeError("refined past the cap")
+
+    monkeypatch.setattr(iso, "_refinement_rounds", refine)
+    pair = ("--v", "20000", "--s1", "0,3863,4402,8358,18651", "--s2", "7,5081,11596,13213,15960")
+    assert run(capsys, "iso", *pair, "--cap", "20000") == (
+        2, "", "error: v=20000 exceeds the exact search cap 10000\n"
+    )
 
 
 def test_parser_is_built_once_across_calls(capsys):
@@ -496,6 +523,18 @@ def test_entry_raises_systemexit(capsys, monkeypatch):
         entry()
     assert info.value.code == 0
     assert capsys.readouterr().out == "1\n"
+
+
+def test_an_internal_error_exits_3_with_its_traceback(capsys, monkeypatch):
+    def broken(argv=None):
+        raise RuntimeError("broken on purpose")
+
+    monkeypatch.setattr(cli, "main", broken)
+    with pytest.raises(SystemExit) as info:
+        entry()
+    assert info.value.code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and err.endswith("RuntimeError: broken on purpose\n")
 
 
 def test_parse_span_is_a_range():

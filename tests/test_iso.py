@@ -503,6 +503,22 @@ def test_auto_checks_the_cap_before_the_invariant(monkeypatch):
         isomorphic(C1, C2, cap=20)
 
 
+def test_a_cap_past_the_enumeration_cap_is_clamped_before_refining(monkeypatch):
+    def refine(C):
+        raise RuntimeError("refined past the cap")
+
+    monkeypatch.setattr(iso, "_refinement_rounds", refine)
+    S = (0, 3863, 4402, 8358, 18651)
+    C1 = CyclicConfiguration(20000, S)
+    C2 = CyclicConfiguration(20000, affine_image(S, 3, 7, 20000))
+    refusal = "v=20000 exceeds the exact search cap 10000"
+    for method in ("auto", "exact"):
+        with pytest.raises(CapExceeded, match=refusal):
+            isomorphic(C1, C2, method=method, cap=20000)
+    with pytest.raises(CapExceeded, match=refusal):
+        automorphisms(C1, cap=20000)
+
+
 def test_invariant_collision_falls_through_to_search(monkeypatch):
     reps = _reps(28, 5)
     image = CyclicConfiguration(28, affine_image(reps[0].base, 3, 1, 28))

@@ -12,6 +12,7 @@ as it was.
 from __future__ import annotations
 
 import random
+import sys
 from collections import Counter
 from itertools import islice
 
@@ -21,7 +22,7 @@ from cyconf import _search
 from cyconf.baseline import enumerate_base_lines
 from cyconf.circulant import CirculantMatrix
 from cyconf.configuration import CyclicConfiguration, _kept
-from cyconf.iso import automorphisms
+from cyconf.iso import automorphisms, exact_isomorphic, witness_valid
 from cyconf.residue_ring import units
 from helpers import affine_image, full_trace
 
@@ -275,3 +276,14 @@ def test_colour_pruning_keeps_every_pinned_automorphism(k, vs):
             assert got == want, (v, R)
             compared += len(want)
     assert compared > len(vs)
+
+
+def test_exact_search_runs_deeper_than_the_recursion_limit():
+    # one stack frame per assigned point, and no Python call per point
+    v, S = 1200, (0, 1, 3, 7, 12)
+    assert v > sys.getrecursionlimit()
+    C1 = CyclicConfiguration(v, S)
+    C2 = CyclicConfiguration(v, affine_image(S, 7, 5, v))
+    w = exact_isomorphic(C1, C2, cap=v)
+    assert w.kind == "explicit" and witness_valid(C1, C2, w)
+    assert w.point_map == tuple(7 * x % v for x in range(v))

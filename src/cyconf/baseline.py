@@ -18,13 +18,14 @@ Two routes find the least affine image.  The orbit walk visits all
 k*phi(v) images a*(rep - x) of each orbit once, built a column per point,
 and takes the first member it reaches; slice_orbits dresses its orbits
 with a witness per member, and the callers that only count or list
-representatives read the bare walk.  canonical_form solves for the least
-image instead: its second point is the least gcd(s - x, v) over the
-differences of S, and only the few units that send such a difference
-onto that gcd can produce it.  canonical_form, affine_map_between and
-counting's one-pass fixed table all find their units through one solve,
-_unit_solutions; the orbit walk shares none of it, nor any step past the
-slice, so count_orbit_scan can check the one route against the other.
+representatives read the bare walk.  _least_images solves for the least
+image instead, keeping every map onto it: its second point is the least
+gcd(s - x, v) over the differences of S, which few units can produce.
+It is the one enumeration behind canonical_form and affine_map_between.
+It and counting's one-pass fixed table find their units through one
+solve, _unit_solutions; the orbit walk shares none of it, nor any step
+past the slice, so count_orbit_scan can check the one route against the
+other.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ from math import gcd
 
 from .residue_ring import (
     CapExceeded,
-    ENUMERATION_CAP,
     _check_enumeration,
+    _clamped_cap,
+    inverse,
     units,
 )
 
@@ -49,8 +51,7 @@ FALLBACK_ENUMERATION_CAP = 40
 
 
 def enumeration_cap(k: int, cap: int | None = None) -> int:
-    chosen = cap if cap is not None else DEFAULT_ENUMERATION_CAPS.get(k, FALLBACK_ENUMERATION_CAP)
-    return min(chosen, ENUMERATION_CAP)
+    return _clamped_cap(cap, DEFAULT_ENUMERATION_CAPS.get(k, FALLBACK_ENUMERATION_CAP))
 
 
 def ensure_enumerable(v: int, k: int, cap: int | None = None) -> None:
@@ -118,37 +119,25 @@ def _unit_solutions(t: int, e: int, v: int) -> list[int]:
 def affine_map_between(S1, S2, v: int) -> tuple[int, int] | None:
     """Least (a, b) lexicographically with a*S1 + b == S2, or None.
 
-    Sets with different canonical forms lie in different orbits and
-    return None at once.  Otherwise a valid a sends d = s - s0 with the
-    least gcd(d, v) onto a difference e of S2: the candidates are
-    _unit_solutions(d, e, v) over those e, in increasing order, and for
-    each only the b sending s0 = min S1 into S2 are tried.  Every valid
-    a is a candidate, so this is the least pair a scan of all units
-    finds.  Equal forms with no map found raise RuntimeError.
+    Sets with different least images lie in different orbits.  Else, for
+    one map m2 of S2 onto the least image, m2**-1 o m1 over S1's maps m1
+    onto it are all the maps of S1 onto S2, so their least is the least
+    pair a scan of all units finds.  It is replayed on S1 before return.
     """
     set1 = frozenset(s % v for s in S1)
     set2 = frozenset(s % v for s in S2)
     if len(set1) != len(set2):
         return None
-    s0 = min(set1)
-    if canonical_form(set1, v) != canonical_form(set2, v):
+    form1, maps1 = _least_images(set1, v)
+    form2, ((a2, x2), *_) = _least_images(set2, v)
+    if form1 != form2:
         return None  # different orbits: no unit can work
-    if len(set1) == 1:
-        candidates = units(v)  # every unit works
-    else:
-        d = min(((s - s0) % v for s in set1 if s != s0), key=lambda t: gcd(t, v))
-        solved = set()
-        for e in {(u - t) % v for t in set2 for u in set2}:
-            solved.update(_unit_solutions(d, e, v))
-        candidates = sorted(solved)
-    for a in candidates:
-        base = a * s0
-        for b in sorted((t - base) % v for t in set2):
-            if all((a * s + b) % v in set2 for s in set1):
-                return a, b
-    raise RuntimeError(
-        f"equal canonical forms mod {v} but no affine map {sorted(set1)} -> {sorted(set2)}"
-    )
+    # m2**-1(a1*(y - x1)) = c*y + x2 - c*x1 with c = a1 / a2
+    inv = inverse(a2, v)
+    a, b = min((a1 * inv % v, (x2 - a1 * inv * x1) % v) for a1, x1 in maps1)
+    if {(a * s + b) % v for s in set1} != set2:
+        raise RuntimeError(f"no affine map {sorted(set1)} -> {sorted(set2)} mod {v}")
+    return a, b
 
 
 @lru_cache(maxsize=1)  # one modulus at a time, as for _slice
@@ -181,32 +170,38 @@ def _zero_images(S, v: int) -> list[tuple[int, ...]]:
     return images
 
 
-def canonical_form(S, v: int) -> tuple[int, ...]:
-    """Lexicographically least sorted tuple among all a*S + b.
+def _least_images(S, v: int) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
+    """S's least affine image, and every (a, x) whose y -> a*(y - x) reaches it.
 
-    The least image contains 0 (translating the minimum to 0 can only
-    shrink the tuple), and its least nonzero point is
-    g = min gcd(s - x, v) over distinct s, x in S: a*(s - x) is a
-    multiple of gcd(s - x, v), and some unit reaches g.  So only the
-    maps y -> a*(y - x) with a in _unit_solutions(s - x, g, v) can give
-    the least image: O(k*k*g) candidate images in place of the k*phi(v)
-    images through 0.  The tests compare against a full a,b scan.
+    The least image holds 0 (translating the minimum to 0 can only shrink
+    it), and its least nonzero point is g = min gcd(s - x, v) over
+    distinct s, x in S, since a unit reaches gcd(t, v) from t.  So every
+    map onto it is y -> a*(y - x), x in S and a in _unit_solutions(s - x,
+    g, v): O(k*k*g) candidates, not k*phi(v).  For each x a unit sends
+    one s - x at most onto g, so each map is listed once, |stabiliser| in all.
     """
     elems = sorted({s % v for s in S})
     _check_enumeration(v)
     if not elems:
         raise ValueError("empty set has no canonical form")
     if len(elems) == 1:
-        return (0,)
+        return (0,), [(a, elems[0]) for a in units(v)]
     pairs = [(x, (s - x) % v) for x in elems for s in elems if s != x]
     g = min(gcd(t, v) for _, t in pairs)
-    best = None
+    best, maps = (v,), []  # above every image, since each holds 0
     for x, t in pairs:
         for a in _unit_solutions(t, g, v):
             image = tuple(sorted([a * (s - x) % v for s in elems]))
-            if best is None or image < best:
-                best = image
-    return best
+            if image <= best:
+                if image < best:
+                    best, maps = image, []
+                maps.append((a, x))
+    return best, maps
+
+
+def canonical_form(S, v: int) -> tuple[int, ...]:
+    """Lexicographically least sorted tuple among all a*S + b."""
+    return _least_images(S, v)[0]
 
 
 def orbit_size(S, v: int) -> int:

@@ -33,7 +33,7 @@ from math import gcd
 from . import _search
 from ._record import Record
 from .baseline import affine_map_between
-from .residue_ring import CapExceeded, ENUMERATION_CAP, _check_enumeration
+from .residue_ring import CapExceeded, _check_enumeration, _clamped_cap
 
 PAQ_SEARCH_CAP = 300
 GRAM_CAP = 1000
@@ -165,7 +165,7 @@ def paq_equivalent(
     if A1.v != A2.v:
         raise ValueError("paq equivalence needs a common modulus")
     v = A1.v
-    limit = min(cap if cap is not None else PAQ_SEARCH_CAP, ENUMERATION_CAP)
+    limit = _clamped_cap(cap, PAQ_SEARCH_CAP)
     if v > limit:
         raise CapExceeded(f"v={v} exceeds the paq search cap {limit}")
     lines1 = A1.translate_system()

@@ -47,7 +47,7 @@ from .configuration import (
     _maps_lines_onto,
 )
 from .residue_ring import (
-    ENUMERATION_CAP, CapExceeded, _two_primes, factorization, inverse, is_ci_order
+    CapExceeded, _clamped_cap, _two_primes, factorization, inverse, is_ci_order
 )
 
 EXACT_SEARCH_CAP = 300
@@ -180,8 +180,7 @@ def _equal_trace_groups(configs) -> list[list[int]]:
 
 
 def _check_exact_cap(v: int, cap: int | None) -> None:
-    # a raised cap is clamped to ENUMERATION_CAP, as every brute-force cap is
-    limit = min(cap if cap is not None else EXACT_SEARCH_CAP, ENUMERATION_CAP)
+    limit = _clamped_cap(cap, EXACT_SEARCH_CAP)
     if v > limit:
         raise CapExceeded(f"v={v} exceeds the exact search cap {limit}")
 

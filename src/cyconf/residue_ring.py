@@ -33,6 +33,11 @@ def _check_enumeration(v: int) -> None:
         raise CapExceeded(f"modulus {v} exceeds the enumeration cap {ENUMERATION_CAP}")
 
 
+def _clamped_cap(cap: int | None, default: int) -> int:
+    # a brute-force cap: the caller's, else its default, never past ENUMERATION_CAP
+    return min(cap if cap is not None else default, ENUMERATION_CAP)
+
+
 @lru_cache(maxsize=None)
 def factorization(v: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of v as ((p1, e1), ...) with p1 < p2 < ...

@@ -110,8 +110,10 @@ def reference_unit_sum(v: int) -> int:
 def reference_affine_map_between(S1, S2, v: int) -> tuple[int, int] | None:
     """Least (a, b) lexicographically with a*S1 + b == S2, or None.
 
-    The unit scan `baseline.affine_map_between` used before it solved
-    for the candidate multipliers; the two must agree on every pair.
+    A plain scan of every unit and offset.  It shares only the
+    canonical-form check with `baseline.affine_map_between`, which
+    composes the maps onto the least image instead; the two must agree
+    on every pair.
     """
     set1 = frozenset(s % v for s in S1)
     set2 = frozenset(s % v for s in S2)

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import random
+from functools import cache
 from itertools import islice
 
 import pytest
 
 from cyconf import baseline
 from cyconf.baseline import (
+    _least_images,
     _orbit_walk,
+    _slice,
     _unit_solutions,
     affine_map_between,
     _difference_set,
@@ -21,7 +24,7 @@ from cyconf.baseline import (
     slice_orbits,
 )
 from cyconf.counting import count_orbit_scan
-from cyconf.residue_ring import CapExceeded, inverse, units
+from cyconf.residue_ring import CapExceeded, inverse, phi, units
 from helpers import (
     affine_image,
     contains_coset,
@@ -107,8 +110,9 @@ def test_affine_map_between_absent():
 
 
 def test_affine_map_between_raises_when_equal_forms_have_no_map(monkeypatch):
-    # with every canonical form made equal, two different orbits must raise, not answer None
-    monkeypatch.setattr(baseline, "canonical_form", lambda S, v: (0,))
+    # with every least image made equal, and a map that does not carry
+    # S1 onto S2, two different orbits must raise, not answer None
+    monkeypatch.setattr(baseline, "_least_images", lambda S, v: ((0,), [(1, 0)]))
     with pytest.raises(RuntimeError, match="no affine map"):
         affine_map_between((0, 1, 3), (0, 1, 4), 13)
 
@@ -215,6 +219,31 @@ def test_canonical_form_is_orbit_invariant():
             for a in units(v):
                 for b in (0, 1, v - 2):
                     assert canonical_form(affine_image(S, a, b, v), v) == c
+
+
+def _least_image_scan(S, v):
+    # the least a*(S - x) over every x in S and unit a, and every (a, x) reaching it
+    elems = sorted({s % v for s in S})
+    found = [(sorted([a * (s - x) % v for s in elems]), a, x) for x in elems for a in units(v)]
+    least = min(found)[0]
+    return tuple(least), sorted((a, x) for image, a, x in found if image == least)
+
+
+def test_least_images_lists_every_map_onto_the_form_once():
+    # every slice member at v = 7..40 for k = 3 and 4, then seeded sets of
+    # size 1..6 at v <= 300; the maps onto the form number |stabiliser|,
+    # which the orbit size, read off the independent _zero_images once
+    # per orbit, fixes
+    rng = random.Random(22)
+    cases = [(S, v) for k in (3, 4) for v in range(7, 41) for S in _slice(v, k, False)]
+    for _ in range(600):
+        v = rng.randint(1, 300)
+        cases.append((rng.sample(range(v), rng.randint(1, min(6, v))), v))
+    sized = cache(orbit_size)
+    for S, v in cases:
+        form, maps = _least_images(S, v)
+        assert (form, sorted(maps)) == _least_image_scan(S, v), (S, v)
+        assert len(maps) * sized(form, v) == v * phi(v), (S, v)
 
 
 def test_orbit_size_matches_direct_expansion():

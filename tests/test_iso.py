@@ -565,8 +565,9 @@ def test_completeness_report_flags_a_bad_witness(monkeypatch):
 
 def test_component_witness_check_raises(monkeypatch):
     # components (0, 1, 3) and (0, 1, 4) on Z_13 lie in different orbits;
-    # with their canonical forms made equal the affine match must raise
-    monkeypatch.setattr(baseline, "canonical_form", lambda S, v: (0,))
+    # with their least images made equal, and a map that does not carry
+    # one onto the other, the affine match must raise
+    monkeypatch.setattr(baseline, "_least_images", lambda S, v: ((0,), [(1, 0)]))
     with pytest.raises(RuntimeError, match="no affine map"):
         isomorphic(CyclicConfiguration(26, (0, 2, 6)), CyclicConfiguration(26, (0, 2, 8)))
 

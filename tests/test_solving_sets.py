@@ -187,9 +187,9 @@ def test_solve_iso_pq_input_validation():
 )
 def test_solve_iso_pq_multiplier_returns_are_the_multiplier_route(monkeypatch, v, k, branches):
     # every ordered pair of connected slice members whose answer comes
-    # from one of solve_iso_pq's three multiplier returns; canonical
-    # forms are memoized so the ~250000 pairs at v=35 stay in seconds
-    monkeypatch.setattr(baseline, "canonical_form", cache(baseline.canonical_form))
+    # from one of solve_iso_pq's three multiplier returns; least images
+    # are memoized so the ~250000 pairs at v=35 stay in seconds
+    monkeypatch.setattr(baseline, "_least_images", cache(baseline._least_images))
     q, p = _two_primes(v)
     params = None if (p - 1) % q else solving_set_params(p, q)
     members = [CyclicConfiguration(v, S) for S in enumerate_base_lines(v, k, connected_only=True)]

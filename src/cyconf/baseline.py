@@ -87,13 +87,23 @@ def is_base_line(S, v: int, k: int | None = None) -> bool:
     return len(_difference_set(elems, v)) == k * k - k + 1
 
 
-def is_connected(S, v: int) -> bool:
-    """True iff the differences of S generate all of Z_v."""
+def _component_split(S, v: int) -> tuple[int, list[int]]:
+    """(g, T) with g = gcd(v, S - min S) and S - min S = g*T, over S mod v.
+
+    The differences of S generate the subgroup of Z_v of order d = v/g,
+    so the configuration on S is g disjoint copies of the one on Z_d
+    with base T.  The empty set gives (v, []).
+    """
     elems = sorted({s % v for s in S})
-    if not elems:
-        return False
-    s0 = elems[0]
-    return gcd(v, *[s - s0 for s in elems[1:]]) == 1 if len(elems) > 1 else v == 1
+    shifted = [s - elems[0] for s in elems]
+    g = gcd(v, *shifted)
+    return g, [s // g for s in shifted]
+
+
+def is_connected(S, v: int) -> bool:
+    """True iff S is nonempty and its differences generate all of Z_v."""
+    g, T = _component_split(S, v)
+    return g == 1 and bool(T)
 
 
 def _unit_solutions(t: int, e: int, v: int) -> list[int]:

@@ -33,7 +33,7 @@ from math import gcd
 from . import _search
 from ._record import Record
 from .baseline import affine_map_between
-from .residue_ring import CapExceeded, _check_enumeration, _clamped_cap
+from .residue_ring import _check_cap, _check_enumeration
 
 PAQ_SEARCH_CAP = 300
 GRAM_CAP = 1000
@@ -143,8 +143,7 @@ def gram_similar(A1: CirculantMatrix, A2: CirculantMatrix) -> bool:
     """
     if A1.v != A2.v:
         raise ValueError("gram similarity needs a common modulus")
-    if A1.v > GRAM_CAP:
-        raise CapExceeded(f"v={A1.v} exceeds the gram cap {GRAM_CAP}")
+    _check_cap(A1.v, None, GRAM_CAP, "gram")
     c1, c2 = _gram_profile(A1), _gram_profile(A2)
     if sorted(c1) != sorted(c2):
         # permutation similarity preserves the entry multiset
@@ -165,9 +164,7 @@ def paq_equivalent(
     if A1.v != A2.v:
         raise ValueError("paq equivalence needs a common modulus")
     v = A1.v
-    limit = _clamped_cap(cap, PAQ_SEARCH_CAP)
-    if v > limit:
-        raise CapExceeded(f"v={v} exceeds the paq search cap {limit}")
+    _check_cap(v, cap, PAQ_SEARCH_CAP, "paq search")
     lines1 = A1.translate_system()
     lines2 = A2.translate_system()
     sigma = next(_search.line_bijections(v, lines1, lines2, fix_zero=True), None)

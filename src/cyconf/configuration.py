@@ -13,8 +13,9 @@ the fields, so equality and hashing still look at v and the base.
 
 The incidence structure splits into connected components along the
 subgroup generated by the differences of S: if S (translated to contain
-0) generates the subgroup of order d, the structure is v/d disjoint
-copies of the configuration on Z_d with base S/g, g = v/d.
+0) generates the subgroup of order d, the structure is g = v/d disjoint
+copies of the configuration on Z_d with base S/g.  baseline's
+_component_split is the one place that computes this split.
 
 The Levi graph is the bipartite point/line incidence graph.  Its girth
 is at least 6 exactly when the configuration axioms hold.
@@ -23,8 +24,6 @@ is at least 6 exactly when the configuration axioms hold.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import gcd
-
 from ._record import Record
 from .circulant import CirculantMatrix
 
@@ -87,17 +86,6 @@ def _maps_lines_onto(sigma, base, target: frozenset[frozenset[int]]) -> bool:
     """
     rotations = [sigma[s:] + sigma[:s] for s in base]
     return set(map(frozenset, zip(*rotations))) == target
-
-
-def _component_split(C: CyclicConfiguration) -> tuple[int, list[int]]:
-    """(g, T) with the base translated to contain 0 equal to g*T.
-
-    g = gcd(v, S - S[0]), and T is the base of each of the g components
-    on Z_(v/g).
-    """
-    shifted = [s - C.base[0] for s in C.base]
-    g = gcd(C.v, *shifted)
-    return g, [s // g for s in shifted]
 
 
 class LeviGraph(Record, namedtuple("LeviGraph", "v k edges")):

@@ -33,21 +33,15 @@ from itertools import combinations
 from . import _search
 from ._record import Record
 from .baseline import (
+    _component_split,
     affine_map_between,
     canonical_form,  # unused here; perfbench's selftest pins this binding
     ensure_enumerable,
-    is_connected,
     slice_orbits,
 )
-from .configuration import (
-    CyclicConfiguration,
-    _component_split,
-    _is_permutation,
-    _kept,
-    _maps_lines_onto,
-)
+from .configuration import CyclicConfiguration, _is_permutation, _kept, _maps_lines_onto
 from .residue_ring import (
-    CapExceeded, _clamped_cap, _two_primes, factorization, inverse, is_ci_order
+    CapExceeded, _check_cap, _check_enumeration, _two_primes, factorization, inverse, is_ci_order
 )
 
 EXACT_SEARCH_CAP = 300
@@ -76,6 +70,7 @@ class IsoWitness(
         if self.kind == "multiplier":
             if self.a is None or self.b is None:
                 raise ValueError("a multiplier witness needs a and b")
+            _check_enumeration(v)  # v entries: refuse huge v first
             return tuple((self.a * x + self.b) % v for x in range(v))
         if self.point_map is None:
             raise ValueError("an explicit witness needs a point map")
@@ -97,10 +92,11 @@ def witness_valid(C1: CyclicConfiguration, C2: CyclicConfiguration, w: IsoWitnes
     """Replay a witness: the point map must carry lines onto lines, bijectively."""
     if C1.v != C2.v:
         return False
+    target = C2.line_set()  # refuses a huge v before the map is expanded or sorted
     sigma = w.as_point_map(C1.v)
     if len(sigma) != C1.v or not _is_permutation(sigma):
         return False
-    return _maps_lines_onto(sigma, C1.base, C2.line_set())
+    return _maps_lines_onto(sigma, C1.base, target)
 
 
 def _refinement_rounds(C: CyclicConfiguration):
@@ -179,12 +175,6 @@ def _equal_trace_groups(configs) -> list[list[int]]:
     return sorted(groups)
 
 
-def _check_exact_cap(v: int, cap: int | None) -> None:
-    limit = _clamped_cap(cap, EXACT_SEARCH_CAP)
-    if v > limit:
-        raise CapExceeded(f"v={v} exceeds the exact search cap {limit}")
-
-
 def exact_isomorphic(
     C1: CyclicConfiguration, C2: CyclicConfiguration, cap: int | None = None
 ) -> IsoWitness | None:
@@ -204,7 +194,7 @@ def exact_isomorphic(
     """
     if C1.v != C2.v:
         raise ValueError("isomorphism needs a common point count")
-    _check_exact_cap(C1.v, cap)
+    _check_cap(C1.v, cap, EXACT_SEARCH_CAP, "exact search")
     if C1.k != C2.k:
         return None
     if C1.line_set() == C2.line_set():
@@ -227,7 +217,7 @@ def automorphisms(C: CyclicConfiguration, cap: int | None = None) -> list[tuple[
 
     Raises CapExceeded as soon as more than AUTOMORPHISM_CAP are found.
     """
-    _check_exact_cap(C.v, cap)
+    _check_cap(C.v, cap, EXACT_SEARCH_CAP, "exact search")
     found = []
     for sigma in _search.line_bijections(C.v, C.lines(), C.lines(), fix_zero=False):
         if len(found) == AUTOMORPHISM_CAP:
@@ -248,25 +238,24 @@ def _multiplier_complete(v: int, k: int) -> bool:
 
 
 def _component_witness(
-    C1: CyclicConfiguration, C2: CyclicConfiguration
+    C1: CyclicConfiguration, C2: CyclicConfiguration, split1, split2
 ) -> IsoWitness | None:
     """Match disconnected configurations component by component.
 
-    Both bases are translated to contain 0; the components then live on
-    the residue classes modulo g = v/d.  All components of one cyclic
-    configuration are mutually isomorphic, so the multiset comparison
-    reduces to equality of g and of the canonical component base.  The
-    witness maps class r to class r through one affine map of Z_d.
+    split1 and split2 are the bases' splits (g, T), with equal g: the
+    components live on the residue classes modulo g = v/d.  All
+    components of one cyclic configuration are mutually isomorphic, so
+    the multiset comparison reduces to an affine match of the T.  The
+    witness maps class r to class r through one affine map of Z_d; past
+    the enumeration cap a match raises CapExceeded before the map exists.
     """
     v = C1.v
-    g, t1 = _component_split(C1)
-    g2, t2 = _component_split(C2)
-    if g != g2:
-        return None
+    (g, t1), (_, t2) = split1, split2
     d = v // g
     ab = affine_map_between(t1, t2, d)
     if ab is None:
         return None
+    _check_enumeration(v)
     a, b = ab
     m1, m2 = C1.base[0], C2.base[0]
     sigma = [0] * v
@@ -305,14 +294,14 @@ def isomorphic(
     if method == "auto":
         if C1.k != C2.k:
             return None
-        conn1 = is_connected(C1.base, v)
-        conn2 = is_connected(C2.base, v)
-        if conn1 != conn2:
+        split1 = _component_split(C1.base, v)
+        split2 = _component_split(C2.base, v)
+        if split1[0] != split2[0]:
             return None
-        if not conn1:
-            return _component_witness(C1, C2)
+        if split1[0] > 1:
+            return _component_witness(C1, C2, split1, split2)
         if not _multiplier_complete(v, C1.k):
-            _check_exact_cap(v, cap)
+            _check_cap(v, cap, EXACT_SEARCH_CAP, "exact search")
             if not _equal_trace_groups((C1, C2)):
                 return None
             return exact_isomorphic(C1, C2, cap=cap)

@@ -2,8 +2,8 @@
 
 Everything here is integer arithmetic on plain ints.  A residue is an int
 in ``range(v)``; a unit is a residue coprime to v.  Factorization is by
-trial division and cached, which is plenty for the desk scale this
-package targets: closed-form paths accept v up to 10**9, enumeration
+trial division, cached for 1024 moduli: plenty at the desk scale this
+package targets.  Closed-form paths accept v up to 10**9, enumeration
 paths (anything that walks all residues) are capped at 10**4.
 """
 
@@ -38,7 +38,13 @@ def _clamped_cap(cap: int | None, default: int) -> int:
     return min(cap if cap is not None else default, ENUMERATION_CAP)
 
 
-@lru_cache(maxsize=None)
+def _check_cap(v: int, cap: int | None, default: int, route: str) -> None:
+    limit = _clamped_cap(cap, default)
+    if v > limit:
+        raise CapExceeded(f"v={v} exceeds the {route} cap {limit}")
+
+
+@lru_cache(maxsize=1024)
 def factorization(v: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of v as ((p1, e1), ...) with p1 < p2 < ...
 

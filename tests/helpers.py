@@ -10,12 +10,11 @@ from itertools import combinations, product
 from math import gcd
 
 from cyconf import baseline
-from cyconf.baseline import SliceOrbit, _difference_set, canonical_form
+from cyconf.baseline import SliceOrbit, _component_split, _difference_set, canonical_form
 from cyconf.circulant import CirculantMatrix, _gram_profile
 from cyconf.configuration import (
     CyclicConfiguration,
     LeviGraph,
-    _component_split,
     _maps_lines_onto,
     levi_graph,
 )
@@ -203,7 +202,7 @@ def decompose(C: CyclicConfiguration) -> list[CyclicConfiguration]:
     configuration is g disjoint copies of the one on Z_d with base S/g,
     re-canonicalized on Z_d.
     """
-    g, component = _component_split(C)
+    g, component = _component_split(C.base, C.v)
     d = C.v // g
     return [CyclicConfiguration(d, canonical_form(component, d)) for _ in range(g)]
 

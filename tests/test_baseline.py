@@ -8,6 +8,7 @@ import pytest
 
 from cyconf import baseline
 from cyconf.baseline import (
+    _component_split,
     _least_images,
     _orbit_walk,
     _slice,
@@ -77,6 +78,37 @@ def test_is_connected():
     assert not is_connected((0, 2, 6), 14)
     assert not is_connected((0, 3, 9), 21)
     assert is_connected((5, 6, 8), 21)
+
+
+def test_component_split_matches_a_direct_reading():
+    # g is read off as the largest divisor of v under which all of S is
+    # congruent, and connectivity as the size of the subgroup that the
+    # differences generate
+    rng = random.Random(23)
+    for v in range(1, 301):
+        divisors = [d for d in range(1, v + 1) if v % d == 0]
+        d = rng.choice(divisors)
+        draws = [[], [rng.randrange(-v, 2 * v)], [5, 5 + v, 5 + 2 * v]]  # empty, singleton, one residue thrice
+        draws += [[rng.randrange(-v, 2 * v) for _ in range(rng.randint(2, 6))] for _ in range(3)]
+        draws.append([3 + d * rng.randrange(v) for _ in range(rng.randint(2, 6))])  # one coset of d*Z_v
+        for S in draws:
+            elems = sorted({s % v for s in S})
+            g, T = _component_split(S, v)
+            if not elems:
+                assert (g, T) == (v, [])
+                assert not is_connected(S, v)
+                continue
+            m = elems[0]
+            assert g == max(d for d in divisors if all((s - m) % d == 0 for s in elems))
+            assert [m + g * t for t in T] == elems
+            span, frontier = {0}, [0]
+            while frontier:
+                x = frontier.pop()
+                for y in {(x + s - m) % v for s in elems} - span:
+                    span.add(y)
+                    frontier.append(y)
+            assert len(span) == v // g
+            assert is_connected(S, v) == (len(span) == v)
 
 
 def test_contains_coset_spots():

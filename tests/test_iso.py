@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from math import gcd
 
 import networkx as nx
 import pytest
@@ -31,6 +32,8 @@ def test_witness_point_maps():
     assert w.as_point_map(8) == tuple(5 * x % 8 for x in range(8))
     table = tuple(range(7))
     assert IsoWitness(kind="explicit", point_map=table).as_point_map(7) == table
+    with pytest.raises(CapExceeded, match="modulus 20001 exceeds the enumeration cap 10000"):
+        IsoWitness(kind="multiplier", a=1, b=0).as_point_map(20001)
 
 
 def test_witness_valid_checks_bijectivity_and_lines():
@@ -40,6 +43,11 @@ def test_witness_valid_checks_bijectivity_and_lines():
     assert not witness_valid(FANO, FANO, shuffle)
     translation = IsoWitness(kind="multiplier", a=1, b=3)
     assert witness_valid(FANO, FANO, translation)
+    # past the enumeration cap it refuses before reading the map, which
+    # would raise ValueError here
+    C = CyclicConfiguration(20001, (0, 1, 3))
+    with pytest.raises(CapExceeded, match="modulus 20001 exceeds the enumeration cap 10000"):
+        witness_valid(C, C, IsoWitness(kind="explicit"))
 
 
 def _reference_witness_valid(C1, C2, w):
@@ -216,10 +224,25 @@ def test_disconnected_distinct_components():
 
 
 def test_disconnected_verdicts_match_exact_oracle():
+    cases = []
     for v in (14, 21, 26):
-        split = [S for S in enumerate_base_lines(v, 3) if not __import__("cyconf").is_connected(S, v)]
-        for S1 in split:
-            for S2 in split:
+        # slice members contain 0, so gcd(v, *S) is their g
+        cases.append((v, [S for S in enumerate_base_lines(v, 3) if gcd(v, *S) > 1]))
+    # at v=63 the components have g = 3, 7 and 9; connected members (g = 1)
+    # pair with disconnected ones, and members of one g with another's
+    rng = random.Random(63)
+    by_g: dict[int, list] = {}
+    for S in enumerate_base_lines(63, 3):
+        by_g.setdefault(gcd(63, *S), []).append(S)
+    assert sorted(by_g) == [1, 3, 7, 9]
+    drawn = [
+        S for g, members in sorted(by_g.items())
+        for S in rng.sample(members, min(len(members), 4 if g == 1 else 6))
+    ]
+    cases.append((63, drawn))
+    for v, members in cases:
+        for S1 in members:
+            for S2 in members:
                 C1, C2 = CyclicConfiguration(v, S1), CyclicConfiguration(v, S2)
                 w = isomorphic(C1, C2)
                 exact = exact_isomorphic(C1, C2)
@@ -517,6 +540,15 @@ def test_a_cap_past_the_enumeration_cap_is_clamped_before_refining(monkeypatch):
             isomorphic(C1, C2, method=method, cap=20000)
     with pytest.raises(CapExceeded, match=refusal):
         automorphisms(C1, cap=20000)
+
+
+def test_a_disconnected_iso_pair_refuses_past_the_enumeration_cap_before_its_map():
+    # g = 2 and both components lie in the class of (0, 1, 3) on Z_10000
+    C1 = CyclicConfiguration(20000, (0, 2, 6))
+    with pytest.raises(CapExceeded, match="modulus 20000 exceeds the enumeration cap 10000"):
+        isomorphic(C1, CyclicConfiguration(20000, (0, 6, 18)))
+    # (0, 3, 4) on Z_10000 is no affine image of (0, 1, 3): NON-ISO still answers
+    assert isomorphic(C1, CyclicConfiguration(20000, (0, 6, 8))) is None
 
 
 def test_invariant_collision_falls_through_to_search(monkeypatch):

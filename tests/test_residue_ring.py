@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from cyconf.counting import count_closed_formula
 from cyconf.residue_ring import (
     CapExceeded,
     big_phi,
@@ -33,6 +34,13 @@ def test_factorization_sorted_primes():
         for p in primes:
             assert all(p % d for d in range(2, math.isqrt(p) + 1))
         assert all(e >= 1 for _, e in facs)
+
+
+def test_factorization_cache_stays_bounded_over_a_sweep():
+    for v in range(7, 3007):
+        count_closed_formula(v)
+    info = factorization.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 def test_phi_matches_direct_count():

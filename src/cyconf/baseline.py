@@ -4,8 +4,10 @@ A k-subset S of Z_v is a base line when its difference set S - S has the
 maximal size k*k - k + 1, i.e. all nonzero differences are distinct.  The
 v translates S + i are then the lines of a combinatorial (v_k)
 configuration.  The affine group {x -> a*x + b : a a unit} acts on base
-lines; its orbits are exactly the isomorphism classes for k = 3 and 4,
-which is what makes the canonical form here decisive.
+lines.  For k = 3 its orbits are exactly the isomorphism classes, which
+rests on the source paper's count and makes the canonical form here
+decisive; for k = 4 that is checked on small v (acceptance criteria 5
+and 7) but not proven.
 
 Enumeration works on the translation slice (subsets containing 0): every
 base line has exactly k translates containing 0, so nothing is lost and

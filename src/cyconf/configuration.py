@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from ._record import Record
-from .circulant import CirculantMatrix
+from .circulant import CirculantMatrix, _translates
 
 
 class CyclicConfiguration(Record, namedtuple("CyclicConfiguration", "v base")):
@@ -80,12 +80,10 @@ def _is_permutation(perm) -> bool:
 def _maps_lines_onto(sigma, base, target: frozenset[frozenset[int]]) -> bool:
     """True iff the point map sigma carries the lines base + t exactly onto the set target.
 
-    Line base + t goes to {sigma[(s + t) % v] for s in base}, which is
-    entry t of the rotations sigma[s:] + sigma[:s]; zipping the
-    rotations replays all v lines without building them.
+    Line base + t goes to entry t of _translates(sigma, base), so all v
+    lines are replayed without building them.
     """
-    rotations = [sigma[s:] + sigma[:s] for s in base]
-    return set(map(frozenset, zip(*rotations))) == target
+    return set(map(frozenset, _translates(sigma, base))) == target
 
 
 class LeviGraph(Record, namedtuple("LeviGraph", "v k edges")):

@@ -33,14 +33,13 @@ Three routes to the same number are implemented:
   canonical_form, which finds the least image by a least-gcd solve
   rather than by the walk's pass over every image.
 
-All intermediate division is done in exact rationals and checked
-integral (ArithmeticError otherwise), so a wrong formula fails loudly
-rather than rounding.
+Each division a count needs exact is integer division checked by its
+remainder (ArithmeticError when it is not zero), so a wrong formula
+fails loudly rather than rounding.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -163,32 +162,32 @@ def _fixed_table(v: int, k: int) -> dict[int, int]:
 # ------------------------------------------------------------------- the counts
 
 
-def _formula_weight(v: int) -> Fraction:
-    """Case weight of the closed formula: the primes of v (odd) or v mod 8 (even)."""
+def _formula_weight(v: int) -> int:
+    """12 times the formula's case weight, set by the primes of v (odd) or v mod 8 (even)."""
     _require_v(v)
     facs = factorization(v)
     if v % 2:
         if all(p % 3 == 1 for p, _ in facs):
-            return Fraction(5, 6)  # all primes 1 mod 3
+            return 10  # 5/6: all primes 1 mod 3
         if facs[0] == (3, 1) and all(p % 3 == 1 for p, _ in facs[1:]):
-            return Fraction(2, 3)  # a single 3, the rest 1 mod 3
-        return Fraction(1, 2)
+            return 8  # 2/3: a single 3, the rest 1 mod 3
+        return 6  # 1/2
     r = v % 8
     if r in (2, 6):
-        return Fraction(1, 4)
+        return 3  # 1/4
     if r == 4:
-        return Fraction(1, 2)
-    return Fraction(1, 1)
+        return 6  # 1/2
+    return 12  # 1
 
 
 def count_closed_formula(v: int) -> int:
-    """Number of connected cyclic (v_3) configurations, closed form."""
+    """Number of connected cyclic (v_3) configurations, closed form, summed in twelfths."""
     weight = _formula_weight(v)
     k = len(factorization(v))
-    total = Fraction(big_phi(v), 6) + weight * 2**k - (2 if v % 2 else 3)
-    if total.denominator != 1:
+    total, rest = divmod(2 * big_phi(v) + weight * 2**k - (24 if v % 2 else 36), 12)
+    if rest:
         raise ArithmeticError(f"formula not integral at v={v}")
-    return int(total)
+    return total
 
 
 def _prime_power_roots(p: int, e: int, n: int) -> list[int]:
@@ -235,10 +234,10 @@ def count_unit_sum(v: int) -> int:
     """
     _require_v(v)
     roots = sorted({*_roots_of_unity(v, 2), *_roots_of_unity(v, 3)})
-    total = Fraction(sum(count_fixed_closed(v, l) for l in roots), 3 * phi(v))
-    if total.denominator != 1:
+    total, rest = divmod(sum(count_fixed_closed(v, l) for l in roots), 3 * phi(v))
+    if rest:
         raise ArithmeticError(f"unit sum not integral at v={v}")
-    return int(total)
+    return total
 
 
 def count_orbit_scan(v: int, k: int = 3, cap: int | None = None) -> int:

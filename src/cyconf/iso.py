@@ -7,10 +7,12 @@ equivalence).  The exhaustive route searches all point bijections by
 backtracking on the line systems and is the oracle everything else is
 measured against; it shares no arithmetic with the multiplier route.
 
-For k = 3 and k = 4, and for any k when v is a prime power, a product
-of two distinct primes, or coprime to phi(v), multiplier equivalence is
-complete: isomorphic configurations are always affinely related.  The
-dispatcher uses the cheap route exactly in those cases.  Elsewhere it
+For any k when v is a prime power, a product of two distinct primes, or
+coprime to phi(v), multiplier equivalence is complete: isomorphic
+configurations are always affinely related.  At k = 3 it is complete
+too, by the source paper's count; at k = 4 it is checked (acceptance
+criteria 5 and 7: v <= 20 and eight composites up to 49) but not proven.
+The dispatcher uses the cheap route exactly in these cases.  Elsewhere it
 first compares refinement traces, which prove NON-ISO when they
 differ, and searches only when they agree.  The traces are compared
 round by round while they are computed, and refinement stops at the
@@ -39,6 +41,7 @@ from .baseline import (
     ensure_enumerable,
     slice_orbits,
 )
+from .circulant import _translates
 from .configuration import CyclicConfiguration, _is_permutation, _kept, _maps_lines_onto
 from .residue_ring import (
     CapExceeded, _check_cap, _check_enumeration, _two_primes, factorization, inverse, is_ci_order
@@ -113,12 +116,12 @@ def _refinement_rounds(C: CyclicConfiguration):
     configurations share traces, and unequal traces prove NON-ISO.
     Equal traces prove nothing.
 
-    Works on Z_v directly: point x lies on the lines x - s and line i
-    holds the points i + s, so a round's neighbour colours are the
-    rotations of the line and point colour lists by each s in the base,
-    zipped.  Only when the last round is reached is (trace, final point
-    colouring) kept on C, as "_refined"; a caller that stops earlier
-    leaves C unrefined.  A refined C replays its kept trace.
+    Works on Z_v directly: point x lies on the lines x - s and line i holds
+    the points i + s, so a round's neighbour colours are the line and point
+    colour lists read through _translates by -S and S.  Only when the last
+    round is reached is (trace, final point colouring) kept on C, as
+    "_refined"; a caller that stops earlier leaves C unrefined.  A refined
+    C replays its kept trace.
     """
     kept = _kept(C, "_refined")
     if kept:
@@ -130,8 +133,8 @@ def _refinement_rounds(C: CyclicConfiguration):
     classes = len(set(points + lines))
     trace = []
     while True:
-        around_points = zip(*[lines[v - s:] + lines[:v - s] for s in S])
-        around_lines = zip(*[points[s:] + points[:s] for s in S])
+        around_points = _translates(lines, [-s for s in S])
+        around_lines = _translates(points, S)
         point_sigs = list(zip(points, map(tuple, map(sorted, around_points))))
         line_sigs = list(zip(lines, map(tuple, map(sorted, around_lines))))
         entry = tuple(sorted(Counter(point_sigs + line_sigs).items()))

@@ -172,20 +172,19 @@ def solve_iso_pq(
     if pq is None:
         raise ValueError(f"v={v} is not a product of two distinct primes")
     p, q = max(pq), min(pq)
-    if (p - 1) % q:
-        return _multiplier_witness(C1, C2)
-
-    params = solving_set_params(p, q)
-    if not preserves_lines(_scaling(v, 1, (params.b,)), C1):
-        return _multiplier_witness(C1, C2)
-    try:
-        delta = solving_set(C1, params)
-    except SolvingSetUnavailable:
-        return exact_isomorphic(C1, C2, cap=cap)
+    delta = ()
+    if (p - 1) % q == 0:
+        params = solving_set_params(p, q)
+        if preserves_lines(_scaling(v, 1, (params.b,)), C1):
+            try:
+                delta = solving_set(C1, params)
+            except SolvingSetUnavailable:
+                return exact_isomorphic(C1, C2, cap=cap)
     w = _multiplier_witness(C1, C2)
-    if w is not None:
+    if w is not None or not delta:  # without a solving set the multiplier sweep decides
         return w
+    target = C2.line_set()
     for perm in delta:
-        if _maps_lines_onto(perm, C1.base, C2.line_set()):
+        if _maps_lines_onto(perm, C1.base, target):
             return IsoWitness(kind="explicit", point_map=perm)
     return None

@@ -172,13 +172,13 @@ def test_order2_closed_rejects_odd():
 
 
 def test_formula_case_branches():
-    assert _formula_weight(7) == Fraction(5, 6)
-    assert _formula_weight(21) == Fraction(2, 3)
-    assert _formula_weight(9) == Fraction(1, 2)
-    assert _formula_weight(15) == Fraction(1, 2)
-    assert _formula_weight(30) == Fraction(1, 4)
-    assert _formula_weight(12) == Fraction(1, 2)
-    assert _formula_weight(8) == Fraction(1, 1)
+    assert _formula_weight(7) == 12 * Fraction(5, 6)
+    assert _formula_weight(21) == 12 * Fraction(2, 3)
+    assert _formula_weight(9) == 12 * Fraction(1, 2)
+    assert _formula_weight(15) == 12 * Fraction(1, 2)
+    assert _formula_weight(30) == 12 * Fraction(1, 4)
+    assert _formula_weight(12) == 12 * Fraction(1, 2)
+    assert _formula_weight(8) == 12 * Fraction(1, 1)
 
 
 def test_rejects_tiny_moduli():

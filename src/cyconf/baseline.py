@@ -23,7 +23,9 @@ with a witness per member, and the callers that only count or list
 representatives read the bare walk.  _least_images solves for the least
 image instead, keeping every map onto it: its second point is the least
 gcd(s - x, v) over the differences of S, which few units can produce.
-It is the one enumeration behind canonical_form and affine_map_between.
+It is the one enumeration behind canonical_form, affine_map_between and
+orbit_size: the maps onto the image number |stabiliser|, which gives the
+orbit size.
 It and counting's one-pass fixed table find their units through one
 solve, _unit_solutions; the orbit walk shares none of it, nor any step
 past the slice, so count_orbit_scan can check the one route against the
@@ -40,8 +42,10 @@ from math import gcd
 from .residue_ring import (
     CapExceeded,
     _check_enumeration,
+    _check_modulus,
     _clamped_cap,
     inverse,
+    phi,
     units,
 )
 
@@ -57,10 +61,11 @@ def enumeration_cap(k: int, cap: int | None = None) -> int:
 
 
 def ensure_enumerable(v: int, k: int, cap: int | None = None) -> None:
-    """Raise CapExceeded when v is too large to enumerate at this k."""
+    """Raise CapExceeded past this k's enumeration cap, ValueError unless v is an int >= 1."""
     limit = enumeration_cap(k, cap)
     if v > limit:
         raise CapExceeded(f"v={v} exceeds the enumeration cap {limit} for k={k}")
+    _check_modulus(v)
 
 
 def _difference_set(S, v: int) -> frozenset[int]:
@@ -192,8 +197,8 @@ def _least_images(S, v: int) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
     g, v): O(k*k*g) candidates, not k*phi(v).  For each x a unit sends
     one s - x at most onto g, so each map is listed once, |stabiliser| in all.
     """
-    elems = sorted({s % v for s in S})
     _check_enumeration(v)
+    elems = sorted({s % v for s in S})
     if not elems:
         raise ValueError("empty set has no canonical form")
     if len(elems) == 1:
@@ -219,19 +224,15 @@ def canonical_form(S, v: int) -> tuple[int, ...]:
 def orbit_size(S, v: int) -> int:
     """Number of distinct affine images of S.
 
-    Counting pairs (image T, element t of T) two ways gives
-    |orbit| * k = |images through 0| * v, valid even for periodic S.
+    The maps onto S's least image are one coset of its stabiliser in the
+    affine group, of order v*phi(v), so the orbit has v*phi(v) / |maps|
+    members, valid even for periodic S.
     """
-    return _orbit_size(S, v, len(set(_zero_images(S, v))))
-
-
-def _orbit_size(S, v: int, through_zero: int) -> int:
-    # S's orbit size from the number of its images through 0
-    k = len({s % v for s in S})
-    total = through_zero * v
-    if total % k:
-        raise ArithmeticError(f"orbit of {tuple(S)} mod {v}: {total} point-line pairs, k={k}")
-    return total // k
+    maps = _least_images(S, v)[1]
+    size, rest = divmod(v * phi(v), len(maps))
+    if rest:
+        raise ArithmeticError(f"orbit of {tuple(S)} mod {v}: {len(maps)} maps onto its form")
+    return size
 
 
 @lru_cache(maxsize=1)  # reused only within one command, at one (v, k, connected)

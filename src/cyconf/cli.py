@@ -19,9 +19,6 @@ from collections import deque
 from contextlib import nullcontext
 
 from .baseline import (
-    _check_enumerate_args,
-    _orbit_size,
-    _orbit_walk,
     _require_k,
     canonical_form,
     ensure_enumerable,
@@ -102,20 +99,15 @@ def _fmt_points(S) -> str:
     return ",".join(str(x) for x in S)
 
 
-def _record_line(v: int, S, canonical=None, size: int | None = None) -> str:
+def _record_line(v: int, S) -> str:
     # field order is part of the format: v, k, base_line, connected,
-    # canonical, orbit_size; canonical and size are computed from S
-    # unless the caller already knows them
-    if canonical is None:
-        canonical = canonical_form(S, v)
-    if size is None:
-        size = orbit_size(S, v)
+    # canonical, orbit_size
     return (
         f"v={v} k={len(S)}"
         f" base_line={_fmt_points(S)}"
         f" connected={'true' if is_connected(S, v) else 'false'}"
-        f" canonical={_fmt_points(canonical)}"
-        f" orbit_size={size}"
+        f" canonical={_fmt_points(canonical_form(S, v))}"
+        f" orbit_size={orbit_size(S, v)}"
     )
 
 
@@ -147,23 +139,16 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     v = _parse_single(args.v)
-    sets = args.format == "sets"
-    if args.reps:
-        # the walk yields each orbit's representative, its canonical form,
-        # in increasing order, and counts its images through 0
-        _check_enumerate_args(v, args.k, args.expand, True, args.cap)
-        records = [
-            _fmt_points(rep) if sets else _record_line(v, rep, rep, _orbit_size(rep, v, len(first)))
-            for rep, first in _orbit_walk(v, args.k, args.connected)
-        ]
-        for record in records:
-            print(record)
-        return 0
     lines = enumerate_base_lines(
-        v, args.k, connected_only=args.connected, expand=args.expand, cap=args.cap
+        v,
+        args.k,
+        connected_only=args.connected,
+        expand=args.expand,
+        representatives_only=args.reps,
+        cap=args.cap,
     )
     for S in lines:
-        print(_fmt_points(S) if sets else _record_line(v, S))
+        print(_fmt_points(S) if args.format == "sets" else _record_line(v, S))
     return 0
 
 

@@ -6,7 +6,7 @@ from itertools import islice
 
 import pytest
 
-from cyconf import baseline
+from cyconf import baseline, cli
 from cyconf.baseline import (
     _component_split,
     _least_images,
@@ -25,6 +25,7 @@ from cyconf.baseline import (
     slice_orbits,
 )
 from cyconf.counting import count_orbit_scan
+from cyconf.iso import completeness_report
 from cyconf.residue_ring import CapExceeded, inverse, phi, units
 from helpers import (
     affine_image,
@@ -244,6 +245,16 @@ def test_canonical_form_cap_and_empty_set():
         canonical_form((), 7)
 
 
+def test_least_images_checks_the_modulus_before_reducing():
+    # v = 0 is refused before any s % v, and the empty set by
+    # _least_images, for the orbit size as for the canonical form
+    for route in (canonical_form, orbit_size):
+        with pytest.raises(ValueError, match="modulus must be a positive integer, got 0"):
+            route((0, 1, 3), 0)
+    with pytest.raises(ValueError, match="empty set has no canonical form"):
+        orbit_size((), 7)
+
+
 def test_canonical_form_is_orbit_invariant():
     for v in (9, 13):
         for S in enumerate_base_lines(v, 3):
@@ -264,14 +275,14 @@ def _least_image_scan(S, v):
 def test_least_images_lists_every_map_onto_the_form_once():
     # every slice member at v = 7..40 for k = 3 and 4, then seeded sets of
     # size 1..6 at v <= 300; the maps onto the form number |stabiliser|,
-    # which the orbit size, read off the independent _zero_images once
-    # per orbit, fixes
+    # which the orbit size, counted from the images through 0 that the
+    # independent _zero_images lists once per orbit, fixes
     rng = random.Random(22)
     cases = [(S, v) for k in (3, 4) for v in range(7, 41) for S in _slice(v, k, False)]
     for _ in range(600):
         v = rng.randint(1, 300)
         cases.append((rng.sample(range(v), rng.randint(1, min(6, v))), v))
-    sized = cache(orbit_size)
+    sized = cache(lambda form, v: len(set(_zero_images(form, v))) * v // len(form))
     for S, v in cases:
         form, maps = _least_images(S, v)
         assert (form, sorted(maps)) == _least_image_scan(S, v), (S, v)
@@ -279,10 +290,20 @@ def test_least_images_lists_every_map_onto_the_form_once():
 
 
 def test_orbit_size_matches_direct_expansion():
-    for v in (7, 8, 13):
-        for S in enumerate_base_lines(v, 3):
-            direct = {affine_image(S, a, b, v) for a in units(v) for b in range(v)}
-            assert orbit_size(S, v) == len(direct)
+    cases = [(S, v) for v in (7, 8, 13) for S in enumerate_base_lines(v, 3)]
+    # seeded sets of size 1..6 at v <= 40, disconnected and periodic ones included
+    rng = random.Random(25)
+    structured = 0
+    for v in range(1, 41):
+        for size in range(1, min(6, v) + 1):
+            extra = _structured_subsets(v, size, rng)
+            picked = rng.sample(extra, min(2, len(extra)))
+            cases += [(S, v) for S in [tuple(rng.sample(range(v), size)), *picked]]
+            structured += len(picked)
+    assert structured > 50
+    for S, v in cases:
+        direct = {affine_image(S, a, b, v) for a in units(v) for b in range(v)}
+        assert orbit_size(S, v) == len(direct), (S, v)
 
 
 def test_orbit_size_on_periodic_sets():
@@ -360,6 +381,17 @@ def test_enumeration_cap():
         ensure_enumerable(61, 4)
     ensure_enumerable(61, 4, cap=61)
     assert enumerate_base_lines(301, 3, cap=301) is not None
+    # within the cap, v must still be a positive integer
+    for route in (
+        lambda: enumerate_base_lines(0, 3),
+        lambda: enumerate_base_lines(7.0, 3),
+        lambda: count_orbit_scan(-7, 3),
+        lambda: completeness_report(0, 3),
+    ):
+        with pytest.raises(ValueError, match="modulus must be a positive integer"):
+            route()
+    with pytest.raises(CapExceeded, match="exceeds the enumeration cap 10000 for k=3"):
+        ensure_enumerable(10**10, 3, cap=10**10)
 
 
 ENGINE_CASES = [(v, 3) for v in range(7, 41)] + [(v, 4) for v in range(13, 26)]
@@ -471,6 +503,7 @@ BARE_WALK_ROUTES = {
     "representatives_only": lambda: enumerate_base_lines(
         13, 3, connected_only=True, representatives_only=True
     ),
+    "enumerate_reps_cli": lambda: cli.main(["enumerate", "--v", "13", "--reps", "--connected"]),
 }
 
 
@@ -501,7 +534,8 @@ def test_bare_walk_overlap_check_raises(monkeypatch, route):
 
 
 def test_orbit_size_check_raises(monkeypatch):
-    monkeypatch.setattr(baseline, "_zero_images", lambda S, v: iter([tuple(S)]))
+    # 5 maps onto the form cannot be a stabiliser: 5 does not divide 13 * 12
+    monkeypatch.setattr(baseline, "_least_images", lambda S, v: ((0, 1, 3), [(1, 0)] * 5))
     with pytest.raises(ArithmeticError):
         orbit_size((0, 1, 3), 13)
 

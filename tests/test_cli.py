@@ -4,13 +4,14 @@ import concurrent.futures
 import os
 import subprocess
 import sys
+from math import gcd
 from pathlib import Path
 
 import pytest
 
 import cyconf
 from cyconf import cli, iso
-from cyconf.baseline import _slice, canonical_form, enumerate_base_lines
+from cyconf.baseline import _slice, canonical_form, enumerate_base_lines, slice_orbits
 from cyconf.circulant import CirculantMatrix, incidence_text
 from cyconf.cli import _parse_span, main, entry
 from cyconf.counting import _slice_shift_keys, count_fixed_bruteforce
@@ -139,16 +140,21 @@ def test_enumerate_nothing_below_seven(capsys):
     "v,extra", [(31, ()), (42, ()), (28, ("--connected",)), (37, ("--k", "4")), (45, ("--k", "4"))]
 )
 def test_enumerate_reps_records_match_recomputed_ones(capsys, v, extra):
-    # the records take canonical form and orbit size from the orbit walk
+    # the reference is the witnessed walk: each rep is its own canonical
+    # form, counting (image, point) pairs two ways gives |orbit| * k =
+    # |members| * v, and a rep holds 0, so it is connected iff gcd(v, *rep) = 1
     rc, out, _ = run(capsys, "enumerate", "--v", str(v), "--reps", *extra)
     assert rc == 0
     k = 4 if "--k" in extra else 3
-    reps = enumerate_base_lines(
-        v, k, connected_only="--connected" in extra, representatives_only=True
-    )
-    assert out.splitlines() == [
-        cli._record_line(v, S, canonical_form(S, v), cli.orbit_size(S, v)) for S in reps
-    ]
+    want = []
+    for rep, members in slice_orbits(v, k, "--connected" in extra):
+        points = ",".join(map(str, rep))
+        connected = "true" if gcd(v, *rep) == 1 else "false"
+        want.append(
+            f"v={v} k={k} base_line={points} connected={connected}"
+            f" canonical={points} orbit_size={len(members) * v // k}"
+        )
+    assert out.splitlines() == want
 
 
 def test_enumerate_reps_argument_errors(capsys):

@@ -44,6 +44,7 @@ from .residue_ring import (
     _check_enumeration,
     _check_modulus,
     _clamped_cap,
+    _residues,
     inverse,
     phi,
     units,
@@ -61,7 +62,8 @@ def enumeration_cap(k: int, cap: int | None = None) -> int:
 
 
 def ensure_enumerable(v: int, k: int, cap: int | None = None) -> None:
-    """Raise CapExceeded past this k's enumeration cap, ValueError unless v is an int >= 1."""
+    """The enumeration routes' entry check: k, then this k's cap, then the modulus."""
+    _require_k(k)
     limit = enumeration_cap(k, cap)
     if v > limit:
         raise CapExceeded(f"v={v} exceeds the enumeration cap {limit} for k={k}")
@@ -69,12 +71,13 @@ def ensure_enumerable(v: int, k: int, cap: int | None = None) -> None:
 
 
 def _difference_set(S, v: int) -> frozenset[int]:
-    """The set of differences s1 - s2 mod v over all pairs from S."""
-    S = [s % v for s in S]
+    """The set of differences s1 - s2 mod v over all pairs from the residues S."""
     return frozenset((a - b) % v for a in S for b in S)
 
 
 def _require_k(k: int) -> None:
+    if not isinstance(k, int):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if k < 3:
         raise ValueError(f"base lines need k >= 3, got k={k}")
 
@@ -85,7 +88,7 @@ def is_base_line(S, v: int, k: int | None = None) -> bool:
     k defaults to |S|; k < 3 is rejected outright since the configuration
     axioms below degenerate there.
     """
-    elems = {s % v for s in S}
+    elems = _residues(S, v)
     if k is None:
         k = len(elems)
     _require_k(k)
@@ -101,7 +104,7 @@ def _component_split(S, v: int) -> tuple[int, list[int]]:
     so the configuration on S is g disjoint copies of the one on Z_d
     with base T.  The empty set gives (v, []).
     """
-    elems = sorted({s % v for s in S})
+    elems = _residues(S, v)
     shifted = [s - elems[0] for s in elems]
     g = gcd(v, *shifted)
     return g, [s // g for s in shifted]
@@ -141,8 +144,7 @@ def affine_map_between(S1, S2, v: int) -> tuple[int, int] | None:
     onto it are all the maps of S1 onto S2, so their least is the least
     pair a scan of all units finds.  It is replayed on S1 before return.
     """
-    set1 = frozenset(s % v for s in S1)
-    set2 = frozenset(s % v for s in S2)
+    set1, set2 = _residues(S1, v), _residues(S2, v)
     if len(set1) != len(set2):
         return None
     form1, maps1 = _least_images(set1, v)
@@ -152,7 +154,7 @@ def affine_map_between(S1, S2, v: int) -> tuple[int, int] | None:
     # m2**-1(a1*(y - x1)) = c*y + x2 - c*x1 with c = a1 / a2
     inv = inverse(a2, v)
     a, b = min((a1 * inv % v, (x2 - a1 * inv * x1) % v) for a1, x1 in maps1)
-    if {(a * s + b) % v for s in set1} != set2:
+    if tuple(sorted((a * s + b) % v for s in set1)) != set2:
         raise RuntimeError(f"no affine map {sorted(set1)} -> {sorted(set2)} mod {v}")
     return a, b
 
@@ -198,7 +200,7 @@ def _least_images(S, v: int) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
     one s - x at most onto g, so each map is listed once, |stabiliser| in all.
     """
     _check_enumeration(v)
-    elems = sorted({s % v for s in S})
+    elems = _residues(S, v)
     if not elems:
         raise ValueError("empty set has no canonical form")
     if len(elems) == 1:
@@ -357,16 +359,6 @@ def slice_orbits(v: int, k: int, connected: bool) -> Iterator[SliceOrbit]:
         yield SliceOrbit(rep, tuple(members))
 
 
-def _check_enumerate_args(
-    v: int, k: int, expand: bool, representatives_only: bool, cap: int | None
-) -> None:
-    # the argument checks of enumerate_base_lines, in its order
-    _require_k(k)
-    if expand and representatives_only:
-        raise ValueError("expand and representatives_only are mutually exclusive")
-    ensure_enumerable(v, k, cap)
-
-
 def enumerate_base_lines(
     v: int,
     k: int,
@@ -383,7 +375,10 @@ def enumerate_base_lines(
     collapses to one canonical representative per affine orbit.  The
     result is empty when k*k - k + 1 > v.
     """
-    _check_enumerate_args(v, k, expand, representatives_only, cap)
+    _require_k(k)
+    if expand and representatives_only:
+        raise ValueError("expand and representatives_only are mutually exclusive")
+    ensure_enumerable(v, k, cap)
     if representatives_only:
         return [rep for rep, _ in _orbit_walk(v, k, connected_only)]
     slice_ = _slice(v, k, connected_only)

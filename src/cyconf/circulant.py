@@ -33,7 +33,7 @@ from math import gcd
 from . import _search
 from ._record import Record
 from .baseline import affine_map_between
-from .residue_ring import _check_cap, _check_enumeration
+from .residue_ring import _check_cap, _check_enumeration, _residues
 
 PAQ_SEARCH_CAP = 300
 GRAM_CAP = 1000
@@ -47,9 +47,7 @@ class CirculantMatrix(Record, namedtuple("CirculantMatrix", "v support")):
     support: tuple[int, ...]
 
     def __new__(cls, v: int, support) -> CirculantMatrix:
-        if v < 1:
-            raise ValueError("modulus must be positive")
-        return super().__new__(cls, v, tuple(sorted({s % v for s in support})))
+        return super().__new__(cls, v, _residues(support, v))
 
     @property
     def weight(self) -> int:
@@ -208,6 +206,7 @@ def exceptional_weight4_witness(v: int, S1, S2) -> Weight4Witness | None:
     x/2 not congruent to y + u/(2x) modulo u/x.  Each side is normalized
     by its own affine map; both are reported.  Odd v has no such family.
     """
+    S1, S2 = _residues(S1, v), _residues(S2, v)
     if v % 2:
         return None
     _check_enumeration(v)

@@ -38,7 +38,7 @@ from .counting import (
     count_unit_sum,
 )
 from .iso import completeness_report, isomorphic, witness_valid
-from .residue_ring import phi, units
+from .residue_ring import _residues, phi, units
 
 
 class CliError(Exception):
@@ -82,10 +82,10 @@ def _parse_points(text: str, v: int) -> tuple[int, ...]:
         raw = [int(part) for part in text.split(",")]
     except ValueError:
         raise CliError(f"expected comma-separated residues, got {text!r}") from None
-    pts = sorted({x % v for x in raw})
+    pts = _residues(raw, v)
     if len(pts) != len(raw):
         raise CliError(f"residues collide mod {v}: {text!r}")
-    return tuple(pts)
+    return pts
 
 
 def _parse_base_line(text: str, v: int) -> tuple[int, ...]:

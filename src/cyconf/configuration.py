@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections import namedtuple
 from ._record import Record
 from .circulant import CirculantMatrix, _translates
+from .residue_ring import _check_positive, _residues
 
 
 class CyclicConfiguration(Record, namedtuple("CyclicConfiguration", "v base")):
@@ -36,9 +37,7 @@ class CyclicConfiguration(Record, namedtuple("CyclicConfiguration", "v base")):
     base: tuple[int, ...]
 
     def __new__(cls, v: int, base) -> CyclicConfiguration:
-        if v < 1:
-            raise ValueError("modulus must be positive")
-        cleaned = tuple(sorted({s % v for s in base}))
+        cleaned = _residues(base, v)
         if not cleaned:
             raise ValueError("base must be nonempty")
         return super().__new__(cls, v, cleaned)
@@ -129,9 +128,10 @@ def parse_levi_text(text: str) -> LeviGraph:
     if not rows:
         raise ValueError("empty levi text")
     head = rows[0].split()
-    if len(head) != 3 or head[0] != "levi":
+    if len(head) != 3 or head[0] != "levi" or int(head[2]) < 1:
         raise ValueError(f"bad levi header: {rows[0]!r}")
     v, k = int(head[1]), int(head[2])
+    _check_positive(v)
     edges = []
     for row in rows[1:]:
         parts = row.split()
@@ -141,4 +141,6 @@ def parse_levi_text(text: str) -> LeviGraph:
         if not (0 <= p < v and 0 <= l < v):
             raise ValueError(f"edge out of range: {row!r}")
         edges.append((p, l))
+    if len(set(edges)) != len(edges):
+        raise ValueError("repeated levi edge")
     return LeviGraph(v, k, tuple(edges))

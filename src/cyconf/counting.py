@@ -43,18 +43,13 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from .baseline import _check_enumerate_args, _orbit_walk, _slice, _unit_solutions
-from .baseline import canonical_form
-from .residue_ring import (
-    big_phi,
-    factorization,
-    mult_order,
-    phi,
-    units,
-)
+from .baseline import _orbit_walk, _slice, _unit_solutions
+from .baseline import canonical_form, ensure_enumerable
+from .residue_ring import _check_positive, big_phi, factorization, mult_order, phi, units
 
 
 def _require_v(v: int) -> None:
+    _check_positive(v)
     if v <= 4:
         raise ValueError(f"counts are defined for v > 4, got v={v}")
 
@@ -123,7 +118,7 @@ def count_fixed_bruteforce(v: int, k: int, l: int, cap: int | None = None) -> in
     `verify` reads all units at once from the one-pass _fixed_table;
     this walk is the table's test oracle and criterion 3's.
     """
-    _check_enumerate_args(v, k, expand=False, representatives_only=False, cap=cap)
+    ensure_enumerable(v, k, cap)
     mult_order(l, v)  # rejects non-units
     slice_, keys = _slice_shift_keys(v, k)
     count = 0
@@ -249,7 +244,7 @@ def count_orbit_scan(v: int, k: int = 3, cap: int | None = None) -> int:
     every representative must be its own canonical form and the orbit
     sizes must add up to the slice size, else ArithmeticError.
     """
-    _check_enumerate_args(v, k, False, False, cap)  # enumerate_base_lines' checks
+    ensure_enumerable(v, k, cap)
     size = len(_slice(v, k, True))
     orbits = covered = 0
     for rep, first in _orbit_walk(v, k, connected=True):

@@ -1,8 +1,10 @@
 """Exact arithmetic in the residue ring Z_v and its unit group.
 
-Everything here is integer arithmetic on plain ints.  A residue is an int
-in ``range(v)``; a unit is a residue coprime to v.  Factorization is by
-trial division, cached for 1024 moduli: plenty at the desk scale this
+Everything here is integer arithmetic on plain ints.  A modulus is an
+int v >= 1, not a bool (_check_positive, the one test); a residue is an
+int in ``range(v)``, and _residues is the one reader of a point set mod
+v; a unit is a residue coprime to v.  Factorization is by trial
+division, cached for 1024 moduli: plenty at the desk scale this
 package targets.  Closed-form paths accept v up to 10**9, enumeration
 paths (anything that walks all residues) are capped at 10**4.
 """
@@ -20,9 +22,19 @@ class CapExceeded(ValueError):
     """Raised when a modulus is beyond the supported desk scale."""
 
 
-def _check_modulus(v: int) -> None:
-    if not isinstance(v, int) or v < 1:
+def _check_positive(v: int) -> None:
+    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
         raise ValueError(f"modulus must be a positive integer, got {v!r}")
+
+
+def _residues(S, v: int) -> tuple[int, ...]:
+    """The distinct residues of S mod v, in increasing order."""
+    _check_positive(v)
+    return tuple(sorted({s % v for s in S}))
+
+
+def _check_modulus(v: int) -> None:
+    _check_positive(v)
     if v > FORMULA_CAP:
         raise CapExceeded(f"modulus {v} exceeds the closed-form cap {FORMULA_CAP}")
 
@@ -44,7 +56,7 @@ def _check_cap(v: int, cap: int | None, default: int, route: str) -> None:
         raise CapExceeded(f"v={v} exceeds the {route} cap {limit}")
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=1024, typed=True)  # typed: 7.0 and True must miss the entries of 7 and 1
 def factorization(v: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of v as ((p1, e1), ...) with p1 < p2 < ...
 
@@ -90,7 +102,7 @@ def big_phi(v: int) -> int:
     return prod(p ** (e - 1) * (p + 1) for p, e in factorization(v))
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=32, typed=True)
 def units(v: int) -> tuple[int, ...]:
     """All units of Z_v in increasing residue order."""
     _check_enumeration(v)

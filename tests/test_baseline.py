@@ -72,6 +72,16 @@ def test_is_base_line_rejects_small_k():
         is_base_line((0, 1), 7)
     with pytest.raises(ValueError):
         is_base_line((0, 1, 3), 7, k=2)
+    # a k that is not an int is refused too, before any slice is built
+    for k in (3.0, 4.5):
+        for route in (
+            lambda: is_base_line((0, 1, 3), 7, k),
+            lambda: enumerate_base_lines(13, k),
+            lambda: count_orbit_scan(13, k),
+            lambda: completeness_report(13, k),
+        ):
+            with pytest.raises(ValueError, match="k must be an integer, got"):
+                route()
 
 
 def test_is_connected():

@@ -207,6 +207,10 @@ def test_parse_levi_text_rejects_garbage():
         parse_levi_text("levi 7 3\np0 q0")
     with pytest.raises(ValueError):
         parse_levi_text("levi 7 3\np9 l0")
+    # a modulus below 1, a k below 1 and a repeated edge
+    for text in ("levi 0 3\n", "levi -7 3\n", "levi 7 -2\n", "levi 7 3\np0 l0\np0 l0\n"):
+        with pytest.raises(ValueError):
+            parse_levi_text(text)
 
 
 def test_incidence_matrix_rows():

@@ -23,7 +23,7 @@ is at least 6 exactly when the configuration axioms hold.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from ._record import Record
 from .circulant import CirculantMatrix, _translates
 from .residue_ring import _check_positive, _residues
@@ -123,7 +123,11 @@ def levi_text(G: LeviGraph) -> str:
 
 
 def parse_levi_text(text: str) -> LeviGraph:
-    """Inverse of levi_text; rejects malformed headers or edges."""
+    """Inverse of levi_text; rejects malformed headers or edges.
+
+    Every point and every line must lie on exactly k of the edges, as in
+    every levi_graph.
+    """
     rows = [r for r in text.splitlines() if r.strip()]
     if not rows:
         raise ValueError("empty levi text")
@@ -143,4 +147,8 @@ def parse_levi_text(text: str) -> LeviGraph:
         edges.append((p, l))
     if len(set(edges)) != len(edges):
         raise ValueError("repeated levi edge")
+    # v*k edges first, so a huge v with few edges is refused before any O(v) walk
+    on_point, on_line = Counter(p for p, _ in edges), Counter(l for _, l in edges)
+    if len(edges) != v * k or any(on_point[x] != k or on_line[x] != k for x in range(v)):
+        raise ValueError(f"levi edges do not put every point and line on {k} edges")
     return LeviGraph(v, k, tuple(edges))

@@ -17,11 +17,12 @@ first compares refinement traces, which prove NON-ISO when they
 differ, and searches only when they agree.  The traces are compared
 round by round while they are computed, and refinement stops at the
 first round in which they differ, since the rest of the trace cannot
-make them equal again.  Then the refinement's final
-point colouring restricts each point's images to its own colour class.
-Every bijection fixing point 0 respects that colouring, so the search
-loses only subtrees that hold no witness and still returns the first
-witness in increasing candidate order.  Disconnected
+make them equal again.  No round is stored: a refined configuration
+keeps only its final point colouring, which restricts each point's
+images to its own colour class.  Every bijection fixing point 0
+respects that colouring, so the search loses only subtrees that hold
+no witness and still returns the first witness in increasing
+candidate order.  Disconnected
 configurations are compared through their component decompositions, and
 the returned witness is still a full point bijection, assembled from an
 affine match of the components and replayable like any other witness.
@@ -118,33 +119,26 @@ def _refinement_rounds(C: CyclicConfiguration):
 
     Works on Z_v directly: point x lies on the lines x - s and line i holds
     the points i + s, so a round's neighbour colours are the line and point
-    colour lists read through _translates by -S and S.  Only when the last
-    round is reached is (trace, final point colouring) kept on C, as
-    "_refined"; a caller that stops earlier leaves C unrefined.  A refined
-    C replays its kept trace.
+    colour lists read through _translates by -S and S.  No round is kept:
+    a caller compares each as it comes.  Only when the last round is
+    reached is the final point colouring, one colour per point, kept on
+    C as "_refined"; a caller that stops earlier leaves C unrefined.
     """
-    kept = _kept(C, "_refined")
-    if kept:
-        yield from kept[0]
-        return
     v, S = C.v, C.base
     points = [0] + [1] * (v - 1)
     lines = [2] * v
     classes = len(set(points + lines))
-    trace = []
     while True:
         around_points = _translates(lines, [-s for s in S])
         around_lines = _translates(points, S)
         point_sigs = list(zip(points, map(tuple, map(sorted, around_points))))
         line_sigs = list(zip(lines, map(tuple, map(sorted, around_lines))))
         entry = tuple(sorted(Counter(point_sigs + line_sigs).items()))
-        trace.append(entry)
-        done = len(entry) == classes
-        if done:
-            _kept(C, "_refined", lambda: (tuple(trace), tuple(points)))
-        yield entry
-        if done:
+        if len(entry) == classes:
+            _kept(C, "_refined", lambda: tuple(points))
+            yield entry
             return
+        yield entry
         index = {sig: n for n, (sig, _) in enumerate(entry)}
         points = list(map(index.__getitem__, point_sigs))
         lines = list(map(index.__getitem__, line_sigs))
@@ -189,11 +183,13 @@ def exact_isomorphic(
     automorphisms.  Deterministic: the first witness in increasing
     candidate order is returned.
 
-    When both configurations have already been refined, unequal traces
-    answer None, and equal ones let each point be mapped only into its
-    own colour class.  Every bijection fixing 0 respects those classes,
-    so the search only skips subtrees that hold no witness, and returns
-    the same first witness.  Nothing is refined here otherwise.
+    When both configurations have already been refined, each point is
+    mapped only into its own class of the kept final colourings.  With
+    equal traces every bijection fixing 0 respects those classes, so the
+    search only skips subtrees that hold no witness, and returns the
+    same first witness.  With unequal traces no bijection fixing 0
+    exists, and the search yields only genuine ones, so the answer is
+    None either way.  Nothing is refined here otherwise.
     """
     if C1.v != C2.v:
         raise ValueError("isomorphism needs a common point count")
@@ -202,12 +198,8 @@ def exact_isomorphic(
         return None
     if C1.line_set() == C2.line_set():
         return IsoWitness(kind="explicit", point_map=tuple(range(C1.v)))
-    colours = None
-    kept1, kept2 = _kept(C1, "_refined"), _kept(C2, "_refined")
-    if kept1 and kept2:
-        if kept1[0] != kept2[0]:
-            return None
-        colours = (kept1[1], kept2[1])
+    c1, c2 = _kept(C1, "_refined"), _kept(C2, "_refined")
+    colours = (c1, c2) if c1 and c2 else None
     for sigma in _search.line_bijections(
         C1.v, C1.lines(), C2.lines(), fix_zero=True, colours=colours
     ):

@@ -140,4 +140,5 @@ def is_ci_order(v: int) -> bool:
 
 def inverse(x: int, v: int) -> int:
     """Multiplicative inverse of the unit x modulo v."""
+    _check_positive(v)
     return pow(x, -1, v) if v > 1 else 0

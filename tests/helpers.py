@@ -6,6 +6,7 @@ from bisect import bisect_left
 from collections import Counter, deque
 from collections.abc import Iterator
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from math import gcd
 
@@ -15,6 +16,7 @@ from cyconf.circulant import CirculantMatrix, _gram_profile
 from cyconf.configuration import (
     CyclicConfiguration,
     LeviGraph,
+    _kept,
     _maps_lines_onto,
     levi_graph,
 )
@@ -129,12 +131,21 @@ def reference_affine_map_between(S1, S2, v: int) -> tuple[int, int] | None:
     return None
 
 
+@lru_cache(maxsize=None)  # configurations hash and compare by (v, base)
 def full_trace(C: CyclicConfiguration) -> tuple:
-    """C's whole refinement trace; refining to the last round keeps it on C.
+    """C's whole refinement trace, computed once per (v, base).
 
-    Drains `iso._refinement_rounds`, which replays a kept trace.
+    Drains `iso._refinement_rounds` on a fresh copy, so C itself is left
+    as it was: the library keeps no trace to replay, and pairwise
+    comparisons would otherwise refine every configuration again.
     """
-    return tuple(_refinement_rounds(C))
+    return tuple(_refinement_rounds(CyclicConfiguration(C.v, C.base)))
+
+
+def refined_colours(C: CyclicConfiguration) -> tuple[int, ...]:
+    """Refine C itself to its last round; the final point colouring it keeps."""
+    deque(_refinement_rounds(C), maxlen=0)
+    return _kept(C, "_refined")
 
 
 def reference_refinement_invariant(C: CyclicConfiguration) -> tuple:

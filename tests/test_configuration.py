@@ -211,6 +211,13 @@ def test_parse_levi_text_rejects_garbage():
     for text in ("levi 0 3\n", "levi -7 3\n", "levi 7 -2\n", "levi 7 3\np0 l0\np0 l0\n"):
         with pytest.raises(ValueError):
             parse_levi_text(text)
+    # 1 edge where 21 are needed, and the Fano plane with one edge moved
+    # so that point 0 lies on 4 lines and point 1 on 2
+    fano = levi_text(levi_graph(FANO))
+    assert "p1 l0" in fano and "p0 l2" not in fano
+    for text in ("levi 7 3\np0 l0\n", fano.replace("p1 l0", "p0 l2")):
+        with pytest.raises(ValueError, match="on 3 edges"):
+            parse_levi_text(text)
 
 
 def test_incidence_matrix_rows():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from itertools import combinations
 from math import gcd
 
@@ -21,7 +22,13 @@ from cyconf.iso import (
     witness_valid,
 )
 from cyconf.residue_ring import CapExceeded, factorization, inverse, is_ci_order, units
-from helpers import affine_image, full_trace, reference_maps_lines_onto, reference_refinement_invariant
+from helpers import (
+    affine_image,
+    full_trace,
+    reference_maps_lines_onto,
+    reference_refinement_invariant,
+    refined_colours,
+)
 
 FANO = CyclicConfiguration(7, (0, 1, 3))
 MOEBIUS_KANTOR = CyclicConfiguration(8, (0, 1, 3))
@@ -364,16 +371,35 @@ def test_refinement_matches_the_levi_graph_reference():
 
 
 def test_refinement_is_kept_on_the_configuration():
+    # only the final point colouring is kept, one colour per point, and
+    # refining again keeps the first one
     C = CyclicConfiguration(13, (0, 1, 3))
-    trace = full_trace(C)
-    kept = _kept(C, "_refined")
-    trace_kept, colours = kept
-    assert trace_kept == trace
-    assert full_trace(C) == trace and _kept(C, "_refined") is kept  # replayed, not redone
+    assert _kept(C, "_refined") is None
+    colours = refined_colours(C)
+    assert refined_colours(C) is colours
+    assert vars(C) == {"_refined": colours}
     assert C == CyclicConfiguration(13, (0, 1, 3))
     assert hash(C) == hash(CyclicConfiguration(13, (0, 1, 3)))
-    # point 0 keeps a class of its own; the colours are the final round's
-    assert colours.count(colours[0]) == 1 and len(colours) == 13
+    # point 0 keeps a class of its own, and each point class has the
+    # size that the last round of the trace gives its signature
+    assert isinstance(colours, tuple) and len(colours) == 13
+    assert colours.count(colours[0]) == 1
+    sizes = {sig[0]: n for sig, n in full_trace(C)[-1]}
+    assert all(colours.count(c) == sizes[c] for c in colours)
+
+
+def test_refinement_keeps_no_trace_in_memory():
+    # a base of span 15 needs about v/30 rounds, each O(v*k) in size, so
+    # a kept trace grows as O(v**2): about 30 MB here
+    C1, C2 = (CyclicConfiguration(1000, (0, 1, 3, 7, 15)) for _ in range(2))
+    tracemalloc.start()
+    try:
+        groups = iso._equal_trace_groups((C1, C2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert groups == [[0, 1]]
+    assert peak < 8 * 2**20, peak
 
 
 def _first_unpruned(C1, C2):
@@ -386,6 +412,8 @@ def _assert_pruning_keeps_the_witness(pairs):
     for C1, C2 in pairs:
         assert C1.line_set() != C2.line_set()  # else the identity shortcut answers
         assert full_trace(C1) == full_trace(C2)
+        refined_colours(C1)
+        refined_colours(C2)
         w = exact_isomorphic(C1, C2)
         assert (w.point_map if w else None) == _first_unpruned(C1, C2), (C1, C2)
 
@@ -394,11 +422,14 @@ def _assert_pruning_keeps_the_witness(pairs):
 def test_pruned_search_returns_the_unpruned_witness(k, vs):
     # member/rep pairs, a few members per orbit, and every pair of
     # representatives with equal invariants (none are known at these
-    # sizes); the other representative pairs must answer NON-ISO
+    # sizes); the other representative pairs must answer NON-ISO, pruned
+    # by colourings from unequal traces
     rng = random.Random(k)
     for v in vs:
         orbits = list(slice_orbits(v, k, connected=True))
         reps = [CyclicConfiguration(v, orbit.rep) for orbit in orbits]
+        for R in reps:
+            refined_colours(R)
         pairs = []
         for orbit, rep in zip(orbits, reps):
             members = [m for m, _, _ in orbit.members if m != orbit.rep]
@@ -429,23 +460,31 @@ def test_pruned_search_returns_the_unpruned_witness_at_k6():
 
 
 def test_exact_refines_nothing_itself(monkeypatch):
-    # an unrefined configuration is searched unpruned, and the search is
-    # skipped outright when cached traces differ
+    # an unrefined configuration is searched unpruned, and colourings
+    # cached from unequal traces prune the search, which finds nothing
     C1, C3, C4 = _reps(28, 5)[:3]
     C2 = CyclicConfiguration(28, affine_image(C1.base, 3, 5, 28))
     assert exact_isomorphic(C1, C2) is not None
     assert _kept(C1, "_refined") is None and _kept(C2, "_refined") is None
-    full_trace(C3)
-    full_trace(C4)
-    monkeypatch.setattr(_search, "line_bijections", None)
+    colours = refined_colours(C3), refined_colours(C4)
+    assert full_trace(C3) != full_trace(C4)
+    searched = []
+    line_bijections = _search.line_bijections
+
+    def recording(*args, **kwargs):
+        searched.append(kwargs["colours"])
+        return line_bijections(*args, **kwargs)
+
+    monkeypatch.setattr(_search, "line_bijections", recording)
     assert exact_isomorphic(C3, C4) is None
+    assert searched == [colours]
 
 
 def _trace_groups_by_full_traces(configs):
     """The groups _equal_trace_groups must return, from full traces of fresh copies."""
     by_trace: dict = {}
     for i, C in enumerate(configs):
-        by_trace.setdefault(full_trace(CyclicConfiguration(C.v, C.base)), []).append(i)
+        by_trace.setdefault(full_trace(C), []).append(i)
     return sorted(group for group in by_trace.values() if len(group) > 1)
 
 
@@ -459,16 +498,17 @@ def test_trace_groups_are_full_trace_equality(k, vs):
         want = _trace_groups_by_full_traces(configs)
         got = iso._equal_trace_groups(configs)
         assert got == want, (v, k)
-        for group in got:
-            trace = full_trace(CyclicConfiguration(v, configs[group[0]].base))
-            assert all(_kept(configs[i], "_refined")[0] == trace for i in group)
+        # each grouped configuration keeps the colouring a fresh refinement gives
+        for i in (i for group in got for i in group):
+            fresh = CyclicConfiguration(v, configs[i].base)
+            assert _kept(configs[i], "_refined") == refined_colours(fresh), (v, configs[i])
 
 
 def test_a_representative_refines_only_until_its_trace_parts():
     # a representative whose trace prefix is its own before its last
     # round is dropped there and keeps no refinement
     reps = _reps(40, 3)
-    traces = [full_trace(CyclicConfiguration(40, R.base)) for R in reps]
+    traces = [full_trace(R) for R in reps]
     assert iso._equal_trace_groups(reps) == []
     unrefined = 0
     for C, trace in zip(reps, traces):

@@ -145,6 +145,9 @@ def test_inverse():
             assert x * inverse(x, v) % v == 1
     with pytest.raises(ValueError):
         inverse(6, 21)
+    for v in (0, -7, True, 7.0):
+        with pytest.raises(ValueError, match="modulus must be a positive integer, got"):
+            inverse(3, v)
 
 
 def test_cap_exceeded_is_a_value_error():

@@ -21,10 +21,10 @@ import pytest
 from cyconf import _search
 from cyconf.baseline import enumerate_base_lines
 from cyconf.circulant import CirculantMatrix
-from cyconf.configuration import CyclicConfiguration, _kept
+from cyconf.configuration import CyclicConfiguration
 from cyconf.iso import automorphisms, exact_isomorphic, witness_valid
 from cyconf.residue_ring import units
-from helpers import affine_image, full_trace
+from helpers import affine_image, refined_colours
 
 
 def reference_line_bijections(v, lines1, lines2, *, fix_zero=False, cap=None):
@@ -269,8 +269,7 @@ def test_colour_pruning_keeps_every_pinned_automorphism(k, vs):
         for R in _reps(v, k, connected_only=v > 16):
             C = CyclicConfiguration(v, R)
             lines = C.lines()
-            full_trace(C)
-            colours = _kept(C, "_refined")[1]
+            colours = refined_colours(C)
             want = list(_search.line_bijections(v, lines, lines, fix_zero=True))
             got = list(_search.line_bijections(v, lines, lines, fix_zero=True, colours=(colours, colours)))
             assert got == want, (v, R)

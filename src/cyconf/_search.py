@@ -25,8 +25,8 @@ only.  The nodes live on one explicit stack, a frame per assigned point
 holding its untried candidates, so the depth is not bounded by Python's
 recursion limit; each frame holds copies of ``cand`` and that dict
 instead of an undo log.  No line is partially assigned at the root, so
-the first point chosen is always point 0, and ``fix_zero`` only narrows
-its candidates to 0.  The last point yields at its leaf directly.
+the first point chosen is always point 0, and its only candidate is 0.
+The last point yields at its leaf directly.
 
 A caller that knows a point colouring every solution respects, such as
 the final colouring of equal refinement traces, can pass it to restrict
@@ -47,15 +47,13 @@ def line_bijections(
     lines1,
     lines2,
     *,
-    fix_zero: bool = False,
     colours: tuple | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Yield point bijections carrying the first line multiset onto the second.
 
-    ``fix_zero`` restricts the search to sigma(0) = 0, which is complete
-    for finding one witness whenever lines2 is closed under translation
-    (composing with a translation moves sigma(0) anywhere).  Never set it
-    when every solution is wanted.
+    Only sigma(0) = 0 is searched.  That is complete whenever lines2 is
+    closed under translation, as every caller's is: composing with a
+    translation moves sigma(0) anywhere.
 
     ``colours``, a pair (c1, c2) of point colourings, restricts each
     point x to the images y with c2[y] == c1[x].  It must be a colouring
@@ -125,13 +123,8 @@ def line_bijections(
     # line i; partial maps each partially assigned line to
     # |cand[i]| * m + i, so its least value is the tightest line; used
     # holds the images taken and free the points not yet mapped
-    if not v:
-        if not fix_zero:
-            yield ()
-        return
     cand = [of_size[len(L)] for L in lines1]
-    ys = candidates(0, cand, 0)
-    stack = [(0, ys & 1 if fix_zero else ys, cand, {}, 0, everything ^ 1)]
+    stack = [(0, candidates(0, cand, 0) & 1, cand, {}, 0, everything ^ 1)]
     while stack:
         x, ys, cand, partial, used, free = stack[-1]
         if not ys:

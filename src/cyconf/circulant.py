@@ -168,7 +168,7 @@ def paq_equivalent(
     _check_cap(v, cap, PAQ_SEARCH_CAP, "paq search")
     lines1 = A1.translate_system()
     lines2 = A2.translate_system()
-    sigma = next(_search.line_bijections(v, lines1, lines2, fix_zero=True), None)
+    sigma = next(_search.line_bijections(v, lines1, lines2), None)
     if sigma is None:
         return None
     # repeated lines take their rows in increasing order

@@ -200,25 +200,27 @@ def exact_isomorphic(
         return IsoWitness(kind="explicit", point_map=tuple(range(C1.v)))
     c1, c2 = _kept(C1, "_refined"), _kept(C2, "_refined")
     colours = (c1, c2) if c1 and c2 else None
-    for sigma in _search.line_bijections(
-        C1.v, C1.lines(), C2.lines(), fix_zero=True, colours=colours
-    ):
+    for sigma in _search.line_bijections(C1.v, C1.lines(), C2.lines(), colours=colours):
         return IsoWitness(kind="explicit", point_map=sigma)
     return None
 
 
 def automorphisms(C: CyclicConfiguration, cap: int | None = None) -> list[tuple[int, ...]]:
-    """All point bijections preserving the line set, in search order.
+    """All point bijections preserving the line set, in increasing order.
 
-    Raises CapExceeded as soon as more than AUTOMORPHISM_CAP are found.
+    Every automorphism is a translation x -> x + t composed with one that
+    fixes point 0, so one search lists those and each is composed with
+    the v translations.  Raises CapExceeded, before composing any, as
+    soon as v times the number fixing 0 exceeds AUTOMORPHISM_CAP.
     """
-    _check_cap(C.v, cap, EXACT_SEARCH_CAP, "exact search")
-    found = []
-    for sigma in _search.line_bijections(C.v, C.lines(), C.lines(), fix_zero=False):
-        if len(found) == AUTOMORPHISM_CAP:
+    v = C.v
+    _check_cap(v, cap, EXACT_SEARCH_CAP, "exact search")
+    fixing = []
+    for sigma in _search.line_bijections(v, C.lines(), C.lines()):
+        fixing.append(sigma)
+        if v * len(fixing) > AUTOMORPHISM_CAP:
             raise CapExceeded(f"{C} has more than {AUTOMORPHISM_CAP} automorphisms")
-        found.append(sigma)
-    return found
+    return sorted(tuple((y + t) % v for y in sigma) for t in range(v) for sigma in fixing)
 
 
 def _multiplier_complete(v: int, k: int) -> bool:

@@ -156,6 +156,30 @@ def test_automorphisms_refuse_a_huge_group():
     assert len(automorphisms(CyclicConfiguration(12, (0, 4, 8)))) == 31104
 
 
+def test_automorphisms_search_only_the_maps_that_fix_zero(monkeypatch):
+    # the translations supply every image of 0, so the search draws
+    # |Aut|/v maps, and a huge group is refused once v times the draws
+    # pass the cap
+    draws = []
+    line_bijections = _search.line_bijections
+
+    def counting(*args, **kwargs):
+        for sigma in line_bijections(*args, **kwargs):
+            draws.append(sigma)
+            yield sigma
+
+    monkeypatch.setattr(_search, "line_bijections", counting)
+    for C, order in ((FANO, 168), (CyclicConfiguration(12, (0, 4, 8)), 31104)):
+        draws.clear()
+        assert len(automorphisms(C)) == order
+        assert len(draws) == order // C.v
+    draws.clear()
+    C = CyclicConfiguration(280, (0, 40, 120))
+    with pytest.raises(CapExceeded, match=f"has more than {iso.AUTOMORPHISM_CAP} automorphisms"):
+        automorphisms(C)
+    assert len(draws) <= iso.AUTOMORPHISM_CAP // C.v + 1
+
+
 def test_automorphism_group_orders():
     assert len(automorphisms(FANO)) == 168
     assert len(automorphisms(MOEBIUS_KANTOR)) == 48
@@ -308,7 +332,7 @@ def _coloured_levi(C):
 
 def _three_verdicts(C1, C2):
     """(invariants equal, search finds a bijection, VF2 finds an isomorphism)."""
-    searched = next(_search.line_bijections(C1.v, C1.lines(), C2.lines(), fix_zero=True), None)
+    searched = next(_search.line_bijections(C1.v, C1.lines(), C2.lines()), None)
     matcher = GraphMatcher(
         _coloured_levi(C1), _coloured_levi(C2), node_match=lambda a, b: a["colour"] == b["colour"]
     )
@@ -403,7 +427,7 @@ def test_refinement_keeps_no_trace_in_memory():
 
 
 def _first_unpruned(C1, C2):
-    return next(_search.line_bijections(C1.v, C1.lines(), C2.lines(), fix_zero=True), None)
+    return next(_search.line_bijections(C1.v, C1.lines(), C2.lines()), None)
 
 
 def _assert_pruning_keeps_the_witness(pairs):

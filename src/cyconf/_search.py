@@ -1,10 +1,13 @@
-"""Backtracking search for point bijections between line systems.
+"""Backtracking search for point bijections between two cyclic line systems.
 
-A line system is a list of point subsets of Z_v, one per translation
-index, possibly with repeats (periodic supports repeat translates).  The
-search looks for bijections sigma on points such that the multiset
-{sigma(L) : L in lines1} equals the multiset lines2.  This is exactly
+A line system is the v translates S + t of a base S, so a periodic
+base repeats lines.  The search looks for bijections sigma on points
+that carry the lines of S1, as a multiset, onto those of S2: exactly
 color-preserving isomorphism of the two bipartite incidence graphs.
+Bases of unequal size or period (number of distinct translates) have
+none and are not searched.  Otherwise a full assignment needs no check:
+it carries each line onto its one compatible line, so the d distinct
+lines of S1 one-to-one onto the d of S2, each v/d times over.
 
 The search assigns point images one at a time, keeping for every line of
 the first system the still-compatible lines of the second, and always
@@ -17,8 +20,8 @@ mask of system-2 lines through point y, so assigning x -> y is one AND
 per line through x; the images already used are one mask, and so are
 the points not yet assigned.  A point's candidates are the points
 covered by the compatible lines of every line through it, memoized per
-mask; a line with no assigned point is compatible with every line of
-its size, so those lines share one mask and one memoized point set.
+mask; a line with no assigned point is compatible with every line, so
+those lines share one mask and one memoized point set.
 The partially assigned lines are kept in a dict that maps each to its
 (|cand|, index) rank, so choosing the next point looks at those lines
 only.  The nodes live on one explicit stack, a frame per assigned point
@@ -38,56 +41,37 @@ their order, do not change.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterator
 
 
 def line_bijections(
     v: int,
-    lines1,
-    lines2,
+    S1: tuple[int, ...],
+    S2: tuple[int, ...],
     *,
     colours: tuple | None = None,
 ) -> Iterator[tuple[int, ...]]:
-    """Yield point bijections carrying the first line multiset onto the second.
+    """Yield point bijections carrying the translates of S1 onto those of S2.
 
-    Only sigma(0) = 0 is searched.  That is complete whenever lines2 is
-    closed under translation, as every caller's is: composing with a
-    translation moves sigma(0) anywhere.
+    S1 and S2 are sorted tuples of residues mod v.  Only sigma(0) = 0 is
+    searched, which is complete because composing with a translation
+    moves sigma(0) anywhere.
 
     ``colours``, a pair (c1, c2) of point colourings, restricts each
     point x to the images y with c2[y] == c1[x].  It must be a colouring
     that every yielded bijection respects, such as equal refinement
     traces give; then the yields and their order are unchanged.
     """
-    lines1 = [frozenset(L) for L in lines1]
-    lines2 = [frozenset(L) for L in lines2]
-    if len(lines1) != len(lines2):
-        return
-    if Counter(map(len, lines1)) != Counter(map(len, lines2)):
-        return
-    # Every full assignment maps each line onto a same-size line of system
-    # 2 (its cand mask never empties).  Without repeats in lines1 those
-    # images are distinct, so they fill lines2 as a multiset; with repeats
-    # the leaf must compare multisets.
-    target = Counter(lines2) if len(set(lines1)) < len(lines1) else None
-
-    point_lines1: list[list[int]] = [[] for _ in range(v)]
-    point_mask1: list[int] = []  # the points of each line of system 1
-    for i, L in enumerate(lines1):
-        for x in L:
-            point_lines1[x].append(i)
-        point_mask1.append(sum(1 << x for x in L))
-    point_mask2: list[int] = []  # the points of each line of system 2
-    through2 = [0] * v  # the lines of system 2 through each point
-    of_size: dict[int, int] = {}  # the lines of system 2 of each size
-    for j, L in enumerate(lines2):
-        bit = 1 << j
-        point_mask2.append(sum(1 << y for y in L))
-        for y in L:
-            through2[y] |= bit
-        of_size[len(L)] = of_size.get(len(L), 0) | bit
     everything = (1 << v) - 1
+    # the points of each line, line t the base's mask rotated by t
+    point_mask1, point_mask2 = (
+        [(base << t | base >> (v - t)) & everything for t in range(v)]
+        for base in (sum(1 << s for s in S) for S in (S1, S2))
+    )
+    if len(S1) != len(S2) or len(set(point_mask1)) != len(set(point_mask2)):
+        return  # unequal sizes or periods
+    point_lines1 = [[(x - s) % v for s in S1] for x in range(v)]
+    through2 = [sum(1 << (y - s) % v for s in S2) for y in range(v)]
     if colours is None:
         allowed_for = [everything] * v
     else:
@@ -96,7 +80,6 @@ def line_bijections(
         for y, c in enumerate(c2):
             same_colour[c] = same_colour.get(c, 0) | 1 << y
         allowed_for = [same_colour.get(c, 0) for c in c1]
-    m = len(lines1)
     sigma: list[int] = [-1] * v
     pools: dict[int, int] = {}  # the points covered by each cand mask met so far
 
@@ -121,9 +104,9 @@ def line_bijections(
     # frames (x, untried candidates of x, cand, partial, used, free
     # without x): cand[i] holds the system-2 lines still compatible with
     # line i; partial maps each partially assigned line to
-    # |cand[i]| * m + i, so its least value is the tightest line; used
+    # |cand[i]| * v + i, so its least value is the tightest line; used
     # holds the images taken and free the points not yet mapped
-    cand = [of_size[len(L)] for L in lines1]
+    cand = [everything] * v
     stack = [(0, candidates(0, cand, 0) & 1, cand, {}, 0, everything ^ 1)]
     while stack:
         x, ys, cand, partial, used, free = stack[-1]
@@ -134,8 +117,7 @@ def line_bijections(
         stack[-1] = (x, ys ^ low, cand, partial, used, free)
         y = sigma[x] = low.bit_length() - 1
         if not free:
-            if target is None or Counter(frozenset(sigma[x] for x in L) for L in lines1) == target:
-                yield tuple(sigma)
+            yield tuple(sigma)
             continue
         # the state after x -> y; y is a candidate of x, so every line
         # through x keeps some cand line
@@ -144,12 +126,12 @@ def line_bijections(
         for i in point_lines1[x]:
             c = cand[i] = old[i] & mask
             if point_mask1[i] & free:
-                partial[i] = c.bit_count() * m + i
+                partial[i] = c.bit_count() * v + i
             else:
                 partial.pop(i, None)
         used |= low
         # the least unassigned point on the tightest partially-assigned
         # line, falling back to the least unassigned point
-        left = point_mask1[min(partial.values()) % m] & free if partial else free
+        left = point_mask1[min(partial.values()) % v] & free if partial else free
         x = (left & -left).bit_length() - 1
         stack.append((x, candidates(x, cand, used), cand, partial, used, free ^ (1 << x)))

@@ -159,24 +159,22 @@ def paq_equivalent(
 
     pi and sigma are image tables: A1[i][j] == A2[pi[i]][sigma[j]] for
     all i, j.  Decided by searching for a point bijection between the
-    translate systems; the row permutation is read off from the matched
-    lines afterwards.
+    supports' translates; only once one is found are the translate
+    systems built, to read off the row permutation from the matched lines.
     """
     if A1.v != A2.v:
         raise ValueError("paq equivalence needs a common modulus")
     v = A1.v
     _check_cap(v, cap, PAQ_SEARCH_CAP, "paq search")
-    lines1 = A1.translate_system()
-    lines2 = A2.translate_system()
-    sigma = next(_search.line_bijections(v, lines1, lines2), None)
+    sigma = next(_search.line_bijections(v, A1.support, A2.support), None)
     if sigma is None:
         return None
     # repeated lines take their rows in increasing order
     image_to_rows: dict[frozenset[int], list[int]] = {}
-    for j, L in enumerate(lines2):
+    for j, L in enumerate(A2.translate_system()):
         image_to_rows.setdefault(L, []).append(j)
     pi = []
-    for L in lines1:
+    for L in A1.translate_system():
         rows = image_to_rows.get(frozenset(sigma[x] for x in L))
         if not rows:
             raise RuntimeError(f"the searched bijection {sigma} maps {sorted(L)} off the rows of A2")

@@ -178,10 +178,11 @@ def exact_isomorphic(
     """Search all point bijections; witness or None.  The oracle route.
 
     Equal line sets short-circuit to the identity.  Otherwise a
-    backtracking search over the two line systems runs with sigma(0)
-    pinned to 0, which is complete because translations are
-    automorphisms.  Deterministic: the first witness in increasing
-    candidate order is returned.
+    backtracking search over the translates of the two bases runs with
+    sigma(0) pinned to 0, which is complete because translations are
+    automorphisms; it answers bases of different sizes before it starts.
+    Deterministic: the first witness in increasing candidate order is
+    returned.
 
     When both configurations have already been refined, each point is
     mapped only into its own class of the kept final colourings.  With
@@ -194,13 +195,11 @@ def exact_isomorphic(
     if C1.v != C2.v:
         raise ValueError("isomorphism needs a common point count")
     _check_cap(C1.v, cap, EXACT_SEARCH_CAP, "exact search")
-    if C1.k != C2.k:
-        return None
     if C1.line_set() == C2.line_set():
         return IsoWitness(kind="explicit", point_map=tuple(range(C1.v)))
     c1, c2 = _kept(C1, "_refined"), _kept(C2, "_refined")
     colours = (c1, c2) if c1 and c2 else None
-    for sigma in _search.line_bijections(C1.v, C1.lines(), C2.lines(), colours=colours):
+    for sigma in _search.line_bijections(C1.v, C1.base, C2.base, colours=colours):
         return IsoWitness(kind="explicit", point_map=sigma)
     return None
 
@@ -216,7 +215,7 @@ def automorphisms(C: CyclicConfiguration, cap: int | None = None) -> list[tuple[
     v = C.v
     _check_cap(v, cap, EXACT_SEARCH_CAP, "exact search")
     fixing = []
-    for sigma in _search.line_bijections(v, C.lines(), C.lines()):
+    for sigma in _search.line_bijections(v, C.base, C.base):
         fixing.append(sigma)
         if v * len(fixing) > AUTOMORPHISM_CAP:
             raise CapExceeded(f"{C} has more than {AUTOMORPHISM_CAP} automorphisms")

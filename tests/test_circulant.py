@@ -305,7 +305,7 @@ def test_paq_equivalent_absent_across_orbits():
 
 def test_paq_equivalent_rejects_a_map_off_the_rows(monkeypatch):
     # swapping points 1 and 2 does not carry the lines of {0, 1, 3} onto themselves
-    def wrong_map(v, lines1, lines2, **kwargs):
+    def wrong_map(v, S1, S2, **kwargs):
         yield (0, 2, 1) + tuple(range(3, v))
 
     monkeypatch.setattr(_search, "line_bijections", wrong_map)

@@ -11,6 +11,7 @@ from networkx.algorithms.isomorphism import GraphMatcher
 
 from cyconf import _search, baseline, iso
 from cyconf.baseline import canonical_form, enumerate_base_lines, slice_orbits
+from cyconf.circulant import CirculantMatrix, paq_equivalent
 from cyconf.configuration import CyclicConfiguration, _kept
 from cyconf.iso import (
     IsoWitness,
@@ -180,6 +181,19 @@ def test_automorphisms_search_only_the_maps_that_fix_zero(monkeypatch):
     assert len(draws) <= iso.AUTOMORPHISM_CAP // C.v + 1
 
 
+def test_the_search_builds_no_translate_system_before_an_answer(monkeypatch):
+    # the search reads the two bases: automorphisms lists no lines, and
+    # paq_equivalent lists them only to read the rows off a bijection, so
+    # a periodic support against an aperiodic one answers with none built
+    def refuse(A):
+        raise RuntimeError(f"the translate system of {A} was built")
+
+    monkeypatch.setattr(CirculantMatrix, "translate_system", refuse)
+    assert len(automorphisms(FANO)) == 168
+    assert len(automorphisms(CyclicConfiguration(12, (0, 4, 8)))) == 31104
+    assert paq_equivalent(CirculantMatrix(18, (0, 6, 12)), CirculantMatrix(18, (0, 1, 5))) is None
+
+
 def test_automorphism_group_orders():
     assert len(automorphisms(FANO)) == 168
     assert len(automorphisms(MOEBIUS_KANTOR)) == 48
@@ -332,7 +346,7 @@ def _coloured_levi(C):
 
 def _three_verdicts(C1, C2):
     """(invariants equal, search finds a bijection, VF2 finds an isomorphism)."""
-    searched = next(_search.line_bijections(C1.v, C1.lines(), C2.lines()), None)
+    searched = next(_search.line_bijections(C1.v, C1.base, C2.base), None)
     matcher = GraphMatcher(
         _coloured_levi(C1), _coloured_levi(C2), node_match=lambda a, b: a["colour"] == b["colour"]
     )
@@ -427,7 +441,7 @@ def test_refinement_keeps_no_trace_in_memory():
 
 
 def _first_unpruned(C1, C2):
-    return next(_search.line_bijections(C1.v, C1.lines(), C2.lines()), None)
+    return next(_search.line_bijections(C1.v, C1.base, C2.base), None)
 
 
 def _assert_pruning_keeps_the_witness(pairs):

@@ -3,8 +3,11 @@
 `reference_line_bijections` is the earlier implementation of
 `_search.line_bijections`, kept as it was apart from its name and some
 annotations: Python sets of system-2 lines per line of system 1, a scan
-of every line to pick the next point, and set unions for the
-candidates.  The kernel, which pins point 0, must yield exactly the
+of every line to pick the next point, set unions for the candidates,
+and a multiset check at every leaf.  It takes any two line lists; the
+kernel takes two bases and searches their translates.  So the tests
+hand the kernel the bases and the reference the translate systems built
+from them, and the kernel, which pins point 0, must yield exactly the
 reference's pinned sequence, order included, so that every first witness
 stays as it was.  The reference's unpinned mode lists the whole group
 independently, the oracle for `automorphisms`.
@@ -130,12 +133,25 @@ def reference_line_bijections(v, lines1, lines2, *, fix_zero=False, cap=None):
         yield from search(0)
 
 
-def assert_same_sequence(v, lines1, lines2, *, limit=None):
-    """Both kernels yield the same bijections fixing 0 in the same order
-    (the first ``limit`` of them when given); returns how many were compared."""
-    got = list(islice(_search.line_bijections(v, lines1, lines2), limit))
-    want = list(islice(reference_line_bijections(v, lines1, lines2, fix_zero=True), limit))
-    assert got == want, (v, lines1, lines2)
+def _translates(v, S):
+    """The lines S + t for t = 0..v-1, in order, repeats kept."""
+    return [frozenset((s + t) % v for s in S) for t in range(v)]
+
+
+def _period(v, S):
+    """The number of distinct translates of S."""
+    return len(set(_translates(v, S)))
+
+
+def assert_same_sequence(v, S1, S2, *, limit=None):
+    """The kernel on the bases and the reference on their translates yield
+    the same bijections fixing 0 in the same order (the first ``limit`` of
+    them when given); returns how many were compared."""
+    got = list(islice(_search.line_bijections(v, S1, S2), limit))
+    want = list(
+        islice(reference_line_bijections(v, _translates(v, S1), _translates(v, S2), fix_zero=True), limit)
+    )
+    assert got == want, (v, S1, S2)
     return len(got)
 
 
@@ -162,15 +178,11 @@ def test_pinned_searches_match_reference(k, vs):
         reps = _reps(v, k, connected_only=True)
         a = units(v)[len(units(v)) // 2]
         for R in reps:
-            image = affine_image(R, a, 3, v)
-            C1, C2 = CyclicConfiguration(v, R), CyclicConfiguration(v, image)
             # ISO: every pinned bijection, in order
-            assert assert_same_sequence(v, C1.lines(), C2.lines()) >= 1
+            assert assert_same_sequence(v, R, affine_image(R, a, 3, v)) >= 1
         for R1, R2 in zip(reps, reps[1:]):
             # NON-ISO: both kernels exhaust the same tree without a yield
-            lines1 = CyclicConfiguration(v, R1).lines()
-            lines2 = CyclicConfiguration(v, R2).lines()
-            assert assert_same_sequence(v, lines1, lines2) == 0
+            assert assert_same_sequence(v, R1, R2) == 0
 
 
 def test_first_witnesses_match_reference_at_k5():
@@ -178,9 +190,7 @@ def test_first_witnesses_match_reference_at_k5():
     for v in (28, 30, 36, 40):
         for R in rng.sample(_reps(v, 5, connected_only=True), 4):
             image = affine_image(R, rng.choice(units(v)), rng.randrange(v), v)
-            lines1 = CyclicConfiguration(v, R).lines()
-            lines2 = CyclicConfiguration(v, image).lines()
-            assert assert_same_sequence(v, lines1, lines2, limit=1) == 1
+            assert assert_same_sequence(v, R, image, limit=1) == 1
 
 
 def test_translate_systems_match_reference():
@@ -198,60 +208,83 @@ def test_translate_systems_match_reference():
         A1 = CirculantMatrix(v, support)
         A2 = CirculantMatrix(v, affine_image(support, rng.choice(units(v)), rng.randrange(v), v))
         A3 = CirculantMatrix(v, tuple(rng.sample(range(v), len(A1.support))))
-        lines1 = A1.translate_system()
-        for lines2 in (A2.translate_system(), A3.translate_system()):
-            assert_same_sequence(v, lines1, lines2, limit=100)
-    assert all(len(set(CirculantMatrix(v, S).translate_system())) < v for v, S in periodic)
+        for A in (A2, A3):
+            if _period(v, A1.support) == _period(v, A.support) or v <= 9:
+                assert_same_sequence(v, A1.support, A.support, limit=100)
+            else:
+                # the reference exhausts a huge tree to reject every leaf
+                assert next(_search.line_bijections(v, A1.support, A.support), None) is None
+    assert all(_period(v, S) < v for v, S in periodic)
 
 
-def _random_system(rng, v):
-    # lines of mixed sizes, some points on no line, the odd empty line
-    sizes = rng.choices((0, 1, 2, 2, 3, 3, 4), k=rng.randint(1, v + 2))
-    return [frozenset(rng.sample(range(v), min(n, v))) for n in sizes]
+def _random_support(rng, v):
+    """A support of Z_v: empty, full, periodic, or of at most 5 points.
+
+    Dense supports are left out: a NON-ISO pair of 9-point supports at
+    v = 12 takes both kernels tens of seconds to exhaust.
+    """
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.choice(((), tuple(range(v))))
+    if kind == 1:
+        # one or two cosets of the subgroup of order v // d, so its period divides d
+        d = rng.choice([d for d in range(1, v + 1) if v % d == 0])
+        cosets = rng.sample(range(d), min(d, rng.randint(1, 2)))
+        return tuple(sorted(r + d * j for r in cosets for j in range(v // d)))
+    return tuple(sorted(rng.sample(range(v), rng.randint(0, min(5, v)))))
 
 
-def test_mixed_systems_match_reference():
+def test_random_supports_match_reference():
+    # both directions: an affine image, and another support of the same
+    # size, which may differ in period.  The reference rejects unequal
+    # periods only at its leaves, after a huge tree past v = 9, so there
+    # the kernel alone is asked, and must yield nothing
     rng = random.Random(11)
-    unreached = 0
+    against_reference = kernel_only = 0
     for _ in range(300):
-        v = rng.randint(1, 9)
-        lines1 = _random_system(rng, v)
-        perm = rng.sample(range(v), v)
-        image = [frozenset(perm[x] for x in L) for L in lines1]
-        rng.shuffle(image)
-        other = [frozenset(rng.sample(range(v), len(L))) for L in lines1]
-        unreached += len(set(range(v)) - set().union(*lines1))
-        for lines2 in (image, other):
-            assert_same_sequence(v, lines1, lines2, limit=200)
-    assert unreached > 100
+        v = rng.randint(1, 12)
+        S = _random_support(rng, v)
+        image = affine_image(S, rng.choice(units(v)), rng.randrange(v), v)
+        other = tuple(sorted(rng.sample(range(v), len(S))))
+        for S1, S2 in ((S, image), (image, S), (S, other), (other, S)):
+            if _period(v, S1) == _period(v, S2):
+                assert_same_sequence(v, S1, S2, limit=100)
+            elif v <= 9:
+                assert assert_same_sequence(v, S1, S2) == 0
+                against_reference += 1
+            else:
+                assert next(_search.line_bijections(v, S1, S2), None) is None
+                kernel_only += 1
+    assert against_reference > 10 and kernel_only > 10
 
 
 def test_repeated_lines_never_fill_distinct_ones():
-    # the leaf multiset check runs only when lines1 repeats a line; here
-    # every point map sends both copies of {0, 1} into lines2, which holds
-    # it once, so the leaf must still reject
-    cases = [
-        (3, [{0, 1}, {0, 1}], [{0, 1}, {1, 2}]),
-        (6, [{0, 3}, {1, 4}, {2, 5}] * 2, [frozenset({i, (i + 3) % 6}) for i in range(3)]
-         + [frozenset({i, (i + 1) % 6}) for i in range(3)]),
-    ]
-    for v, lines1, lines2 in cases:
-        assert assert_same_sequence(v, lines1, lines2) == 0
-        assert assert_same_sequence(v, lines2, lines1) == 0
-    # a repeated system onto itself still yields: only the identity fixes 0
-    assert assert_same_sequence(3, [{0, 1}, {0, 1}], [{0, 1}, {0, 1}]) == 1
+    # the reference rejects each of these at every leaf: a periodic
+    # system repeats lines that an aperiodic one holds once.  The kernel
+    # compares periods first and yields nothing, in both directions
+    cases = [(12, (0, 4, 8), (0, 1, 5)), (6, (0, 3), (0, 1)), (12, (0, 1, 6, 7), (0, 1, 3, 9))]
+    for v, S1, S2 in cases:
+        assert _period(v, S1) != _period(v, S2)
+        assert assert_same_sequence(v, S1, S2) == 0
+        assert assert_same_sequence(v, S2, S1) == 0
+    # a periodic system onto itself still yields
+    assert assert_same_sequence(6, (0, 3), (0, 3)) >= 1
 
 
 def test_size_prechecks_and_edges_match_reference():
     cases = [
-        (3, [{0, 1}], [{0, 1}, {1, 2}]),  # line counts differ
-        (3, [{0, 1}, {2}], [{0, 1}, {1, 2}]),  # size multisets differ
-        (3, [{0, 1}], [{2}]),
-        (4, [{0, 1}], [{2, 3}]),  # 0 cannot stay at 0
-        (4, [{1, 2}], [{2, 3}]),  # 0 is on no line
+        (3, (0, 1), (0,)),  # sizes differ
+        (4, (), (0,)),
+        (1, (), ()),  # v = 1, on the empty set and on the full set
+        (1, (0,), (0,)),
+        (4, (), ()),  # the empty support: every map fixing 0
+        (4, (0, 1, 2, 3), (0, 1, 2, 3)),  # the full support: every map fixing 0
     ]
-    for v, lines1, lines2 in cases:
-        assert_same_sequence(v, lines1, lines2)
+    for v, S1, S2 in cases:
+        assert_same_sequence(v, S1, S2)
+        assert_same_sequence(v, S2, S1)
+    assert assert_same_sequence(1, (), ()) == assert_same_sequence(1, (0,), (0,)) == 1
+    assert assert_same_sequence(4, (), ()) == assert_same_sequence(4, (0, 1, 2, 3), (0, 1, 2, 3)) == 6
 
 
 @pytest.mark.parametrize("k,vs", [(3, range(7, 31)), (4, range(13, 26)), (5, (28, 30))])
@@ -263,11 +296,9 @@ def test_colour_pruning_keeps_every_pinned_automorphism(k, vs):
     compared = 0
     for v in vs:
         for R in _reps(v, k, connected_only=v > 16):
-            C = CyclicConfiguration(v, R)
-            lines = C.lines()
-            colours = refined_colours(C)
-            want = list(_search.line_bijections(v, lines, lines))
-            got = list(_search.line_bijections(v, lines, lines, colours=(colours, colours)))
+            colours = refined_colours(CyclicConfiguration(v, R))
+            want = list(_search.line_bijections(v, R, R))
+            got = list(_search.line_bijections(v, R, R, colours=(colours, colours)))
             assert got == want, (v, R)
             compared += len(want)
     assert compared > len(vs)

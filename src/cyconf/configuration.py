@@ -57,18 +57,17 @@ class CyclicConfiguration(Record, namedtuple("CyclicConfiguration", "v base")):
         return _kept(self, "_line_set", lambda: frozenset(self.lines()))
 
 
-def _kept(C: CyclicConfiguration, name: str, build=None):
-    """The value kept on C under name, or None when none is kept.
+def _kept(C: CyclicConfiguration, name: str, build):
+    """The value kept on C under name, built by build() and kept on first use.
 
-    With build, a missing value is first built by build() and kept.
     Kept values live in the instance dict, not in fields, so equality
     and hashing never see them; this is the one place that touches it.
     Names start with "_", since a kept value would shadow a method.
     """
     kept = C.__dict__
-    if build is not None and name not in kept:
+    if name not in kept:
         kept[name] = build()
-    return kept.get(name)
+    return kept[name]
 
 
 def _is_permutation(perm) -> bool:

@@ -17,12 +17,14 @@ first compares refinement traces, which prove NON-ISO when they
 differ, and searches only when they agree.  The traces are compared
 round by round while they are computed, and refinement stops at the
 first round in which they differ, since the rest of the trace cannot
-make them equal again.  No round is stored: a refined configuration
-keeps only its final point colouring, which restricts each point's
-images to its own colour class.  Every bijection fixing point 0
-respects that colouring, so the search loses only subtrees that hold
-no witness and still returns the first witness in increasing
-candidate order.  Disconnected
+make them equal again.  No round is stored, and nothing is kept on a
+configuration: the refinement hands its final point colouring to its
+caller, and the dispatcher passes the two colourings to the search,
+which maps each point only into its own colour class.  Every bijection
+fixing point 0 respects those colourings, so the search loses only
+subtrees that hold no witness and still returns the first witness in
+increasing candidate order.  `exact_isomorphic` always searches
+unrestricted.  Disconnected
 configurations are compared through their component decompositions, and
 the returned witness is still a full point bijection, assembled from an
 affine match of the components and replayable like any other witness.
@@ -43,7 +45,7 @@ from .baseline import (
     slice_orbits,
 )
 from .circulant import _translates
-from .configuration import CyclicConfiguration, _is_permutation, _kept, _maps_lines_onto
+from .configuration import CyclicConfiguration, _is_permutation, _maps_lines_onto
 from .residue_ring import (
     CapExceeded, _check_cap, _check_enumeration, _two_primes, factorization, inverse, is_ci_order
 )
@@ -52,6 +54,9 @@ EXACT_SEARCH_CAP = 300
 # automorphisms() refuses a group larger than this; three disjoint Fano
 # planes, (21, {0, 3, 9}), have 168**3 * 3! maps
 AUTOMORPHISM_CAP = 10**5
+# and refuses a list of more point images than this: at v = 2017, {1, a, a^2}
+# with a of order 3 has only 6051 maps, but they hold 12.2 million images
+AUTOMORPHISM_IMAGE_CAP = 5 * 10**6
 
 
 class IsoWitness(
@@ -119,10 +124,11 @@ def _refinement_rounds(C: CyclicConfiguration):
 
     Works on Z_v directly: point x lies on the lines x - s and line i holds
     the points i + s, so a round's neighbour colours are the line and point
-    colour lists read through _translates by -S and S.  No round is kept:
-    a caller compares each as it comes.  Only when the last round is
-    reached is the final point colouring, one colour per point, kept on
-    C as "_refined"; a caller that stops earlier leaves C unrefined.
+    colour lists read through _translates by -S and S.  No round is kept
+    and C is left as it was: each round is yielded as (entry, points),
+    the trace entry with the point colouring it was read from, one colour
+    per point, for the caller to compare as it comes.  The last round's
+    points are the final colouring.
     """
     v, S = C.v, C.base
     points = [0] + [1] * (v - 1)
@@ -134,28 +140,29 @@ def _refinement_rounds(C: CyclicConfiguration):
         point_sigs = list(zip(points, map(tuple, map(sorted, around_points))))
         line_sigs = list(zip(lines, map(tuple, map(sorted, around_lines))))
         entry = tuple(sorted(Counter(point_sigs + line_sigs).items()))
+        yield entry, points
         if len(entry) == classes:
-            _kept(C, "_refined", lambda: tuple(points))
-            yield entry
             return
-        yield entry
         index = {sig: n for n, (sig, _) in enumerate(entry)}
         points = list(map(index.__getitem__, point_sigs))
         lines = list(map(index.__getitem__, line_sigs))
         classes = len(entry)
 
 
-def _equal_trace_groups(configs) -> list[list[int]]:
-    """Index groups, two or more strong, of configs with equal refinement traces.
+def _equal_trace_groups(configs) -> list[dict[int, list[int]]]:
+    """Groups, two or more strong, of configs with equal refinement traces.
 
-    The configurations are refined in lock-step, one round each per
-    step, and split by the round they yield; one that ends up alone is
-    dropped at once, unrefined unless that was its last round.  So every
-    configuration in a returned group is fully refined, and no two
-    configurations in different groups, or outside all of them, share a
-    trace.  Groups come sorted, each in increasing index order.
+    Each group maps the index of each member, in increasing order, to
+    its final point colouring.  The configurations are refined in
+    lock-step, one round each per step, and split by the round they
+    yield; one that ends up alone is dropped at once, before its last
+    round if its trace parts earlier.  So every member of a returned
+    group is fully refined, and no two configurations in different
+    groups, or outside all of them, share a trace.  Groups come sorted
+    by their indices.
     """
     rounds = [_refinement_rounds(C) for C in configs]
+    points = [None] * len(configs)  # each configuration's latest colouring
     pending = [list(range(len(configs)))]
     groups = []
     while pending:
@@ -164,12 +171,27 @@ def _equal_trace_groups(configs) -> list[list[int]]:
             by_round: dict = {}
             for i in group:
                 # None once the trace has ended, which no round equals
-                by_round.setdefault(next(rounds[i], None), []).append(i)
+                entry, points[i] = next(rounds[i], (None, points[i]))
+                by_round.setdefault(entry, []).append(i)
             for entry, same in by_round.items():
                 if len(same) > 1:
                     (step if entry is not None else groups).append(same)
         pending = step
-    return sorted(groups)
+    return [{i: points[i] for i in group} for group in sorted(groups)]
+
+
+def _searched(C1: CyclicConfiguration, C2: CyclicConfiguration, colours=None) -> IsoWitness | None:
+    """The identity on equal line sets, else the search's first witness, or None.
+
+    colours, the pair of final colourings of equal refinement traces,
+    maps each point only into its own colour class.  Every bijection
+    fixing 0 respects those classes, so the search only skips subtrees
+    that hold no witness, and returns the same first witness.
+    """
+    if C1.line_set() == C2.line_set():
+        return IsoWitness(kind="explicit", point_map=tuple(range(C1.v)))
+    sigma = next(_search.line_bijections(C1.v, C1.base, C2.base, colours=colours), None)
+    return None if sigma is None else IsoWitness(kind="explicit", point_map=sigma)
 
 
 def exact_isomorphic(
@@ -182,26 +204,12 @@ def exact_isomorphic(
     sigma(0) pinned to 0, which is complete because translations are
     automorphisms; it answers bases of different sizes before it starts.
     Deterministic: the first witness in increasing candidate order is
-    returned.
-
-    When both configurations have already been refined, each point is
-    mapped only into its own class of the kept final colourings.  With
-    equal traces every bijection fixing 0 respects those classes, so the
-    search only skips subtrees that hold no witness, and returns the
-    same first witness.  With unequal traces no bijection fixing 0
-    exists, and the search yields only genuine ones, so the answer is
-    None either way.  Nothing is refined here otherwise.
+    returned.  Nothing is refined, and the search is never restricted.
     """
     if C1.v != C2.v:
         raise ValueError("isomorphism needs a common point count")
     _check_cap(C1.v, cap, EXACT_SEARCH_CAP, "exact search")
-    if C1.line_set() == C2.line_set():
-        return IsoWitness(kind="explicit", point_map=tuple(range(C1.v)))
-    c1, c2 = _kept(C1, "_refined"), _kept(C2, "_refined")
-    colours = (c1, c2) if c1 and c2 else None
-    for sigma in _search.line_bijections(C1.v, C1.base, C2.base, colours=colours):
-        return IsoWitness(kind="explicit", point_map=sigma)
-    return None
+    return _searched(C1, C2)
 
 
 def automorphisms(C: CyclicConfiguration, cap: int | None = None) -> list[tuple[int, ...]]:
@@ -210,7 +218,9 @@ def automorphisms(C: CyclicConfiguration, cap: int | None = None) -> list[tuple[
     Every automorphism is a translation x -> x + t composed with one that
     fixes point 0, so one search lists those and each is composed with
     the v translations.  Raises CapExceeded, before composing any, as
-    soon as v times the number fixing 0 exceeds AUTOMORPHISM_CAP.
+    soon as v times the number fixing 0 exceeds AUTOMORPHISM_CAP, and
+    once the search ends if the v entries of each map would exceed
+    AUTOMORPHISM_IMAGE_CAP in all.
     """
     v = C.v
     _check_cap(v, cap, EXACT_SEARCH_CAP, "exact search")
@@ -219,6 +229,10 @@ def automorphisms(C: CyclicConfiguration, cap: int | None = None) -> list[tuple[
         fixing.append(sigma)
         if v * len(fixing) > AUTOMORPHISM_CAP:
             raise CapExceeded(f"{C} has more than {AUTOMORPHISM_CAP} automorphisms")
+    if v * v * len(fixing) > AUTOMORPHISM_IMAGE_CAP:
+        raise CapExceeded(
+            f"the automorphisms of {C} hold more than {AUTOMORPHISM_IMAGE_CAP} point images"
+        )
     return sorted(tuple((y + t) % v for y in sigma) for t in range(v) for sigma in fixing)
 
 
@@ -298,9 +312,8 @@ def isomorphic(
             return _component_witness(C1, C2, split1, split2)
         if not _multiplier_complete(v, C1.k):
             _check_cap(v, cap, EXACT_SEARCH_CAP, "exact search")
-            if not _equal_trace_groups((C1, C2)):
-                return None
-            return exact_isomorphic(C1, C2, cap=cap)
+            groups = _equal_trace_groups((C1, C2))
+            return _searched(C1, C2, tuple(groups[0].values())) if groups else None
     elif method != "multiplier":
         raise ValueError(f"unknown method {method!r}")
     # the multiplier route, or auto where multipliers are complete
@@ -370,8 +383,9 @@ def completeness_report(
                 if exact_isomorphic(cfg, rep_cfg, cap=cap) is None:
                     mismatches.append(f"oracle misses {member} ~ {rep}")
     groups = _equal_trace_groups(reps)
+    points = {i: colouring for group in groups for i, colouring in group.items()}
     for i, j in sorted(pair for group in groups for pair in combinations(group, 2)):
-        if exact_isomorphic(reps[i], reps[j], cap=cap) is not None:
+        if _searched(reps[i], reps[j], (points[i], points[j])) is not None:
             mismatches.append(f"oracle merges {reps[i].base} ~ {reps[j].base}")
     return {
         "v": v,

@@ -16,7 +16,6 @@ from cyconf.circulant import CirculantMatrix, _gram_profile
 from cyconf.configuration import (
     CyclicConfiguration,
     LeviGraph,
-    _kept,
     _maps_lines_onto,
     levi_graph,
 )
@@ -135,17 +134,17 @@ def reference_affine_map_between(S1, S2, v: int) -> tuple[int, int] | None:
 def full_trace(C: CyclicConfiguration) -> tuple:
     """C's whole refinement trace, computed once per (v, base).
 
-    Drains `iso._refinement_rounds` on a fresh copy, so C itself is left
-    as it was: the library keeps no trace to replay, and pairwise
+    The round entries `iso._refinement_rounds` yields, without the
+    colourings: the library keeps no trace to replay, and pairwise
     comparisons would otherwise refine every configuration again.
     """
-    return tuple(_refinement_rounds(CyclicConfiguration(C.v, C.base)))
+    return tuple(entry for entry, _ in _refinement_rounds(C))
 
 
 def refined_colours(C: CyclicConfiguration) -> tuple[int, ...]:
-    """Refine C itself to its last round; the final point colouring it keeps."""
-    deque(_refinement_rounds(C), maxlen=0)
-    return _kept(C, "_refined")
+    """The final point colouring that C's refinement hands out with its last round."""
+    ((_, points),) = deque(_refinement_rounds(C), maxlen=1)
+    return tuple(points)
 
 
 def reference_refinement_invariant(C: CyclicConfiguration) -> tuple:

@@ -286,21 +286,47 @@ def test_gram_similar_cap():
         assert process_time() - t0 < 0.05
 
 
-def test_paq_witness_replays_as_matrix_identity():
-    A1 = CirculantMatrix(8, (0, 1, 3))
-    A2 = CirculantMatrix(8, (0, 5, 7))
+def _assert_paq_replays(A1, A2):
     out = paq_equivalent(A1, A2)
     assert out is not None
     pi, sigma = out
-    assert sorted(pi) == list(range(8)) and sorted(sigma) == list(range(8))
+    v = A1.v
+    assert sorted(pi) == list(range(v)) and sorted(sigma) == list(range(v))
     M1, M2 = _rows(A1), _rows(A2)
-    for i in range(8):
-        for j in range(8):
+    for i in range(v):
+        for j in range(v):
             assert M1[i][j] == M2[pi[i]][sigma[j]]
+
+
+def test_paq_witness_replays_as_matrix_identity():
+    _assert_paq_replays(CirculantMatrix(8, (0, 1, 3)), CirculantMatrix(8, (0, 5, 7)))
 
 
 def test_paq_equivalent_absent_across_orbits():
     assert paq_equivalent(CirculantMatrix(13, (0, 1, 3)), CirculantMatrix(13, (0, 1, 4))) is None
+
+
+def _complement(S, v):
+    return CirculantMatrix(v, set(range(v)).difference(S))
+
+
+def test_a_dense_support_answers_through_its_complement():
+    # J - A1 = P (J - A2) Q exactly when A1 = P A2 Q, so supports heavier
+    # than v/2 are searched as their complements; the dense supports
+    # themselves took over 40 s here
+    t0 = process_time()
+    assert paq_equivalent(_complement((0, 1, 3), 13), _complement((0, 1, 4), 13)) is None
+    assert process_time() - t0 < 1
+    # dense ISO pairs, the full support, and a weight-v/2 support that is
+    # searched as it is: each (pi, sigma) replays as the matrix identity
+    dense_pairs = [(13, (0, 1, 3), 2, 5), (12, (0, 1, 3), 5, 7), (12, (0, 1, 2, 3, 4, 5, 6), 7, 1)]
+    for v, S, a, b in dense_pairs:
+        _assert_paq_replays(_complement(S, v), _complement(affine_image(S, a, b, v), v))
+    _assert_paq_replays(CirculantMatrix(5, range(5)), CirculantMatrix(5, range(5)))
+    half = (0, 1, 2, 4, 7, 9)
+    _assert_paq_replays(CirculantMatrix(12, half), CirculantMatrix(12, affine_image(half, 5, 3, 12)))
+    # a dense support against a sparse one: the weights differ, so no pair
+    assert paq_equivalent(_complement((0, 1, 3), 13), CirculantMatrix(13, (0, 1, 3))) is None
 
 
 def test_paq_equivalent_rejects_a_map_off_the_rows(monkeypatch):

@@ -12,7 +12,7 @@ from networkx.algorithms.isomorphism import GraphMatcher
 from cyconf import _search, baseline, iso
 from cyconf.baseline import canonical_form, enumerate_base_lines, slice_orbits
 from cyconf.circulant import CirculantMatrix, paq_equivalent
-from cyconf.configuration import CyclicConfiguration, _kept
+from cyconf.configuration import CyclicConfiguration
 from cyconf.iso import (
     IsoWitness,
     automorphisms,
@@ -155,6 +155,25 @@ def test_automorphisms_refuse_a_huge_group():
     with pytest.raises(CapExceeded):
         automorphisms(CyclicConfiguration(21, (0, 3, 9)))
     assert len(automorphisms(CyclicConfiguration(12, (0, 4, 8)))) == 31104
+
+
+def test_automorphisms_refuse_too_many_point_images(monkeypatch):
+    # at v = 2017 the unit 294 has order 3 and fixes {1, 294, 294**2}: only
+    # 3 maps fix 0, but the 6051 maps of the group hold 12.2 million images
+    v, a = 2017, 294
+    assert pow(a, 3, v) == 1
+    C = CyclicConfiguration(v, (1, a, a * a))
+    refusal = f"the automorphisms of {C} hold more than {iso.AUTOMORPHISM_IMAGE_CAP} point images"
+    with pytest.raises(CapExceeded) as refused:
+        automorphisms(C, cap=v)
+    assert str(refused.value) == refusal
+    # the refusal is exact: (12, {0, 4, 8}) has 2592 maps fixing 0, so 12 * 12 * 2592 images
+    C = CyclicConfiguration(12, (0, 4, 8))
+    monkeypatch.setattr(iso, "AUTOMORPHISM_IMAGE_CAP", 12 * 12 * 2592)
+    assert len(automorphisms(C)) == 31104
+    monkeypatch.setattr(iso, "AUTOMORPHISM_IMAGE_CAP", 12 * 12 * 2592 - 1)
+    with pytest.raises(CapExceeded, match="point images"):
+        automorphisms(C)
 
 
 def test_automorphisms_search_only_the_maps_that_fix_zero(monkeypatch):
@@ -408,14 +427,14 @@ def test_refinement_matches_the_levi_graph_reference():
         assert full_trace(C) == reference_refinement_invariant(C), (v, S)
 
 
-def test_refinement_is_kept_on_the_configuration():
-    # only the final point colouring is kept, one colour per point, and
-    # refining again keeps the first one
+def test_refinement_leaves_the_configuration_as_it_was():
+    # the final point colouring, one colour per point, is handed out with
+    # the last round and kept nowhere; refining again hands out the same one
     C = CyclicConfiguration(13, (0, 1, 3))
-    assert _kept(C, "_refined") is None
     colours = refined_colours(C)
-    assert refined_colours(C) is colours
-    assert vars(C) == {"_refined": colours}
+    assert vars(C) == {}
+    assert refined_colours(C) == colours
+    assert vars(C) == {}
     assert C == CyclicConfiguration(13, (0, 1, 3))
     assert hash(C) == hash(CyclicConfiguration(13, (0, 1, 3)))
     # point 0 keeps a class of its own, and each point class has the
@@ -436,7 +455,7 @@ def test_refinement_keeps_no_trace_in_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert groups == [[0, 1]]
+    assert [list(group) for group in groups] == [[0, 1]]
     assert peak < 8 * 2**20, peak
 
 
@@ -445,14 +464,12 @@ def _first_unpruned(C1, C2):
 
 
 def _assert_pruning_keeps_the_witness(pairs):
-    # with both refinements cached exact_isomorphic prunes by colour; its
-    # witness must be the unpruned search's first yield
+    # the search pruned by both final colourings, as auto runs it, must
+    # return the unpruned search's first yield
     for C1, C2 in pairs:
         assert C1.line_set() != C2.line_set()  # else the identity shortcut answers
         assert full_trace(C1) == full_trace(C2)
-        refined_colours(C1)
-        refined_colours(C2)
-        w = exact_isomorphic(C1, C2)
+        w = iso._searched(C1, C2, (refined_colours(C1), refined_colours(C2)))
         assert (w.point_map if w else None) == _first_unpruned(C1, C2), (C1, C2)
 
 
@@ -466,8 +483,6 @@ def test_pruned_search_returns_the_unpruned_witness(k, vs):
     for v in vs:
         orbits = list(slice_orbits(v, k, connected=True))
         reps = [CyclicConfiguration(v, orbit.rep) for orbit in orbits]
-        for R in reps:
-            refined_colours(R)
         pairs = []
         for orbit, rep in zip(orbits, reps):
             members = [m for m, _, _ in orbit.members if m != orbit.rep]
@@ -476,7 +491,7 @@ def test_pruned_search_returns_the_unpruned_witness(k, vs):
             if full_trace(C1) == full_trace(C2):
                 pairs.append((C1, C2))
             else:
-                assert exact_isomorphic(C1, C2) is None
+                assert iso._searched(C1, C2, (refined_colours(C1), refined_colours(C2))) is None
         pairs = [(C1, C2) for C1, C2 in pairs if C1.line_set() != C2.line_set()]
         assert pairs
         _assert_pruning_keeps_the_witness(pairs)
@@ -497,15 +512,19 @@ def test_pruned_search_returns_the_unpruned_witness_at_k6():
         assert isomorphic(C1, C2) == exact_isomorphic(C1, C2)
 
 
-def test_exact_refines_nothing_itself(monkeypatch):
-    # an unrefined configuration is searched unpruned, and colourings
-    # cached from unequal traces prune the search, which finds nothing
-    C1, C3, C4 = _reps(28, 5)[:3]
+def test_exact_isomorphic_ignores_what_ran_before_it(monkeypatch):
+    # auto refines both configurations and searches with their final
+    # colourings, and completeness_report refines its representatives;
+    # neither leaves anything on a configuration, so the exact route then
+    # runs its one unrestricted search, with the same answers
+    C1, C3 = _reps(28, 5)[:2]
     C2 = CyclicConfiguration(28, affine_image(C1.base, 3, 5, 28))
-    assert exact_isomorphic(C1, C2) is not None
-    assert _kept(C1, "_refined") is None and _kept(C2, "_refined") is None
-    colours = refined_colours(C3), refined_colours(C4)
-    assert full_trace(C3) != full_trace(C4)
+    pairs = [(C1, C2), (C1, C3)]
+    verdicts = [isomorphic(*pair) for pair in pairs]
+    assert verdicts[0] is not None and verdicts[1] is None
+    assert completeness_report(28, 5, exact_members=0)["mismatches"] == []
+    for C in (C1, C2, C3):
+        assert set(vars(C)) <= {"_lines", "_line_set"}, C
     searched = []
     line_bijections = _search.line_bijections
 
@@ -514,8 +533,8 @@ def test_exact_refines_nothing_itself(monkeypatch):
         return line_bijections(*args, **kwargs)
 
     monkeypatch.setattr(_search, "line_bijections", recording)
-    assert exact_isomorphic(C3, C4) is None
-    assert searched == [colours]
+    assert [exact_isomorphic(*pair) for pair in pairs] == verdicts
+    assert searched == [None, None]
 
 
 def _trace_groups_by_full_traces(configs):
@@ -535,18 +554,28 @@ def test_trace_groups_are_full_trace_equality(k, vs):
         configs = reps + [CyclicConfiguration(v, affine_image(R.base, a, 5, v)) for R in reps]
         want = _trace_groups_by_full_traces(configs)
         got = iso._equal_trace_groups(configs)
-        assert got == want, (v, k)
-        # each grouped configuration keeps the colouring a fresh refinement gives
-        for i in (i for group in got for i in group):
-            fresh = CyclicConfiguration(v, configs[i].base)
-            assert _kept(configs[i], "_refined") == refined_colours(fresh), (v, configs[i])
+        assert [list(group) for group in got] == want, (v, k)
+        # each member comes with the colouring its own refinement hands out,
+        # and nothing is kept on the configurations
+        for i, colours in (item for group in got for item in group.items()):
+            assert tuple(colours) == refined_colours(configs[i]), (v, configs[i])
+        assert all(set(vars(C)) <= {"_lines", "_line_set"} for C in configs), (v, k)
 
 
-def test_a_representative_refines_only_until_its_trace_parts():
+def test_a_representative_refines_only_until_its_trace_parts(monkeypatch):
     # a representative whose trace prefix is its own before its last
-    # round is dropped there and keeps no refinement
+    # round is dropped there, and draws no further round
     reps = _reps(40, 3)
     traces = [full_trace(R) for R in reps]
+    drawn = dict.fromkeys(reps, 0)
+    rounds = iso._refinement_rounds
+
+    def counting(C):
+        for item in rounds(C):
+            drawn[C] += 1
+            yield item
+
+    monkeypatch.setattr(iso, "_refinement_rounds", counting)
     assert iso._equal_trace_groups(reps) == []
     unrefined = 0
     for C, trace in zip(reps, traces):
@@ -554,9 +583,8 @@ def test_a_representative_refines_only_until_its_trace_parts():
             r for r in range(1, len(trace) + 2)
             if all(other[:r] != trace[:r] for other in traces if other is not trace)
         )
-        refined = _kept(C, "_refined") is not None
-        assert refined == (parts >= len(trace)), C
-        unrefined += not refined
+        assert drawn[C] == min(parts, len(trace)), C
+        unrefined += drawn[C] < len(trace)
     assert unrefined
 
 
@@ -593,7 +621,7 @@ def test_member_maps_are_the_multiplier_witnesses(k, vs):
 def test_auto_proves_non_iso_by_invariant(monkeypatch):
     # 28 = 4 * 7 at k = 5: auto cannot trust multipliers and must not search here
     C1, C2 = _reps(28, 5)[:2]
-    monkeypatch.setattr(iso, "exact_isomorphic", None)
+    monkeypatch.setattr(iso, "_searched", None)
     assert isomorphic(C1, C2) is None
 
 
@@ -638,14 +666,15 @@ def test_invariant_collision_falls_through_to_search(monkeypatch):
     assert verdicts[-1] is not None and not any(verdicts[:-1])
 
     searched = []
+    search = iso._searched
 
-    def counting_exact(C1, C2, cap=None):
+    def counting_search(C1, C2, colours=None):
         searched.append((C1.base, C2.base))
-        return exact_isomorphic(C1, C2, cap=cap)
+        return search(C1, C2, colours)
 
-    # with no rounds at all every trace collides
-    monkeypatch.setattr(iso, "_refinement_rounds", lambda C: iter(()))
-    monkeypatch.setattr(iso, "exact_isomorphic", counting_exact)
+    # with one round that tells no point apart every trace collides
+    monkeypatch.setattr(iso, "_refinement_rounds", lambda C: iter([((), [0] * C.v)]))
+    monkeypatch.setattr(iso, "_searched", counting_search)
     assert [isomorphic(C1, C2) for C1, C2 in pairs] == verdicts
     assert searched == [(C1.base, C2.base) for C1, C2 in pairs]
     searched.clear()

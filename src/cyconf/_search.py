@@ -9,6 +9,12 @@ none and are not searched.  Otherwise a full assignment needs no check:
 it carries each line onto its one compatible line, so the d distinct
 lines of S1 one-to-one onto the d of S2, each v/d times over.
 
+A bijection carries the translates of S1 onto those of S2 exactly when
+it carries their complements onto the complements, so bases of more
+than v/2 points are searched as their complements: the same
+bijections, from a far smaller tree.  No base line of three or more
+points is that dense.
+
 The search assigns point images one at a time, keeping for every line of
 the first system the still-compatible lines of the second, and always
 extends the most constrained line next.  Candidate images are tried in
@@ -36,7 +42,12 @@ the final colouring of equal refinement traces, can pass it to restrict
 each point's candidates to its own colour class.  The ``cand`` masks are
 left alone, and the next point is chosen from them alone, so the tree is
 the same tree less subtrees that hold no solution: the solutions, and
-their order, do not change.
+their order, do not change.  When both colourings are discrete, one
+colour per point, they leave a single candidate map, sending each point
+to the point of the other system with its colour; that map is replayed
+instead of searched, and yielded if it fixes 0 and carries lines onto
+lines.  The replay keeps no frame per assigned point, and so none of
+the search's per-frame copies of ``cand``.
 """
 
 from __future__ import annotations
@@ -62,6 +73,33 @@ def line_bijections(
     that every yielded bijection respects, such as equal refinement
     traces give; then the yields and their order are unchanged.
     """
+    if 2 * len(S1) > v:
+        # the same bijections carry the complements onto each other, and
+        # the lighter supports constrain the search far more
+        S1, S2 = (tuple(sorted(set(range(v)).difference(S))) for S in (S1, S2))
+    if colours is not None and all(len(set(c)) == v for c in colours):
+        yield from _replay(v, S1, S2, *colours)
+    else:
+        yield from _backtrack(v, S1, S2, colours)
+
+
+def _replay(v: int, S1, S2, c1, c2) -> Iterator[tuple[int, ...]]:
+    """Yield the one map that the discrete colourings c1, c2 name, if it is a bijection of lines."""
+    point_of = {c: y for y, c in enumerate(c2)}
+    sigma = tuple(point_of.get(c, -1) for c in c1)
+    if sigma[0] != 0 or -1 in sigma:
+        return
+    # entry t of each zip is the image of line S1 + t, and line S2 + t;
+    # sigma is a bijection, so it carries the distinct lines of S1
+    # one-to-one onto those of S2 exactly when the two sets agree
+    points = tuple(range(v))
+    images = set(map(frozenset, zip(*(sigma[s:] + sigma[:s] for s in S1))))
+    if images == set(map(frozenset, zip(*(points[s:] + points[:s] for s in S2)))):
+        yield sigma
+
+
+def _backtrack(v: int, S1, S2, colours) -> Iterator[tuple[int, ...]]:
+    """The search itself: line_bijections after the complement and replay rules."""
     everything = (1 << v) - 1
     # the points of each line, line t the base's mask rotated by t
     point_mask1, point_mask2 = (

@@ -161,16 +161,11 @@ def paq_equivalent(
     all i, j.  Decided by searching for a point bijection between the
     supports' translates; only once one is found are the translate
     systems built, to read off the row permutation from the matched lines.
-    A support of weight above v/2 constrains that search far less than
-    its complement, and A1 = P A2 Q exactly when J - A1 = P (J - A2) Q,
-    so the complements are searched and read instead.
     """
     if A1.v != A2.v:
         raise ValueError("paq equivalence needs a common modulus")
     v = A1.v
     _check_cap(v, cap, PAQ_SEARCH_CAP, "paq search")
-    if 2 * A1.weight > v:
-        A1, A2 = (CirculantMatrix(v, set(range(v)).difference(A.support)) for A in (A1, A2))
     sigma = next(_search.line_bijections(v, A1.support, A2.support), None)
     if sigma is None:
         return None

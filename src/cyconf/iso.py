@@ -23,8 +23,10 @@ caller, and the dispatcher passes the two colourings to the search,
 which maps each point only into its own colour class.  Every bijection
 fixing point 0 respects those colourings, so the search loses only
 subtrees that hold no witness and still returns the first witness in
-increasing candidate order.  `exact_isomorphic` always searches
-unrestricted.  Disconnected
+increasing candidate order; where both colourings are discrete, one
+colour per point, that witness is the one map they name, and the
+search replays it instead of searching.  `exact_isomorphic` always
+searches unrestricted.  Disconnected
 configurations are compared through their component decompositions, and
 the returned witness is still a full point bijection, assembled from an
 affine match of the components and replayable like any other witness.
@@ -186,7 +188,8 @@ def _searched(C1: CyclicConfiguration, C2: CyclicConfiguration, colours=None) ->
     colours, the pair of final colourings of equal refinement traces,
     maps each point only into its own colour class.  Every bijection
     fixing 0 respects those classes, so the search only skips subtrees
-    that hold no witness, and returns the same first witness.
+    that hold no witness, and returns the same first witness; where
+    both colourings are discrete it replays the one map they name.
     """
     if C1.line_set() == C2.line_set():
         return IsoWitness(kind="explicit", point_map=tuple(range(C1.v)))
@@ -361,9 +364,10 @@ def completeness_report(
     ``exact_members`` of them per orbit (all when None, the first in
     slice order otherwise) are additionally pushed through the
     backtracking oracle.  Two representatives with different refinement
-    traces are NON-ISO; every pair with equal traces goes to the
-    backtracking oracle.  The representatives are refined together
-    round by round, each only until its trace is its own.
+    traces are NON-ISO; every pair with equal traces goes to the search
+    with its two final colourings, as in auto.  The representatives are
+    refined together round by round, each only until its trace is its
+    own.
 
     Returns a dict with orbit count, member count and a list of
     mismatch descriptions (empty means agreement).

@@ -465,12 +465,16 @@ def _first_unpruned(C1, C2):
 
 def _assert_pruning_keeps_the_witness(pairs):
     # the search pruned by both final colourings, as auto runs it, must
-    # return the unpruned search's first yield
+    # return the unpruned search's first yield, and so must the pruned
+    # backtracking where the colourings are discrete and auto replays
     for C1, C2 in pairs:
         assert C1.line_set() != C2.line_set()  # else the identity shortcut answers
         assert full_trace(C1) == full_trace(C2)
-        w = iso._searched(C1, C2, (refined_colours(C1), refined_colours(C2)))
-        assert (w.point_map if w else None) == _first_unpruned(C1, C2), (C1, C2)
+        colours = (refined_colours(C1), refined_colours(C2))
+        first = _first_unpruned(C1, C2)
+        w = iso._searched(C1, C2, colours)
+        assert (w.point_map if w else None) == first, (C1, C2)
+        assert next(_search._backtrack(C1.v, C1.base, C2.base, colours), None) == first, (C1, C2)
 
 
 @pytest.mark.parametrize("k,vs", [(3, range(7, 31)), (4, range(13, 23)), (5, (28, 30, 33, 36))])
@@ -497,19 +501,93 @@ def test_pruned_search_returns_the_unpruned_witness(k, vs):
         _assert_pruning_keeps_the_witness(pairs)
 
 
+# 56 and 84 are neither prime powers nor products of two primes, so auto
+# takes the exact route there
+K6_PAIRS = [
+    (CyclicConfiguration(v, S), CyclicConfiguration(v, affine_image(S, a, b, v)))
+    for v, S, a, b in [
+        (56, (0, 4, 7, 16, 21, 29), 3, 10),
+        (56, (0, 4, 7, 16, 21, 29), 45, 7),
+        (84, (0, 1, 3, 7, 25, 38), 5, 2),
+        (84, (0, 1, 3, 7, 25, 38), 71, 40),
+    ]
+]
+
+
 def test_pruned_search_returns_the_unpruned_witness_at_k6():
-    # 56 and 84 are neither prime powers nor products of two primes, so
-    # auto takes the exact route there
-    pairs = []
-    for v, S, maps in [
-        (56, (0, 4, 7, 16, 21, 29), [(3, 10), (45, 7)]),
-        (84, (0, 1, 3, 7, 25, 38), [(5, 2), (71, 40)]),
-    ]:
-        for a, b in maps:
-            pairs.append((CyclicConfiguration(v, S), CyclicConfiguration(v, affine_image(S, a, b, v))))
-    _assert_pruning_keeps_the_witness(pairs)
-    for C1, C2 in pairs:
+    _assert_pruning_keeps_the_witness(K6_PAIRS)
+    for C1, C2 in K6_PAIRS:
         assert isomorphic(C1, C2) == exact_isomorphic(C1, C2)
+
+
+def _discrete(C):
+    return len(set(refined_colours(C))) == C.v
+
+
+def test_discrete_colourings_replay_the_search_witness(monkeypatch):
+    # a discrete final colouring names the one bijection fixing 0 that
+    # respects it, so auto replays that map and never searches; it must
+    # be the oracle's first witness.  The moduli are the benchmark's k = 5
+    # exact route
+    rng = random.Random(5)
+    pairs = []
+    for v in (28, 30, 36, 40, 42, 44, 45, 48):
+        reps = enumerate_base_lines(v, 5, connected_only=True, representatives_only=True, cap=v)
+        for R in rng.sample(reps, min(4, len(reps))):
+            image = affine_image(R, rng.choice(units(v)), rng.randrange(v), v)
+            pairs.append((CyclicConfiguration(v, R), CyclicConfiguration(v, image)))
+    pairs = [pair for pair in pairs + K6_PAIRS if all(map(_discrete, pair))]
+    pairs = [(C1, C2) for C1, C2 in pairs if C1.line_set() != C2.line_set()]
+    assert len(pairs) >= 30
+    want = [exact_isomorphic(C1, C2) for C1, C2 in pairs]
+    assert None not in want
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a discrete pair was searched")
+
+    monkeypatch.setattr(_search, "_backtrack", refuse)
+    assert [isomorphic(C1, C2) for C1, C2 in pairs] == want
+    # a colour of one colouring that the other lacks answers NON-ISO
+    C1, C2 = pairs[0]
+    c1, c2 = refined_colours(C1), refined_colours(C2)
+    assert iso._searched(C1, C2, (c1, tuple(c + C2.v for c in c2))) is None
+
+
+def test_a_non_discrete_colouring_keeps_the_search(monkeypatch):
+    # (28, {9, 14, 16, 22, 26}) refines to 12 point classes, so auto
+    # searches with both colourings and returns the unpruned first witness
+    C1 = CyclicConfiguration(28, (9, 14, 16, 22, 26))
+    C2 = CyclicConfiguration(28, affine_image(C1.base, 3, 5, 28))
+    colours = (refined_colours(C1), refined_colours(C2))
+    assert len(set(colours[0])) == 12
+    want = exact_isomorphic(C1, C2)
+    assert want is not None and want.point_map == _first_unpruned(C1, C2)
+    searched = []
+    backtrack = _search._backtrack
+
+    def recording(v, S1, S2, colours):
+        searched.append(tuple(map(tuple, colours)))
+        return backtrack(v, S1, S2, colours)
+
+    monkeypatch.setattr(_search, "_backtrack", recording)
+    assert isomorphic(C1, C2) == want
+    assert searched == [colours]
+
+
+def test_auto_replays_a_discrete_pair_in_bounded_memory():
+    # a random connected base line and an affine image: the search kept a
+    # copy of its line masks per assigned point, 64 MB here
+    v = 1500
+    C1 = CyclicConfiguration(v, (0, 130, 276, 523, 1166))
+    C2 = CyclicConfiguration(v, affine_image(C1.base, 227, 1014, v))
+    tracemalloc.start()
+    try:
+        w = isomorphic(C1, C2, cap=v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w is not None and witness_valid(C1, C2, w)
+    assert peak < 16 * 2**20, peak
 
 
 def test_exact_isomorphic_ignores_what_ran_before_it(monkeypatch):

@@ -9,8 +9,10 @@ kernel takes two bases and searches their translates.  So the tests
 hand the kernel the bases and the reference the translate systems built
 from them, and the kernel, which pins point 0, must yield exactly the
 reference's pinned sequence, order included, so that every first witness
-stays as it was.  The reference's unpinned mode lists the whole group
-independently, the oracle for `automorphisms`.
+stays as it was; on bases of more than v/2 points, which the kernel
+searches as their complements, the reference gets the complements too.
+The reference's unpinned mode lists the whole group independently, the
+oracle for `automorphisms`.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import random
 import sys
 from collections import Counter
 from itertools import islice
+from time import process_time
 
 import pytest
 
@@ -143,15 +146,26 @@ def _period(v, S):
     return len(set(_translates(v, S)))
 
 
+def _complement(v, S):
+    return tuple(sorted(set(range(v)).difference(S)))
+
+
 def assert_same_sequence(v, S1, S2, *, limit=None):
     """The kernel on the bases and the reference on their translates yield
     the same bijections fixing 0 in the same order (the first ``limit`` of
-    them when given); returns how many were compared."""
+    them when given); returns how many were compared.  The kernel searches
+    bases of more than v/2 points as their complements, so the reference
+    gets the complements' translates there, and every yield must still
+    carry the lines of S1, repeats kept, onto those of S2."""
     got = list(islice(_search.line_bijections(v, S1, S2), limit))
+    T1, T2 = (_complement(v, S) if 2 * len(S1) > v else S for S in (S1, S2))
     want = list(
-        islice(reference_line_bijections(v, _translates(v, S1), _translates(v, S2), fix_zero=True), limit)
+        islice(reference_line_bijections(v, _translates(v, T1), _translates(v, T2), fix_zero=True), limit)
     )
     assert got == want, (v, S1, S2)
+    lines2 = Counter(_translates(v, S2))
+    for sigma in got:
+        assert Counter(frozenset(sigma[x] for x in L) for L in _translates(v, S1)) == lines2
     return len(got)
 
 
@@ -287,10 +301,35 @@ def test_size_prechecks_and_edges_match_reference():
     assert assert_same_sequence(4, (), ()) == assert_same_sequence(4, (0, 1, 2, 3), (0, 1, 2, 3)) == 6
 
 
+def test_dense_bases_are_searched_as_their_complements():
+    # the complements of (0, 1, 3) and (0, 1, 4) are ISO at v = 11, by the
+    # unit 4, and NON-ISO at v = 12 and 13; searched as they are, they took
+    # 3 s at v = 12 and 36 s at v = 13
+    verdicts = {}
+    t0 = process_time()
+    for v in (11, 12, 13):
+        C1, C2 = (CyclicConfiguration(v, _complement(v, S)) for S in ((0, 1, 3), (0, 1, 4)))
+        w = exact_isomorphic(C1, C2)
+        assert w is None or witness_valid(C1, C2, w)
+        verdicts[v] = w is not None
+    assert process_time() - t0 < 1
+    assert verdicts == {11: True, 12: False, 13: False}
+    # the same bijections as the reference lists from the dense translates
+    cases = [(7, (0, 1, 3), 3, 2), (8, (0, 1, 3), 5, 1), (8, (0, 1, 4), 3, 0), (9, (0, 1, 3), 2, 4)]
+    for v, S, a, b in cases:
+        D1, D2 = _complement(v, S), _complement(v, affine_image(S, a, b, v))
+        got = sorted(_search.line_bijections(v, D1, D2))
+        want = sorted(
+            reference_line_bijections(v, _translates(v, D1), _translates(v, D2), fix_zero=True)
+        )
+        assert got == want and got, (v, S)
+
+
 @pytest.mark.parametrize("k,vs", [(3, range(7, 31)), (4, range(13, 26)), (5, (28, 30))])
 def test_colour_pruning_keeps_every_pinned_automorphism(k, vs):
     # the refinement's point colouring, fed to both sides, must cut only
-    # dead subtrees: the full fix-zero sequences are unchanged, in order.
+    # dead subtrees: the full fix-zero sequences are unchanged, in order,
+    # both from the backtracking and where a discrete colouring replays.
     # Disconnected representatives only up to v = 16: at (21, {0, 3, 9})
     # alone 1354752 automorphisms fix 0
     compared = 0
@@ -300,8 +339,29 @@ def test_colour_pruning_keeps_every_pinned_automorphism(k, vs):
             want = list(_search.line_bijections(v, R, R))
             got = list(_search.line_bijections(v, R, R, colours=(colours, colours)))
             assert got == want, (v, R)
+            assert list(_search._backtrack(v, R, R, (colours, colours))) == want, (v, R)
             compared += len(want)
     assert compared > len(vs)
+
+
+def test_a_discrete_colouring_yields_what_the_backtracking_yields():
+    # discrete colourings name one map, x -> 2x or 3x or x + 1 here; it is
+    # yielded exactly when it fixes 0 and carries lines onto lines, as
+    # the backtracking restricted to those colourings finds
+    v, S = 7, (0, 1, 3)  # the Fano plane: 2S = S + 6, and 3S is no line
+    c1 = tuple(range(v))
+    for sigma, want in [
+        (range(v), [tuple(range(v))]),
+        ([2 * x % v for x in range(v)], [tuple(2 * x % v for x in range(v))]),
+        ([3 * x % v for x in range(v)], []),
+        ([(x + 1) % v for x in range(v)], []),  # an automorphism, but it moves 0
+    ]:
+        c2 = [0] * v
+        for x, y in enumerate(sigma):
+            c2[y] = c1[x]
+        colours = (c1, tuple(c2))
+        assert list(_search.line_bijections(v, S, S, colours=colours)) == want
+        assert list(_search._backtrack(v, S, S, colours)) == want
 
 
 def test_exact_search_runs_deeper_than_the_recursion_limit():

@@ -37,22 +37,21 @@ instead of an undo log.  No line is partially assigned at the root, so
 the first point chosen is always point 0, and its only candidate is 0.
 The last point yields at its leaf directly.
 
-A caller that knows a point colouring every solution respects, such as
-the final colouring of equal refinement traces, can pass it to restrict
-each point's candidates to its own colour class.  The ``cand`` masks are
-left alone, and the next point is chosen from them alone, so the tree is
-the same tree less subtrees that hold no solution: the solutions, and
-their order, do not change.  When both colourings are discrete, one
-colour per point, they leave a single candidate map, sending each point
-to the point of the other system with its colour; that map is replayed
+A caller that holds two discrete point colourings, one colour per
+point, such as the final colourings of equal refinement traces, can
+pass them: they name a single candidate map, sending each point to the
+point of the other system with its colour.  That map is replayed
 instead of searched, and yielded if it fixes 0 and carries lines onto
-lines.  The replay keeps no frame per assigned point, and so none of
-the search's per-frame copies of ``cand``.
+lines.  The replay keeps none of the search's per-point frames.  Any
+other colouring pair goes unused, and the search runs unrestricted.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+
+# the default cap on v of every public entry that searches
+SEARCH_CAP = 300
 
 
 def line_bijections(
@@ -68,10 +67,11 @@ def line_bijections(
     searched, which is complete because composing with a translation
     moves sigma(0) anywhere.
 
-    ``colours``, a pair (c1, c2) of point colourings, restricts each
-    point x to the images y with c2[y] == c1[x].  It must be a colouring
-    that every yielded bijection respects, such as equal refinement
-    traces give; then the yields and their order are unchanged.
+    ``colours``, a pair (c1, c2) of point colourings that every
+    yielded bijection respects, such as equal refinement traces give,
+    serves only when both are discrete: then the one map they name is
+    replayed, and it is the search's only yield.  Otherwise the search
+    runs unrestricted.
     """
     if 2 * len(S1) > v:
         # the same bijections carry the complements onto each other, and
@@ -80,7 +80,7 @@ def line_bijections(
     if colours is not None and all(len(set(c)) == v for c in colours):
         yield from _replay(v, S1, S2, *colours)
     else:
-        yield from _backtrack(v, S1, S2, colours)
+        yield from _backtrack(v, S1, S2)
 
 
 def _replay(v: int, S1, S2, c1, c2) -> Iterator[tuple[int, ...]]:
@@ -89,16 +89,17 @@ def _replay(v: int, S1, S2, c1, c2) -> Iterator[tuple[int, ...]]:
     sigma = tuple(point_of.get(c, -1) for c in c1)
     if sigma[0] != 0 or -1 in sigma:
         return
-    # entry t of each zip is the image of line S1 + t, and line S2 + t;
+    # imported here, since circulant imports this module
+    from .circulant import _translates
+    from .configuration import _maps_lines_onto
+
     # sigma is a bijection, so it carries the distinct lines of S1
     # one-to-one onto those of S2 exactly when the two sets agree
-    points = tuple(range(v))
-    images = set(map(frozenset, zip(*(sigma[s:] + sigma[:s] for s in S1))))
-    if images == set(map(frozenset, zip(*(points[s:] + points[:s] for s in S2)))):
+    if _maps_lines_onto(sigma, S1, set(map(frozenset, _translates(tuple(range(v)), S2)))):
         yield sigma
 
 
-def _backtrack(v: int, S1, S2, colours) -> Iterator[tuple[int, ...]]:
+def _backtrack(v: int, S1, S2) -> Iterator[tuple[int, ...]]:
     """The search itself: line_bijections after the complement and replay rules."""
     everything = (1 << v) - 1
     # the points of each line, line t the base's mask rotated by t
@@ -110,19 +111,11 @@ def _backtrack(v: int, S1, S2, colours) -> Iterator[tuple[int, ...]]:
         return  # unequal sizes or periods
     point_lines1 = [[(x - s) % v for s in S1] for x in range(v)]
     through2 = [sum(1 << (y - s) % v for s in S2) for y in range(v)]
-    if colours is None:
-        allowed_for = [everything] * v
-    else:
-        c1, c2 = colours
-        same_colour: dict[int, int] = {}  # the points of system 2 of each colour
-        for y, c in enumerate(c2):
-            same_colour[c] = same_colour.get(c, 0) | 1 << y
-        allowed_for = [same_colour.get(c, 0) for c in c1]
     sigma: list[int] = [-1] * v
     pools: dict[int, int] = {}  # the points covered by each cand mask met so far
 
     def candidates(x: int, cand: list[int], used: int) -> int:
-        allowed = allowed_for[x] & ~used
+        allowed = everything & ~used
         for i in point_lines1[x]:
             c = cand[i]
             pool = pools.get(c)

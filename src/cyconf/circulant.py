@@ -35,7 +35,6 @@ from ._record import Record
 from .baseline import affine_map_between
 from .residue_ring import _check_cap, _check_enumeration, _residues
 
-PAQ_SEARCH_CAP = 300
 GRAM_CAP = 1000
 
 
@@ -165,7 +164,7 @@ def paq_equivalent(
     if A1.v != A2.v:
         raise ValueError("paq equivalence needs a common modulus")
     v = A1.v
-    _check_cap(v, cap, PAQ_SEARCH_CAP, "paq search")
+    _check_cap(v, cap, _search.SEARCH_CAP, "paq search")
     sigma = next(_search.line_bijections(v, A1.support, A2.support), None)
     if sigma is None:
         return None

@@ -19,17 +19,11 @@ round by round while they are computed, and refinement stops at the
 first round in which they differ, since the rest of the trace cannot
 make them equal again.  No round is stored, and nothing is kept on a
 configuration: the refinement hands its final point colouring to its
-caller, and the dispatcher passes the two colourings to the search,
-which maps each point only into its own colour class.  Every bijection
-fixing point 0 respects those colourings, so the search loses only
-subtrees that hold no witness and still returns the first witness in
-increasing candidate order; where both colourings are discrete, one
-colour per point, that witness is the one map they name, and the
-search replays it instead of searching.  `exact_isomorphic` always
-searches unrestricted.  Disconnected
-configurations are compared through their component decompositions, and
-the returned witness is still a full point bijection, assembled from an
-affine match of the components and replayable like any other witness.
+caller, and the dispatcher passes the two colourings to the search.
+`exact_isomorphic` passes none.  Disconnected configurations are
+compared through their component decompositions, and the returned
+witness is still a full point bijection, assembled from an affine match
+of the components and replayable like any other witness.
 """
 
 from __future__ import annotations
@@ -52,7 +46,6 @@ from .residue_ring import (
     CapExceeded, _check_cap, _check_enumeration, _two_primes, factorization, inverse, is_ci_order
 )
 
-EXACT_SEARCH_CAP = 300
 # automorphisms() refuses a group larger than this; three disjoint Fano
 # planes, (21, {0, 3, 9}), have 168**3 * 3! maps
 AUTOMORPHISM_CAP = 10**5
@@ -186,10 +179,7 @@ def _searched(C1: CyclicConfiguration, C2: CyclicConfiguration, colours=None) ->
     """The identity on equal line sets, else the search's first witness, or None.
 
     colours, the pair of final colourings of equal refinement traces,
-    maps each point only into its own colour class.  Every bijection
-    fixing 0 respects those classes, so the search only skips subtrees
-    that hold no witness, and returns the same first witness; where
-    both colourings are discrete it replays the one map they name.
+    is passed to the search.
     """
     if C1.line_set() == C2.line_set():
         return IsoWitness(kind="explicit", point_map=tuple(range(C1.v)))
@@ -207,11 +197,11 @@ def exact_isomorphic(
     sigma(0) pinned to 0, which is complete because translations are
     automorphisms; it answers bases of different sizes before it starts.
     Deterministic: the first witness in increasing candidate order is
-    returned.  Nothing is refined, and the search is never restricted.
+    returned.  Nothing is refined, and no colouring is passed.
     """
     if C1.v != C2.v:
         raise ValueError("isomorphism needs a common point count")
-    _check_cap(C1.v, cap, EXACT_SEARCH_CAP, "exact search")
+    _check_cap(C1.v, cap, _search.SEARCH_CAP, "exact search")
     return _searched(C1, C2)
 
 
@@ -226,7 +216,7 @@ def automorphisms(C: CyclicConfiguration, cap: int | None = None) -> list[tuple[
     AUTOMORPHISM_IMAGE_CAP in all.
     """
     v = C.v
-    _check_cap(v, cap, EXACT_SEARCH_CAP, "exact search")
+    _check_cap(v, cap, _search.SEARCH_CAP, "exact search")
     fixing = []
     for sigma in _search.line_bijections(v, C.base, C.base):
         fixing.append(sigma)
@@ -314,7 +304,7 @@ def isomorphic(
         if split1[0] > 1:
             return _component_witness(C1, C2, split1, split2)
         if not _multiplier_complete(v, C1.k):
-            _check_cap(v, cap, EXACT_SEARCH_CAP, "exact search")
+            _check_cap(v, cap, _search.SEARCH_CAP, "exact search")
             groups = _equal_trace_groups((C1, C2))
             return _searched(C1, C2, tuple(groups[0].values())) if groups else None
     elif method != "multiplier":
@@ -364,10 +354,10 @@ def completeness_report(
     ``exact_members`` of them per orbit (all when None, the first in
     slice order otherwise) are additionally pushed through the
     backtracking oracle.  Two representatives with different refinement
-    traces are NON-ISO; every pair with equal traces goes to the search
-    with its two final colourings, as in auto.  The representatives are
-    refined together round by round, each only until its trace is its
-    own.
+    traces are NON-ISO; every pair with equal traces is searched, and
+    its two final colourings are passed to the search, as in auto.  The
+    representatives are refined together round by round, each only
+    until its trace is its own.
 
     Returns a dict with orbit count, member count and a list of
     mismatch descriptions (empty means agreement).

@@ -464,9 +464,9 @@ def _first_unpruned(C1, C2):
 
 
 def _assert_pruning_keeps_the_witness(pairs):
-    # the search pruned by both final colourings, as auto runs it, must
-    # return the unpruned search's first yield, and so must the pruned
-    # backtracking where the colourings are discrete and auto replays
+    # the search given both final colourings, as auto runs it, must
+    # return the unpruned search's first yield, whether it replays a
+    # discrete pair or backtracks
     for C1, C2 in pairs:
         assert C1.line_set() != C2.line_set()  # else the identity shortcut answers
         assert full_trace(C1) == full_trace(C2)
@@ -474,7 +474,6 @@ def _assert_pruning_keeps_the_witness(pairs):
         first = _first_unpruned(C1, C2)
         w = iso._searched(C1, C2, colours)
         assert (w.point_map if w else None) == first, (C1, C2)
-        assert next(_search._backtrack(C1.v, C1.base, C2.base, colours), None) == first, (C1, C2)
 
 
 @pytest.mark.parametrize("k,vs", [(3, range(7, 31)), (4, range(13, 23)), (5, (28, 30, 33, 36))])
@@ -555,23 +554,22 @@ def test_discrete_colourings_replay_the_search_witness(monkeypatch):
 
 def test_a_non_discrete_colouring_keeps_the_search(monkeypatch):
     # (28, {9, 14, 16, 22, 26}) refines to 12 point classes, so auto
-    # searches with both colourings and returns the unpruned first witness
+    # backtracks, unrestricted, and returns the unpruned first witness
     C1 = CyclicConfiguration(28, (9, 14, 16, 22, 26))
     C2 = CyclicConfiguration(28, affine_image(C1.base, 3, 5, 28))
-    colours = (refined_colours(C1), refined_colours(C2))
-    assert len(set(colours[0])) == 12
+    assert len(set(refined_colours(C1))) == 12
     want = exact_isomorphic(C1, C2)
     assert want is not None and want.point_map == _first_unpruned(C1, C2)
     searched = []
     backtrack = _search._backtrack
 
-    def recording(v, S1, S2, colours):
-        searched.append(tuple(map(tuple, colours)))
-        return backtrack(v, S1, S2, colours)
+    def recording(*args, **kwargs):
+        searched.append((args, kwargs))
+        return backtrack(*args, **kwargs)
 
     monkeypatch.setattr(_search, "_backtrack", recording)
     assert isomorphic(C1, C2) == want
-    assert searched == [colours]
+    assert searched == [((28, C1.base, C2.base), {})]
 
 
 def test_auto_replays_a_discrete_pair_in_bounded_memory():
@@ -724,6 +722,25 @@ def test_a_cap_past_the_enumeration_cap_is_clamped_before_refining(monkeypatch):
             isomorphic(C1, C2, method=method, cap=20000)
     with pytest.raises(CapExceeded, match=refusal):
         automorphisms(C1, cap=20000)
+
+
+def test_every_search_entry_refuses_past_the_one_default_cap():
+    # exact_isomorphic, automorphisms and auto share the default cap 300
+    # with paq_equivalent.  Auto searches only where multipliers are not
+    # complete: 301 = 7 * 43 is a product of two primes, so auto answers
+    # there, and first refuses at 304
+    S = (0, 1, 3, 7, 12)
+    C1, C2 = (CyclicConfiguration(301, T) for T in (S, affine_image(S, 2, 5, 301)))
+    refusal = "v=301 exceeds the exact search cap 300"
+    with pytest.raises(CapExceeded, match=refusal):
+        exact_isomorphic(C1, C2)
+    with pytest.raises(CapExceeded, match=refusal):
+        automorphisms(C1)
+    assert isomorphic(C1, C2) == IsoWitness(kind="multiplier", a=2, b=5)
+    C1, C2 = (CyclicConfiguration(304, T) for T in (S, affine_image(S, 3, 1, 304)))
+    with pytest.raises(CapExceeded, match="v=304 exceeds the exact search cap 300"):
+        isomorphic(C1, C2)
+    assert isomorphic(C1, C2, cap=304) is not None
 
 
 def test_a_disconnected_iso_pair_refuses_past_the_enumeration_cap_before_its_map():

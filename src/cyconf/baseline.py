@@ -224,17 +224,22 @@ def canonical_form(S, v: int) -> tuple[int, ...]:
 
 
 def orbit_size(S, v: int) -> int:
-    """Number of distinct affine images of S.
+    """Number of distinct affine images of S."""
+    return _form_and_orbit_size(S, v)[1]
+
+
+def _form_and_orbit_size(S, v: int) -> tuple[tuple[int, ...], int]:
+    """S's canonical form and orbit size, both from one _least_images search.
 
     The maps onto S's least image are one coset of its stabiliser in the
     affine group, of order v*phi(v), so the orbit has v*phi(v) / |maps|
     members, valid even for periodic S.
     """
-    maps = _least_images(S, v)[1]
+    form, maps = _least_images(S, v)
     size, rest = divmod(v * phi(v), len(maps))
     if rest:
         raise ArithmeticError(f"orbit of {tuple(S)} mod {v}: {len(maps)} maps onto its form")
-    return size
+    return form, size
 
 
 @lru_cache(maxsize=1)  # reused only within one command, at one (v, k, connected)

@@ -19,14 +19,14 @@ from collections import deque
 from contextlib import nullcontext
 
 from .baseline import (
+    _form_and_orbit_size,
     _require_k,
-    canonical_form,
+    canonical_form,  # unused here; perfbench's selftest pins this binding
     ensure_enumerable,
     enumerate_base_lines,
     enumeration_cap,
     is_base_line,
     is_connected,
-    orbit_size,
 )
 from .circulant import _incidence_rows
 from .configuration import CyclicConfiguration, incidence_matrix, levi_graph, levi_text
@@ -102,12 +102,14 @@ def _fmt_points(S) -> str:
 def _record_line(v: int, S) -> str:
     # field order is part of the format: v, k, base_line, connected,
     # canonical, orbit_size
+    connected = "true" if is_connected(S, v) else "false"
+    form, size = _form_and_orbit_size(S, v)
     return (
         f"v={v} k={len(S)}"
         f" base_line={_fmt_points(S)}"
-        f" connected={'true' if is_connected(S, v) else 'false'}"
-        f" canonical={_fmt_points(canonical_form(S, v))}"
-        f" orbit_size={orbit_size(S, v)}"
+        f" connected={connected}"
+        f" canonical={_fmt_points(form)}"
+        f" orbit_size={size}"
     )
 
 

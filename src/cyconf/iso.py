@@ -14,12 +14,16 @@ too, by the source paper's count; at k = 4 it is checked (acceptance
 criteria 5 and 7: v <= 20 and eight composites up to 49) but not proven.
 The dispatcher uses the cheap route exactly in these cases.  Elsewhere it
 first compares refinement traces, which prove NON-ISO when they
-differ, and searches only when they agree.  The traces are compared
-round by round while they are computed, and refinement stops at the
-first round in which they differ, since the rest of the trace cannot
-make them equal again.  No round is stored, and nothing is kept on a
+differ, and searches only when they agree.  The refinement recolours
+the points from the lines and then the lines from the new point
+colours, so each round carries a split two edges on, and it stops at
+the first discrete point colouring.  The traces are compared round by
+round while they are computed, and refinement stops at the first round
+in which they differ, since the rest of the trace cannot make them
+equal again.  No round is stored, and nothing is kept on a
 configuration: the refinement hands its final point colouring to its
-caller, and the dispatcher passes the two colourings to the search.
+caller, and the dispatcher passes the two colourings to the search,
+which replays the one map that two discrete colourings name.
 `exact_isomorphic` passes none.  Disconnected configurations are
 compared through their component decompositions, and the returned
 witness is still a full point bijection, assembled from an affine match
@@ -107,41 +111,62 @@ def _refinement_rounds(C: CyclicConfiguration):
     """Yield the refinement trace of C one round at a time.
 
     Colour refinement of the Levi graph with point 0 individualized:
-    points and lines start in separate colour classes, point 0 alone in
-    a third.  Each round recolours every vertex by its colour and the
-    sorted colours of its neighbours, numbering the new classes in the
-    sorted order of those signatures, until the number of classes stops
-    growing.  The trace is every round's signatures with their
-    multiplicities.  Translations are automorphisms, so any isomorphism
-    can be composed with one that fixes point 0: isomorphic
+    point 0 starts in a colour class of its own, the other points in a
+    second, and the lines in one class, numbered apart from the points.
+    Each round recolours the points, each by its colour and the sorted
+    colours of its lines, and then the lines, each by its colour and
+    the sorted new colours of its points; either half numbers its new
+    classes in the sorted order of their signatures.  So a split crosses
+    two edges per round.  The trace is every half's signatures with
+    their multiplicities.  Translations are automorphisms, so any
+    isomorphism can be composed with one that fixes point 0: isomorphic
     configurations share traces, and unequal traces prove NON-ISO.
     Equal traces prove nothing.
 
+    The rounds end when neither half adds a class, or at once when the
+    point colouring is discrete, before that round's line half: a
+    discrete colouring already names the only map that equal traces
+    allow.  Either way the final point partition is the coarsest
+    equitable one that refines the start, which recolouring every vertex
+    from the old colours at once also reaches, in about twice the rounds.
+
     Works on Z_v directly: point x lies on the lines x - s and line i holds
-    the points i + s, so a round's neighbour colours are the line and point
-    colour lists read through _translates by -S and S.  No round is kept
+    the points i + s, so a half's neighbour colours are the line or point
+    colour list read through _translates by -S or S.  No round is kept
     and C is left as it was: each round is yielded as (entry, points),
-    the trace entry with the point colouring it was read from, one colour
-    per point, for the caller to compare as it comes.  The last round's
-    points are the final colouring.
+    the trace entry, a (point half, line half) pair whose line half is
+    None on a discrete round, and the point colouring of its point half,
+    one colour per point, for the caller to compare as it comes.  The
+    last round's points are the final colouring.
     """
     v, S = C.v, C.base
+    down = [-s for s in S]
     points = [0] + [1] * (v - 1)
-    lines = [2] * v
-    classes = len(set(points + lines))
+    lines = [0] * v
+    classes = len(set(points)), 1
     while True:
-        around_points = _translates(lines, [-s for s in S])
-        around_lines = _translates(points, S)
-        point_sigs = list(zip(points, map(tuple, map(sorted, around_points))))
-        line_sigs = list(zip(lines, map(tuple, map(sorted, around_lines))))
-        entry = tuple(sorted(Counter(point_sigs + line_sigs).items()))
-        yield entry, points
-        if len(entry) == classes:
+        point_half, points = _recoloured(points, _translates(lines, down))
+        if len(point_half) == v:
+            yield (point_half, None), points
             return
-        index = {sig: n for n, (sig, _) in enumerate(entry)}
-        points = list(map(index.__getitem__, point_sigs))
-        lines = list(map(index.__getitem__, line_sigs))
-        classes = len(entry)
+        line_half, lines = _recoloured(lines, _translates(points, S))
+        yield (point_half, line_half), points
+        if (len(point_half), len(line_half)) == classes:
+            return
+        classes = len(point_half), len(line_half)
+
+
+def _recoloured(colours, around):
+    """(entry, colours): the sorted signatures with their counts, and the new colours.
+
+    Each vertex's signature is its colour and the sorted colours of its
+    neighbours, listed in around; new colours number the signatures in
+    sorted order.
+    """
+    sigs = list(zip(colours, map(tuple, map(sorted, around))))
+    entry = tuple(sorted(Counter(sigs).items()))
+    index = {sig: n for n, (sig, _) in enumerate(entry)}
+    return entry, list(map(index.__getitem__, sigs))
 
 
 def _equal_trace_groups(configs) -> list[dict[int, list[int]]]:
@@ -152,7 +177,8 @@ def _equal_trace_groups(configs) -> list[dict[int, list[int]]]:
     lock-step, one round each per step, and split by the round they
     yield; one that ends up alone is dropped at once, before its last
     round if its trace parts earlier.  So every member of a returned
-    group is fully refined, and no two configurations in different
+    group is fully refined, to a discrete point colouring or to the
+    coarsest equitable partition, and no two configurations in different
     groups, or outside all of them, share a trace.  Groups come sorted
     by their indices.
     """

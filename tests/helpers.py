@@ -12,7 +12,7 @@ from math import gcd
 
 from cyconf import baseline
 from cyconf.baseline import SliceOrbit, _component_split, _difference_set, canonical_form
-from cyconf.circulant import CirculantMatrix, _gram_profile
+from cyconf.circulant import CirculantMatrix, _gram_profile, _translates
 from cyconf.configuration import (
     CyclicConfiguration,
     LeviGraph,
@@ -150,25 +150,86 @@ def refined_colours(C: CyclicConfiguration) -> tuple[int, ...]:
 def reference_refinement_invariant(C: CyclicConfiguration) -> tuple:
     """Colour refinement of the Levi graph with point 0 individualized.
 
-    The route the refinement trace took before it was computed on Z_v
-    by rotating colour lists: here the Levi graph's adjacency lists are
-    walked vertex by vertex.  The two traces must be equal.
+    The rounds `iso._refinement_rounds` computes on Z_v by rotating
+    colour lists, here read off the Levi graph's adjacency lists vertex
+    by vertex: each round recolours the points from the line colours,
+    then the lines from the new point colours, and the rounds stop when
+    neither half adds a class, or at a discrete point colouring, before
+    that round's line half.  The two traces must be equal.
     """
     v = C.v
     adj = levi_graph(C).adjacency()
-    colour = [0] + [1] * (v - 1) + [2] * v
-    classes = len(set(colour))
-    trace = []
-    while True:
-        sigs = [(colour[u], tuple(sorted(colour[w] for w in nbrs))) for u, nbrs in enumerate(adj)]
+
+    def recoloured(colour, vertices):
+        sigs = [(colour[u], tuple(sorted(colour[w] for w in adj[u]))) for u in vertices]
         counts = Counter(sigs)
         order = sorted(counts)
-        trace.append(tuple((sig, counts[sig]) for sig in order))
-        if len(order) == classes:
-            return tuple(trace)
         index = {sig: n for n, sig in enumerate(order)}
-        colour = [index[sig] for sig in sigs]
-        classes = len(order)
+        for u, sig in zip(vertices, sigs):
+            colour[u] = index[sig]
+        return tuple((sig, counts[sig]) for sig in order)
+
+    colour = [0] + [1] * (v - 1) + [0] * v
+    classes = len(set(colour[:v])), 1
+    trace = []
+    while True:
+        point_half = recoloured(colour, range(v))
+        if len(point_half) == v:
+            trace.append((point_half, None))
+            return tuple(trace)
+        line_half = recoloured(colour, range(v, 2 * v))
+        trace.append((point_half, line_half))
+        if (len(point_half), len(line_half)) == classes:
+            return tuple(trace)
+        classes = len(point_half), len(line_half)
+
+
+@lru_cache(maxsize=None)
+def jacobi_partition(C: CyclicConfiguration) -> tuple[tuple, frozenset[frozenset[int]]]:
+    """The simultaneous refinement's whole trace and its final point partition.
+
+    The schedule `iso._refinement_rounds` ran before it recoloured points
+    and lines in turn: each round recolours every vertex at once, from
+    the old colours of its neighbours, numbering points and lines
+    together, until the number of classes stops growing.  Both schedules
+    end at the coarsest equitable partition that refines the start, so
+    the final point partitions must be equal, and configurations with
+    equal traces under one schedule have equal traces under the other.
+    Only the alternating rounds' stop at a discrete point colouring
+    could join a pair that a later line half parts, and none of the
+    tested pairs is such a pair.
+    """
+    v, S = C.v, C.base
+    points = [0] + [1] * (v - 1)
+    lines = [2] * v
+    classes = len(set(points + lines))
+    trace = []
+    while True:
+        around_points = _translates(lines, [-s for s in S])
+        around_lines = _translates(points, S)
+        point_sigs = list(zip(points, map(tuple, map(sorted, around_points))))
+        line_sigs = list(zip(lines, map(tuple, map(sorted, around_lines))))
+        entry = tuple(sorted(Counter(point_sigs + line_sigs).items()))
+        trace.append(entry)
+        if len(entry) == classes:
+            return tuple(trace), _as_partition(points)
+        index = {sig: n for n, (sig, _) in enumerate(entry)}
+        points = list(map(index.__getitem__, point_sigs))
+        lines = list(map(index.__getitem__, line_sigs))
+        classes = len(entry)
+
+
+def _as_partition(colours) -> frozenset[frozenset[int]]:
+    """The classes of a colouring, one colour per point, as a set partition."""
+    classes: dict = {}
+    for x, c in enumerate(colours):
+        classes.setdefault(c, set()).add(x)
+    return frozenset(map(frozenset, classes.values()))
+
+
+def refined_partition(C: CyclicConfiguration) -> frozenset[frozenset[int]]:
+    """The final point partition of C's refinement, as a set partition."""
+    return _as_partition(refined_colours(C))
 
 
 def reference_maps_lines_onto(sigma, lines, target: frozenset[frozenset[int]]) -> bool:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import cyconf
-from cyconf import cli, iso
+from cyconf import baseline, cli, iso
 from cyconf.baseline import _slice, canonical_form, enumerate_base_lines, slice_orbits
 from cyconf.circulant import CirculantMatrix, incidence_text
 from cyconf.cli import _parse_span, main, entry
@@ -155,6 +155,23 @@ def test_enumerate_reps_records_match_recomputed_ones(capsys, v, extra):
             f" canonical={points} orbit_size={len(members) * v // k}"
         )
     assert out.splitlines() == want
+
+
+@pytest.mark.parametrize("argv", [("--v", "37", "--k", "4", "--reps"), ("--v", "26"), ("--v", "21")])
+def test_each_record_runs_one_least_images_search(capsys, monkeypatch, argv):
+    # the canonical form and the orbit size come from the same search
+    searched = []
+    least_images = baseline._least_images
+
+    def counting(S, v):
+        searched.append(tuple(S))
+        return least_images(S, v)
+
+    monkeypatch.setattr(baseline, "_least_images", counting)
+    rc, out, _ = run(capsys, "enumerate", *argv)
+    assert rc == 0
+    bases = [r.split()[2].removeprefix("base_line=") for r in out.splitlines()]
+    assert bases and searched == [tuple(map(int, b.split(","))) for b in bases]
 
 
 def test_enumerate_reps_argument_errors(capsys):

@@ -10,7 +10,13 @@ import pytest
 from networkx.algorithms.isomorphism import GraphMatcher
 
 from cyconf import _search, baseline, iso
-from cyconf.baseline import canonical_form, enumerate_base_lines, slice_orbits
+from cyconf.baseline import (
+    canonical_form,
+    enumerate_base_lines,
+    is_base_line,
+    is_connected,
+    slice_orbits,
+)
 from cyconf.circulant import CirculantMatrix, paq_equivalent
 from cyconf.configuration import CyclicConfiguration
 from cyconf.iso import (
@@ -26,9 +32,11 @@ from cyconf.residue_ring import CapExceeded, factorization, inverse, is_ci_order
 from helpers import (
     affine_image,
     full_trace,
+    jacobi_partition,
     reference_maps_lines_onto,
     reference_refinement_invariant,
     refined_colours,
+    refined_partition,
 )
 
 FANO = CyclicConfiguration(7, (0, 1, 3))
@@ -341,6 +349,13 @@ def test_completeness_report_clean():
 # ------------------------------------------------- the refinement invariant
 
 
+# bases that are periodic, disconnected or tiny
+ODD_BASES = (
+    (1, (0,)), (2, (0,)), (2, (0, 1)), (3, (0, 1)), (12, (0, 4, 8)), (12, (0, 1, 6, 7)),
+    (9, (0, 3, 6)), (8, (0, 4)), (26, (0, 2, 6)), (21, (0, 3, 9)), (16, (0, 1, 2, 9)),
+)
+
+
 def _reps(v, k):
     return [
         CyclicConfiguration(v, R)
@@ -410,10 +425,7 @@ def test_refinement_matches_the_levi_graph_reference():
     # representative, a seeded sample of k=5 representatives, and bases
     # that are periodic, disconnected or tiny
     rng = random.Random(14)
-    cases = [
-        (1, (0,)), (2, (0,)), (2, (0, 1)), (3, (0, 1)), (12, (0, 4, 8)), (12, (0, 1, 6, 7)),
-        (9, (0, 3, 6)), (8, (0, 4)), (26, (0, 2, 6)), (21, (0, 3, 9)), (16, (0, 1, 2, 9)),
-    ]
+    cases = list(ODD_BASES)
     for v in range(7, 41):
         for R in enumerate_base_lines(v, 3, representatives_only=True):
             cases += [(v, R), (v, affine_image(R, units(v)[-1], 3, v))]
@@ -427,6 +439,78 @@ def test_refinement_matches_the_levi_graph_reference():
         assert full_trace(C) == reference_refinement_invariant(C), (v, S)
 
 
+def _random_base_line(rng, v, k):
+    while True:
+        S = (0, *sorted(rng.sample(range(1, v), k - 1)))
+        if is_base_line(S, v) and is_connected(S, v):
+            return S
+
+
+def _assert_the_simultaneous_schedule_agrees(configs):
+    """The alternating rounds against the simultaneous ones, on one modulus.
+
+    Each final point partition must equal the simultaneous one, in at
+    most half its rounds and one more, and the trace groups must be the
+    groups of equal simultaneous traces.
+    """
+    for C in configs:
+        trace, partition = jacobi_partition(C)
+        assert refined_partition(C) == partition, C
+        assert len(full_trace(C)) <= (len(trace) + 1) // 2 + 1, (C, len(trace))
+    by_trace: dict = {}
+    for i, C in enumerate(configs):
+        by_trace.setdefault(jacobi_partition(C)[0], []).append(i)
+    want = sorted(group for group in by_trace.values() if len(group) > 1)
+    assert [list(group) for group in iso._equal_trace_groups(configs)] == want, configs[0].v
+
+
+def _with_images(v, bases):
+    # each base and an affine image of it, which shares its trace
+    a = units(v)[-2]
+    return [CyclicConfiguration(v, T) for S in bases for T in (S, affine_image(S, a, 5, v))]
+
+
+@pytest.mark.parametrize(
+    "k,vs,sample",
+    [(3, range(7, 41), None), (4, range(13, 26), None), (5, range(28, 49), 12), (6, (36, 40), None)],
+)
+def test_refinement_ends_at_the_simultaneous_partition(k, vs, sample):
+    # every connected representative (a seeded sample of them at k = 5)
+    # with an affine image of each
+    rng = random.Random(34)
+    for v in vs:
+        reps = enumerate_base_lines(v, k, connected_only=True, representatives_only=True, cap=v)
+        if sample is not None and len(reps) > sample:
+            reps = rng.sample(reps, sample)
+        _assert_the_simultaneous_schedule_agrees(_with_images(v, reps))
+
+
+def test_refinement_ends_at_the_simultaneous_partition_on_odd_and_large_bases():
+    for v, S in ODD_BASES:
+        _assert_the_simultaneous_schedule_agrees([CyclicConfiguration(v, S)])
+    rng = random.Random(34)
+    for v in sorted(rng.sample(range(49, 2001), 6)) + [2000]:
+        S = _random_base_line(rng, v, 5)
+        _assert_the_simultaneous_schedule_agrees(_with_images(v, [S]))
+
+
+def test_refinement_round_counts():
+    # a split crosses two edges per round: a short-span base at v = 2000
+    # needs 68 rounds (136 when every vertex was recoloured at once)
+    assert len(full_trace(CyclicConfiguration(2000, (0, 1, 3, 7, 15)))) == 68
+    # a random connected k = 5 base stops at its first discrete point
+    # colouring, with no line half in that round
+    S = _random_base_line(random.Random(34), 40, 5)
+    trace = full_trace(CyclicConfiguration(40, S))
+    assert len(trace) == 4 and trace[-1][1] is None
+    assert len(trace[-1][0]) == 40 and all(n == 1 for _, n in trace[-1][0])
+    # the NON-ISO pair of the CI check parts at round 2, counting from 0
+    # (round 3 when every vertex was recoloured at once)
+    C1, C2 = (CyclicConfiguration(28, S) for S in ((0, 1, 3, 7, 12), (0, 1, 3, 7, 20)))
+    traces = full_trace(C1), full_trace(C2)
+    assert traces[0][:2] == traces[1][:2] and traces[0][2] != traces[1][2]
+
+
 def test_refinement_leaves_the_configuration_as_it_was():
     # the final point colouring, one colour per point, is handed out with
     # the last round and kept nowhere; refining again hands out the same one
@@ -437,12 +521,13 @@ def test_refinement_leaves_the_configuration_as_it_was():
     assert vars(C) == {}
     assert C == CyclicConfiguration(13, (0, 1, 3))
     assert hash(C) == hash(CyclicConfiguration(13, (0, 1, 3)))
-    # point 0 keeps a class of its own, and each point class has the
-    # size that the last round of the trace gives its signature
+    # point 0 keeps a class of its own, and colour c is the class of the
+    # c-th signature in the point half of the trace's last round, so it
+    # has that signature's count
     assert isinstance(colours, tuple) and len(colours) == 13
     assert colours.count(colours[0]) == 1
-    sizes = {sig[0]: n for sig, n in full_trace(C)[-1]}
-    assert all(colours.count(c) == sizes[c] for c in colours)
+    point_half, _ = full_trace(C)[-1]
+    assert all(colours.count(c) == point_half[c][1] for c in colours)
 
 
 def test_refinement_keeps_no_trace_in_memory():

@@ -15,14 +15,14 @@ criteria 5 and 7: v <= 20 and eight composites up to 49) but not proven.
 The dispatcher uses the cheap route exactly in these cases.  Elsewhere it
 first compares refinement traces, which prove NON-ISO when they
 differ, and searches only when they agree.  The refinement recolours
-the points from the lines and then the lines from the new point
-colours, so each round carries a split two edges on, and it stops at
-the first discrete point colouring.  The traces are compared round by
-round while they are computed, and refinement stops at the first round
-in which they differ, since the rest of the trace cannot make them
-equal again.  No round is stored, and nothing is kept on a
-configuration: the refinement hands its final point colouring to its
-caller, and the dispatcher passes the two colourings to the search,
+the lines from the points and then the points from the new line
+colours, so each round carries a split two edges on, and it stops when
+the point colouring is discrete or gains no class.  The traces are
+compared round by round while they are computed, and refinement stops
+at the first round in which they differ, since the rest of the trace
+cannot make them equal again.  No round is stored, and nothing is kept
+on a configuration: the refinement hands its final point colouring to
+its caller, and the dispatcher passes the two colourings to the search,
 which replays the one map that two discrete colourings name.
 `exact_isomorphic` passes none.  Disconnected configurations are
 compared through their component decompositions, and the returned
@@ -113,9 +113,9 @@ def _refinement_rounds(C: CyclicConfiguration):
     Colour refinement of the Levi graph with point 0 individualized:
     point 0 starts in a colour class of its own, the other points in a
     second, and the lines in one class, numbered apart from the points.
-    Each round recolours the points, each by its colour and the sorted
-    colours of its lines, and then the lines, each by its colour and
-    the sorted new colours of its points; either half numbers its new
+    Each round recolours the lines, each by its colour and the sorted
+    colours of its points, and then the points, each by its colour and
+    the sorted new colours of its lines; either half numbers its new
     classes in the sorted order of their signatures.  So a split crosses
     two edges per round.  The trace is every half's signatures with
     their multiplicities.  Translations are automorphisms, so any
@@ -123,37 +123,34 @@ def _refinement_rounds(C: CyclicConfiguration):
     configurations share traces, and unequal traces prove NON-ISO.
     Equal traces prove nothing.
 
-    The rounds end when neither half adds a class, or at once when the
-    point colouring is discrete, before that round's line half: a
-    discrete colouring already names the only map that equal traces
-    allow.  Either way the final point partition is the coarsest
-    equitable one that refines the start, which recolouring every vertex
-    from the old colours at once also reaches, in about twice the rounds.
+    The rounds end when the point colouring is discrete or its round
+    added no point class: the lines were recoloured from the same point
+    partition, so both halves are then equitable.  A discrete colouring
+    already names the only map that equal traces allow.  Either way the
+    final point partition is the coarsest equitable one that refines
+    the start, which recolouring every vertex from the old colours at
+    once also reaches, in about twice the rounds.
 
     Works on Z_v directly: point x lies on the lines x - s and line i holds
     the points i + s, so a half's neighbour colours are the line or point
     colour list read through _translates by -S or S.  No round is kept
     and C is left as it was: each round is yielded as (entry, points),
-    the trace entry, a (point half, line half) pair whose line half is
-    None on a discrete round, and the point colouring of its point half,
-    one colour per point, for the caller to compare as it comes.  The
-    last round's points are the final colouring.
+    the trace entry, a (line half, point half) pair, and the point
+    colouring of its point half, one colour per point, for the caller to
+    compare as it comes.  The last round's points are the final colouring.
     """
     v, S = C.v, C.base
     down = [-s for s in S]
     points = [0] + [1] * (v - 1)
     lines = [0] * v
-    classes = len(set(points)), 1
+    before = len(set(points))
     while True:
-        point_half, points = _recoloured(points, _translates(lines, down))
-        if len(point_half) == v:
-            yield (point_half, None), points
-            return
         line_half, lines = _recoloured(lines, _translates(points, S))
-        yield (point_half, line_half), points
-        if (len(point_half), len(line_half)) == classes:
+        point_half, points = _recoloured(points, _translates(lines, down))
+        yield (line_half, point_half), points
+        if len(point_half) in (v, before):
             return
-        classes = len(point_half), len(line_half)
+        before = len(point_half)
 
 
 def _recoloured(colours, around):

@@ -152,10 +152,10 @@ def reference_refinement_invariant(C: CyclicConfiguration) -> tuple:
 
     The rounds `iso._refinement_rounds` computes on Z_v by rotating
     colour lists, here read off the Levi graph's adjacency lists vertex
-    by vertex: each round recolours the points from the line colours,
-    then the lines from the new point colours, and the rounds stop when
-    neither half adds a class, or at a discrete point colouring, before
-    that round's line half.  The two traces must be equal.
+    by vertex: each round recolours the lines from the point colours,
+    then the points from the new line colours, and the rounds stop when
+    the point colouring is discrete or its round added no point class.
+    The two traces must be equal.
     """
     v = C.v
     adj = levi_graph(C).adjacency()
@@ -170,18 +170,15 @@ def reference_refinement_invariant(C: CyclicConfiguration) -> tuple:
         return tuple((sig, counts[sig]) for sig in order)
 
     colour = [0] + [1] * (v - 1) + [0] * v
-    classes = len(set(colour[:v])), 1
+    before = len(set(colour[:v]))
     trace = []
     while True:
-        point_half = recoloured(colour, range(v))
-        if len(point_half) == v:
-            trace.append((point_half, None))
-            return tuple(trace)
         line_half = recoloured(colour, range(v, 2 * v))
-        trace.append((point_half, line_half))
-        if (len(point_half), len(line_half)) == classes:
+        point_half = recoloured(colour, range(v))
+        trace.append((line_half, point_half))
+        if len(point_half) in (v, before):
             return tuple(trace)
-        classes = len(point_half), len(line_half)
+        before = len(point_half)
 
 
 @lru_cache(maxsize=None)
@@ -196,8 +193,8 @@ def jacobi_partition(C: CyclicConfiguration) -> tuple[tuple, frozenset[frozenset
     the final point partitions must be equal, and configurations with
     equal traces under one schedule have equal traces under the other.
     Only the alternating rounds' stop at a discrete point colouring
-    could join a pair that a later line half parts, and none of the
-    tested pairs is such a pair.
+    could join a pair that a further line half would part, and none of
+    the tested pairs is such a pair.
     """
     v, S = C.v, C.base
     points = [0] + [1] * (v - 1)

@@ -496,19 +496,19 @@ def test_refinement_ends_at_the_simultaneous_partition_on_odd_and_large_bases():
 
 def test_refinement_round_counts():
     # a split crosses two edges per round: a short-span base at v = 2000
-    # needs 68 rounds (136 when every vertex was recoloured at once)
-    assert len(full_trace(CyclicConfiguration(2000, (0, 1, 3, 7, 15)))) == 68
+    # needs 67 rounds (136 when every vertex was recoloured at once)
+    assert len(full_trace(CyclicConfiguration(2000, (0, 1, 3, 7, 15)))) == 67
     # a random connected k = 5 base stops at its first discrete point
-    # colouring, with no line half in that round
+    # colouring; every round has both halves
     S = _random_base_line(random.Random(34), 40, 5)
     trace = full_trace(CyclicConfiguration(40, S))
-    assert len(trace) == 4 and trace[-1][1] is None
-    assert len(trace[-1][0]) == 40 and all(n == 1 for _, n in trace[-1][0])
-    # the NON-ISO pair of the CI check parts at round 2, counting from 0
+    assert len(trace) == 3 and all(line_half and point_half for line_half, point_half in trace)
+    assert len(trace[-1][1]) == 40 and all(n == 1 for _, n in trace[-1][1])
+    # the NON-ISO pair of the CI check parts at round 1, counting from 0
     # (round 3 when every vertex was recoloured at once)
     C1, C2 = (CyclicConfiguration(28, S) for S in ((0, 1, 3, 7, 12), (0, 1, 3, 7, 20)))
     traces = full_trace(C1), full_trace(C2)
-    assert traces[0][:2] == traces[1][:2] and traces[0][2] != traces[1][2]
+    assert traces[0][0] == traces[1][0] and traces[0][1] != traces[1][1]
 
 
 def test_refinement_leaves_the_configuration_as_it_was():
@@ -526,7 +526,7 @@ def test_refinement_leaves_the_configuration_as_it_was():
     # has that signature's count
     assert isinstance(colours, tuple) and len(colours) == 13
     assert colours.count(colours[0]) == 1
-    point_half, _ = full_trace(C)[-1]
+    _, point_half = full_trace(C)[-1]
     assert all(colours.count(c) == point_half[c][1] for c in colours)
 
 

@@ -135,18 +135,26 @@ def _fixed_table(v: int, k: int) -> dict[int, int]:
     For each member X and each x in X, a unit l with l*X = X - x sends
     the nonzero s in X with the least gcd(s, v) to some y in X - x, so
     l is in _unit_solutions(s, y, v); each is kept if l*X is X - x, and
-    counts at most once per X.  Shares no arithmetic with the closed
-    forms.
+    counts at most once per X.  No unit sends s to y = 0, and each
+    congruence is solved once per call.  Shares no arithmetic with the
+    closed forms.
     """
     # checking k and the cap is the caller's job
     table = dict.fromkeys(units(v), 0)
+    gcds = [gcd(t, v) for t in range(v)]
+    solutions: dict[tuple[int, int], list[int]] = {}
     for X in _slice(v, k, True):
-        s = min(X[1:], key=lambda t: gcd(t, v))  # X[0] is 0
+        s = min(X[1:], key=gcds.__getitem__)  # X[0] is 0
         fixers = set()
         for x in X:
             shifted = {(t - x) % v for t in X}
             for y in shifted:
-                for l in _unit_solutions(s, y, v):
+                if not y:
+                    continue
+                ls = solutions.get((s, y))
+                if ls is None:
+                    ls = solutions[s, y] = _unit_solutions(s, y, v)
+                for l in ls:
                     if l not in fixers and {l * t % v for t in X} == shifted:
                         fixers.add(l)
         for l in fixers:

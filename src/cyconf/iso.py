@@ -337,20 +337,26 @@ def isomorphic(
 
 
 def _member_maps(v: int):
-    """A function (a, x) -> the point map y -> a^-1*y + x on Z_v.
+    """A function (a, x) -> the point map y -> a^-1*y + x on Z_v, or None.
 
     An orbit member a*(rep - x) goes onto its representative by that
     map, the multiplier witness (a^-1, x).  One table y -> a^-1*y is
     built per unit a, on first use, and the map is that table rotated
-    by c = a*x, since a^-1*(y + c) = a^-1*y + x.
+    by c = a*x, since a^-1*(y + c) = a^-1*y + x.  Each table is audited
+    for bijectivity once, when it is built: a rotation is a bijection
+    exactly when the table is, so every map of a unit whose table fails
+    the audit is None.
     """
-    tables: dict[int, tuple[int, ...]] = {}
+    tables: dict[int, tuple[int, ...] | None] = {}
 
-    def point_map(a: int, x: int) -> tuple[int, ...]:
-        table = tables.get(a)
-        if table is None:
+    def point_map(a: int, x: int) -> tuple[int, ...] | None:
+        if a not in tables:
             a_inv = inverse(a, v)
-            table = tables[a] = tuple(a_inv * y % v for y in range(v))
+            table = tuple(a_inv * y % v for y in range(v))
+            tables[a] = table if _is_permutation(table) else None
+        table = tables[a]
+        if table is None:
+            return None
         c = a * x % v
         return table[c:] + table[:c]
 
@@ -373,10 +379,16 @@ def completeness_report(
     equivalence relation, so those two facts pin the whole partition.
 
     Every member is checked against its representative by replaying the
-    affine witness the orbit walk found for it as a point bijection;
-    ``exact_members`` of them per orbit (all when None, the first in
-    slice order otherwise) are additionally pushed through the
-    backtracking oracle.  Two representatives with different refinement
+    affine witness the orbit walk found for it as a point bijection:
+    each of the member's lines must land in the representative's line
+    set, read once per orbit.  Each unit's map table is audited for
+    bijectivity once, when it is built, and a member whose unit fails
+    the audit is reported like a failed replay.  ``exact_members`` of
+    the members per orbit (all when None, the first in slice order
+    otherwise) are additionally pushed through the backtracking oracle.
+    The first member is the representative itself, which the oracle
+    matches by identity, so exact_members=2 searches one member per
+    orbit.  Two representatives with different refinement
     traces are NON-ISO; every pair with equal traces is searched, and
     its two final colourings are passed to the search, as in auto.  The
     representatives are refined together round by round, each only
@@ -391,12 +403,15 @@ def completeness_report(
     reps = [CyclicConfiguration(v, orbit.rep) for orbit in orbits]
     member_map = _member_maps(v)
     for (rep, members), rep_cfg in zip(orbits, reps):
+        target = rep_cfg.line_set()
         for idx, (member, a, x) in enumerate(members):
-            cfg = CyclicConfiguration(v, member)
-            w = IsoWitness(kind="explicit", point_map=member_map(a, x))
-            if not witness_valid(cfg, rep_cfg, w):
+            sigma = member_map(a, x)
+            if sigma is None or not _maps_lines_onto(sigma, member, target):
                 mismatches.append(f"affine witness fails replay {member} -> {rep}")
             if exact_members is None or idx < exact_members:
+                # the representative, its orbit's least member, is its own
+                # first member: its identity shortcut reads the line set built above
+                cfg = rep_cfg if member == rep else CyclicConfiguration(v, member)
                 if exact_isomorphic(cfg, rep_cfg, cap=cap) is None:
                     mismatches.append(f"oracle misses {member} ~ {rep}")
     groups = _equal_trace_groups(reps)

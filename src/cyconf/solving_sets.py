@@ -89,6 +89,11 @@ def _scaling(v: int, q: int, factors) -> tuple[int, ...]:
     return tuple(factors[x % q] * x % v for x in range(v))
 
 
+def _class0_shift(v: int, q: int) -> tuple[int, ...]:
+    """The map adding q to the points = 0 mod q, fixing the rest."""
+    return tuple((x + q) % v if x % q == 0 else x for x in range(v))
+
+
 def preserves_lines(perm: tuple[int, ...], C: CyclicConfiguration) -> bool:
     """True iff the permutation maps the line set of C onto itself."""
     return _maps_lines_onto(perm, C.base, C.line_set())
@@ -126,8 +131,7 @@ def solving_set(C: CyclicConfiguration, params: SolvingSetParams) -> list[tuple[
         raise ValueError(f"configuration lives on Z_{C.v}, params on Z_{v}")
     if not preserves_lines(_scaling(v, 1, (params.b,)), C):
         raise SolvingSetUnavailable("multiplier b is not an automorphism")
-    class0_shift = tuple((x + q) % v if x % q == 0 else x for x in range(v))
-    if preserves_lines(class0_shift, C):
+    if preserves_lines(_class0_shift(v, q), C):
         raise SolvingSetUnavailable("class-0 shift is an automorphism")
 
     beta = next(
@@ -161,9 +165,10 @@ def solve_iso_pq(
     The larger prime plays p; when q does not divide p - 1 (it cannot
     the other way around), or when the multiplier by b is not an
     automorphism of C1, the plain multiplier sweep already decides.
-    Otherwise the sweep runs first and every member of the solving set
-    is replayed against C2; a hypothesis failure inside the
-    construction falls back to the exhaustive search.
+    When the class-0 shift is an automorphism of C1 the construction's
+    hypotheses fail and the exhaustive search decides.  Otherwise the
+    multiplier sweep runs first, and only when it finds no map is the
+    solving set for C1 built and every member replayed against C2.
     """
     if C1.v != C2.v:
         raise ValueError("isomorphism needs a common point count")
@@ -172,19 +177,18 @@ def solve_iso_pq(
     if pq is None:
         raise ValueError(f"v={v} is not a product of two distinct primes")
     p, q = max(pq), min(pq)
-    delta = ()
+    params = None
     if (p - 1) % q == 0:
         params = solving_set_params(p, q)
-        if preserves_lines(_scaling(v, 1, (params.b,)), C1):
-            try:
-                delta = solving_set(C1, params)
-            except SolvingSetUnavailable:
-                return exact_isomorphic(C1, C2, cap=cap)
+        if not preserves_lines(_scaling(v, 1, (params.b,)), C1):
+            params = None
+        elif preserves_lines(_class0_shift(v, q), C1):
+            return exact_isomorphic(C1, C2, cap=cap)
     w = _multiplier_witness(C1, C2)
-    if w is not None or not delta:  # without a solving set the multiplier sweep decides
+    if w is not None or params is None:  # without a solving set the multiplier sweep decides
         return w
     target = C2.line_set()
-    for perm in delta:
+    for perm in solving_set(C1, params):
         if _maps_lines_onto(perm, C1.base, target):
             return IsoWitness(kind="explicit", point_map=perm)
     return None

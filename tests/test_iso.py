@@ -865,21 +865,47 @@ def test_invariant_collision_falls_through_to_search(monkeypatch):
 
 def test_completeness_report_replays_every_member(monkeypatch):
     replayed = []
+    replay = iso._maps_lines_onto
 
-    def counting_replay(C1, C2, w):
-        replayed.append(C1.base)
-        return witness_valid(C1, C2, w)
+    def counting_replay(sigma, base, target):
+        replayed.append(base)
+        return replay(sigma, base, target)
 
-    monkeypatch.setattr(iso, "witness_valid", counting_replay)
+    monkeypatch.setattr(iso, "_maps_lines_onto", counting_replay)
     rep = completeness_report(21, 3, exact_members=0)
     assert sorted(replayed) == enumerate_base_lines(21, 3, connected_only=True)
     assert rep["members"] == len(replayed) and rep["mismatches"] == []
 
 
 def test_completeness_report_flags_a_bad_witness(monkeypatch):
-    monkeypatch.setattr(iso, "witness_valid", lambda C1, C2, w: C1.base != (0, 1, 4))
+    replay = iso._maps_lines_onto
+
+    def corrupted_replay(sigma, base, target):
+        if base == (0, 1, 4):  # swap the images of 0 and 1
+            sigma = (sigma[1], sigma[0], *sigma[2:])
+        return replay(sigma, base, target)
+
+    monkeypatch.setattr(iso, "_maps_lines_onto", corrupted_replay)
     rep = completeness_report(13, 3, exact_members=0)
     assert rep["mismatches"] == ["affine witness fails replay (0, 1, 4) -> (0, 1, 4)"]
+
+
+@pytest.mark.parametrize("replay", ["real", "always passes"])
+def test_completeness_report_flags_a_unit_table_that_is_no_permutation(monkeypatch, replay):
+    # a wrong inverse of 5 mod 13 makes the table y -> 0*y, and every
+    # member reached through the unit 5 must fail, even when the line
+    # replay is told to pass: the table's own audit catches it
+    monkeypatch.setattr(iso, "inverse", lambda a, v: 0 if a == 5 else inverse(a, v))
+    if replay == "always passes":
+        monkeypatch.setattr(iso, "_maps_lines_onto", lambda sigma, base, target: True)
+    assert iso._member_maps(13)(5, 0) is None
+    want = [
+        f"affine witness fails replay {member} -> {orbit.rep}"
+        for orbit in slice_orbits(13, 3, connected=True)
+        for member, a, _ in orbit.members
+        if a == 5
+    ]
+    assert want and completeness_report(13, 3, exact_members=0)["mismatches"] == want
 
 
 def test_component_witness_check_raises(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from cyconf import baseline, solving_sets
 from cyconf.baseline import canonical_form, enumerate_base_lines
 from cyconf.configuration import CyclicConfiguration
-from cyconf.iso import exact_isomorphic, isomorphic, witness_valid
+from cyconf.iso import IsoWitness, exact_isomorphic, isomorphic, witness_valid
 from cyconf.residue_ring import _two_primes, mult_order, phi
 from cyconf.solving_sets import (
     SolvingSetUnavailable,
@@ -150,6 +150,23 @@ def test_solve_iso_pq_fallback_on_unavailable_hypotheses():
     w = solve_iso_pq(C1, C2)
     assert w is not None
     assert witness_valid(C1, C2, w)
+    # the line sets are equal, so the search's identity answers, not the
+    # multiplier sweep's (1, 18): the class-0 check runs before the sweep
+    assert w == exact_isomorphic(C1, C2) == IsoWitness(kind="explicit", point_map=tuple(range(21)))
+
+
+def test_solve_iso_pq_sweeps_before_building_the_solving_set(monkeypatch):
+    def unbuilt(C, params):
+        raise AssertionError("the solving set was built for an affinely related pair")
+
+    S = (0, 1, 5)
+    C1 = CyclicConfiguration(21, S)
+    C2 = CyclicConfiguration(21, tuple(sorted(affine_image(S, 4, 7, 21))))
+    params = solving_set_params(7, 3)
+    assert preserves_lines(_scaling(21, 1, (params.b,)), C1)
+    monkeypatch.setattr(solving_sets, "solving_set", unbuilt)
+    w = solve_iso_pq(C1, C2)
+    assert w is not None and w == isomorphic(C1, C2, method="multiplier")
 
 
 def test_solve_iso_pq_multiplier_delegation_at_15():

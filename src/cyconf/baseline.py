@@ -18,7 +18,8 @@ members come out in lexicographic order.
 
 Two routes find the least affine image.  The orbit walk visits all
 k*phi(v) images a*(rep - x) of each orbit once, built a column per point,
-and takes the first member it reaches; slice_orbits dresses its orbits
+and takes the first member it reaches, keeping the members not yet
+reached in one set of the member tuples; slice_orbits dresses its orbits
 with a witness per member, and the callers that only count or list
 representatives read the bare walk.  _least_images solves for the least
 image instead, keeping every map onto it: its second point is the least
@@ -291,41 +292,37 @@ def _slice(v: int, k: int, connected: bool) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _orbit_walk(v: int, k: int, connected: bool) -> Iterator[tuple[tuple[int, ...], dict[int, int]]]:
+def _orbit_walk(v: int, k: int, connected: bool) -> Iterator[tuple[tuple[int, ...], int, list]]:
     """The affine orbits of the slice of base lines through 0, bare.
 
-    Yields (rep, first) per orbit, reps in increasing order.  The slice
-    is walked in sorted order, so the first member of an orbit reached
-    is its least, which is its canonical form (the least affine image
-    contains 0).  One pass over the images a*(rep - x) then finds the
-    whole orbit: the images are looked up in a {member: slice index}
-    table, and first maps each member's slice index to its first
-    position p in product(rep, units(v)).  Members are marked by slice
-    index, so nothing per member outlives its orbit.  The walk raises
+    Yields (rep, size, images) per orbit, reps in increasing order: size
+    is the orbit's number of slice members and images lists the images
+    a*(rep - x) in product(rep, units(v)) order, repeats included.  The
+    walk keeps one set of the members it has not reached and takes each
+    rep as the first of them in slice order, which is its orbit's least
+    member and so its canonical form (the least affine image contains 0).
+    One pass over the images then finds the whole orbit, and every step
+    on the set runs over the member tuples themselves.  The walk raises
     ArithmeticError unless every image of rep lies in the slice and in
     no earlier orbit (an image below rep would be in one), naming the
     first offending image in product order.
     """
     _require_k(k)
     slice_ = _slice(v, k, connected)
-    position = dict(zip(slice_, range(len(slice_))))
-    seen = bytearray(len(slice_))
-    for i, rep in enumerate(slice_):
-        if seen[i]:
-            continue
-        images = _zero_images(rep, v)
-        indices = list(map(position.get, images))
-        # the least p is written last
-        first = dict(zip(reversed(indices), range(len(indices) - 1, -1, -1)))
-        if None in first or any(map(seen.__getitem__, first)):
-            for p, j in enumerate(indices):
-                if j is None:
-                    raise ArithmeticError(f"image {images[p]} of {rep} mod {v} is not in the slice")
-                if seen[j]:
-                    raise ArithmeticError(f"orbits of {slice_[j]} and {rep} mod {v} overlap")
-        for j in first:
-            seen[j] = 1
-        yield rep, first
+    unseen = set(slice_)
+    for rep in filter(unseen.__contains__, slice_):
+        images = list(_zero_images(rep, v))  # read again by the checks and by slice_orbits
+        if not unseen.issuperset(images):
+            in_slice = set(slice_)
+            for image in images:
+                if image not in in_slice:
+                    raise ArithmeticError(f"image {image} of {rep} mod {v} is not in the slice")
+                if image not in unseen:
+                    raise ArithmeticError(f"orbits of {image} and {rep} mod {v} overlap")
+            raise ArithmeticError
+        size = len(unseen)
+        unseen.difference_update(images)
+        yield rep, size - len(unseen), images
 
 
 class SliceOrbit(namedtuple("SliceOrbit", "rep members")):
@@ -345,23 +342,20 @@ def slice_orbits(v: int, k: int, connected: bool) -> Iterator[SliceOrbit]:
     """The affine orbits of the slice of base lines through 0, witnessed.
 
     The orbits of _orbit_walk, reps in increasing order, with each
-    member's first (a, x) in product order as its witness.  Raises as
-    the walk does.
+    member's first (a, x) in product order as its witness, read off the
+    walk's list of images.  Raises as the walk does.
     """
     _require_k(k)
-    slice_ = _slice(v, k, connected)
-    for rep, first in _orbit_walk(v, k, connected):
-        us = units(v)
-        n = len(us)
-        order = sorted(first)
-        ps = list(map(first.__getitem__, order))
-        # p is (rep[p // n], us[p % n]) as (x, a)
-        members = zip(
-            map(slice_.__getitem__, order),
-            map(us.__getitem__, map(n.__rmod__, ps)),
-            map(rep.__getitem__, map(n.__rfloordiv__, ps)),
-        )
-        yield SliceOrbit(rep, tuple(members))
+    us = units(v)
+    n = len(us)
+    for rep, _, images in _orbit_walk(v, k, connected):
+        # the least position is written last; p is (rep[p // n], us[p % n]) as (x, a)
+        first = dict(zip(reversed(images), range(len(images) - 1, -1, -1)))
+        members = sorted(first)  # slice order, the slice being sorted
+        ps = list(map(first.__getitem__, members))
+        a_s = map(us.__getitem__, map(n.__rmod__, ps))
+        x_s = map(rep.__getitem__, map(n.__rfloordiv__, ps))
+        yield SliceOrbit(rep, tuple(zip(members, a_s, x_s)))
 
 
 def enumerate_base_lines(
@@ -385,7 +379,7 @@ def enumerate_base_lines(
         raise ValueError("expand and representatives_only are mutually exclusive")
     ensure_enumerable(v, k, cap)
     if representatives_only:
-        return [rep for rep, _ in _orbit_walk(v, k, connected_only)]
+        return [rep for rep, _, _ in _orbit_walk(v, k, connected_only)]
     slice_ = _slice(v, k, connected_only)
     if expand:
         seen = {tuple(sorted((x + b) % v for x in X)) for X in slice_ for b in range(v)}

@@ -247,19 +247,20 @@ def count_orbit_scan(v: int, k: int = 3, cap: int | None = None) -> int:
     """Count affine orbits on connected base lines by enumeration.
 
     Walks the connected translation slice with baseline's bare orbit
-    walk; no formula enters.  The partition is checked against the
-    canonicalizer, whose least-gcd solve shares no step with the walk:
-    every representative must be its own canonical form and the orbit
-    sizes must add up to the slice size, else ArithmeticError.
+    walk, which reports each orbit's representative and its number of
+    slice members; no formula enters.  The partition is checked against
+    the canonicalizer, whose least-gcd solve shares no step with the
+    walk: every representative must be its own canonical form and the
+    orbit sizes must add up to the slice size, else ArithmeticError.
     """
     ensure_enumerable(v, k, cap)
     size = len(_slice(v, k, True))
     orbits = covered = 0
-    for rep, first in _orbit_walk(v, k, connected=True):
+    for rep, members, _ in _orbit_walk(v, k, connected=True):
         if canonical_form(rep, v) != rep:
             raise ArithmeticError(f"orbit representative {rep} is not canonical at v={v}")
         orbits += 1
-        covered += len(first)
+        covered += members
     if covered != size:
         raise ArithmeticError(f"orbits cover {covered} of {size} slice members at v={v}")
     return orbits

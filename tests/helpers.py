@@ -66,8 +66,10 @@ def reference_zero_images(S, v: int) -> Iterator[tuple[int, ...]]:
 
 def reference_slice_orbits(v: int, k: int, connected: bool) -> Iterator[SliceOrbit]:
     """The orbit walk `baseline.slice_orbits` used before it looked images up
-    in a {member: index} table, with bisect per image; the two must give
-    the same orbits, members and witnesses, in order.
+    in a {member: index} table, with bisect per image and members marked
+    by slice index; the walk now keeps a set of the member tuples it has
+    not reached, and the two must give the same orbits, members and
+    witnesses, in order.
     """
     if k < 3:
         raise ValueError(f"base lines need k >= 3, got k={k}")

@@ -446,6 +446,7 @@ BISECT_WALK_CASES = [
     *((v, 3) for v in range(1, 121)),
     *((v, 4) for v in range(1, 46)),
     *((v, 5) for v in (21, 28, 30, 31)),
+    *((v, 6) for v in (31, 36, 40)),
 ]
 
 
@@ -458,12 +459,11 @@ def test_slice_orbits_match_the_bisect_walk(connected):
 
 @pytest.mark.parametrize("connected", [True, False])
 def test_bare_walk_matches_slice_orbits(connected):
-    # the same representatives and member slice indices, witnesses aside
+    # the same representatives, member counts and member tuples, witnesses aside
     for v, k in BISECT_WALK_CASES:
-        position = {X: j for j, X in enumerate(baseline._slice(v, k, connected))}
-        bare = [(rep, set(first)) for rep, first in _orbit_walk(v, k, connected)]
+        bare = [(rep, size, set(images)) for rep, size, images in _orbit_walk(v, k, connected)]
         dressed = [
-            (rep, {position[X] for X, _, _ in members}) for rep, members in slice_orbits(v, k, connected)
+            (rep, len(members), {X for X, _, _ in members}) for rep, members in slice_orbits(v, k, connected)
         ]
         assert bare == dressed, (v, k)
 

@@ -304,8 +304,9 @@ def _orbit_walk(v: int, k: int, connected: bool) -> Iterator[tuple[tuple[int, ..
     One pass over the images then finds the whole orbit, and every step
     on the set runs over the member tuples themselves.  The walk raises
     ArithmeticError unless every image of rep lies in the slice and in
-    no earlier orbit (an image below rep would be in one), naming the
-    first offending image in product order.
+    no earlier orbit (an image below rep would be in one).  The first
+    image in product order that is no unreached member decides the
+    message: not in the slice, or in an earlier orbit.
     """
     _require_k(k)
     slice_ = _slice(v, k, connected)
@@ -313,13 +314,10 @@ def _orbit_walk(v: int, k: int, connected: bool) -> Iterator[tuple[tuple[int, ..
     for rep in filter(unseen.__contains__, slice_):
         images = list(_zero_images(rep, v))  # read again by the checks and by slice_orbits
         if not unseen.issuperset(images):
-            in_slice = set(slice_)
-            for image in images:
-                if image not in in_slice:
-                    raise ArithmeticError(f"image {image} of {rep} mod {v} is not in the slice")
-                if image not in unseen:
-                    raise ArithmeticError(f"orbits of {image} and {rep} mod {v} overlap")
-            raise ArithmeticError
+            image = next(image for image in images if image not in unseen)
+            if image not in slice_:
+                raise ArithmeticError(f"image {image} of {rep} mod {v} is not in the slice")
+            raise ArithmeticError(f"orbits of {image} and {rep} mod {v} overlap")
         size = len(unseen)
         unseen.difference_update(images)
         yield rep, size - len(unseen), images
@@ -342,20 +340,15 @@ def slice_orbits(v: int, k: int, connected: bool) -> Iterator[SliceOrbit]:
     """The affine orbits of the slice of base lines through 0, witnessed.
 
     The orbits of _orbit_walk, reps in increasing order, with each
-    member's first (a, x) in product order as its witness, read off the
-    walk's list of images.  Raises as the walk does.
+    member's first (a, x) in product order as its witness, paired with
+    the walk's images from one list of (a, x).  Raises as the walk does.
     """
     _require_k(k)
     us = units(v)
-    n = len(us)
     for rep, _, images in _orbit_walk(v, k, connected):
-        # the least position is written last; p is (rep[p // n], us[p % n]) as (x, a)
-        first = dict(zip(reversed(images), range(len(images) - 1, -1, -1)))
-        members = sorted(first)  # slice order, the slice being sorted
-        ps = list(map(first.__getitem__, members))
-        a_s = map(us.__getitem__, map(n.__rmod__, ps))
-        x_s = map(rep.__getitem__, map(n.__rfloordiv__, ps))
-        yield SliceOrbit(rep, tuple(zip(members, a_s, x_s)))
+        witnesses = [(a, x) for x in rep for a in us]  # product order, as the images
+        first = dict(zip(reversed(images), reversed(witnesses)))  # each keeps its first (a, x)
+        yield SliceOrbit(rep, tuple((X, *first[X]) for X in sorted(first)))  # slice order
 
 
 def enumerate_base_lines(

@@ -47,7 +47,8 @@ from .baseline import (
 from .circulant import _translates
 from .configuration import CyclicConfiguration, _is_permutation, _maps_lines_onto
 from .residue_ring import (
-    CapExceeded, _check_cap, _check_enumeration, _two_primes, factorization, inverse, is_ci_order
+    CapExceeded, _check_cap, _check_enumeration, _two_primes, factorization, inverse, is_ci_order,
+    units,
 )
 
 # automorphisms() refuses a group larger than this; three disjoint Fano
@@ -336,31 +337,21 @@ def isomorphic(
     return _multiplier_witness(C1, C2)
 
 
-def _member_maps(v: int):
-    """A function (a, x) -> the point map y -> a^-1*y + x on Z_v, or None.
+def _unit_tables(v: int) -> dict[int, tuple[int, ...] | None]:
+    """{a: the table y -> a^-1*y on Z_v, or None} for every unit a of Z_v.
 
-    An orbit member a*(rep - x) goes onto its representative by that
-    map, the multiplier witness (a^-1, x).  One table y -> a^-1*y is
-    built per unit a, on first use, and the map is that table rotated
-    by c = a*x, since a^-1*(y + c) = a^-1*y + x.  Each table is audited
-    for bijectivity once, when it is built: a rotation is a bijection
-    exactly when the table is, so every map of a unit whose table fails
-    the audit is None.
+    An orbit member a*(rep - x) goes onto its representative by the
+    multiplier witness (a^-1, x), y -> a^-1*y + x, which is a's table
+    rotated by c = a*x, since a^-1*(y + c) = a^-1*y + x.  Each table is
+    audited for bijectivity here, once: a rotation is a bijection exactly
+    when the table is, so a unit whose table fails holds None.
     """
     tables: dict[int, tuple[int, ...] | None] = {}
-
-    def point_map(a: int, x: int) -> tuple[int, ...] | None:
-        if a not in tables:
-            a_inv = inverse(a, v)
-            table = tuple(a_inv * y % v for y in range(v))
-            tables[a] = table if _is_permutation(table) else None
-        table = tables[a]
-        if table is None:
-            return None
-        c = a * x % v
-        return table[c:] + table[:c]
-
-    return point_map
+    for a in units(v):
+        a_inv = inverse(a, v)
+        table = tuple(a_inv * y % v for y in range(v))
+        tables[a] = table if _is_permutation(table) else None
+    return tables
 
 
 def completeness_report(
@@ -379,11 +370,11 @@ def completeness_report(
     equivalence relation, so those two facts pin the whole partition.
 
     Every member is checked against its representative by replaying the
-    affine witness the orbit walk found for it as a point bijection:
-    each of the member's lines must land in the representative's line
-    set, read once per orbit.  Each unit's map table is audited for
-    bijectivity once, when it is built, and a member whose unit fails
-    the audit is reported like a failed replay.  ``exact_members`` of
+    affine witness (a, x) the orbit walk found for it as a point
+    bijection, its unit's table from _unit_tables rotated by a*x: each
+    of the member's lines must land in the representative's line set,
+    read once per orbit.  A member whose unit's table failed its audit
+    is reported like a failed replay.  ``exact_members`` of
     the members per orbit (all when None, the first in slice order
     otherwise) are additionally pushed through the backtracking oracle.
     The first member is the representative itself, which the oracle
@@ -401,12 +392,12 @@ def completeness_report(
     mismatches: list[str] = []
     orbits = list(slice_orbits(v, k, connected=True))
     reps = [CyclicConfiguration(v, orbit.rep) for orbit in orbits]
-    member_map = _member_maps(v)
+    tables = _unit_tables(v)
     for (rep, members), rep_cfg in zip(orbits, reps):
         target = rep_cfg.line_set()
         for idx, (member, a, x) in enumerate(members):
-            sigma = member_map(a, x)
-            if sigma is None or not _maps_lines_onto(sigma, member, target):
+            table, c = tables[a], a * x % v
+            if table is None or not _maps_lines_onto(table[c:] + table[:c], member, target):
                 mismatches.append(f"affine witness fails replay {member} -> {rep}")
             if exact_members is None or idx < exact_members:
                 # the representative, its orbit's least member, is its own

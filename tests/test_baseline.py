@@ -508,6 +508,22 @@ def _overlap_two_orbits(monkeypatch):
     monkeypatch.setattr(baseline, "_zero_images", images)
 
 
+def _lead_second_orbit_with(monkeypatch, first_leads):
+    # the second representative's images start with the first
+    # representative and (0, 1, 2), which repeats the difference 1 and so
+    # is in no slice, in the order first_leads picks
+    first, second = (orbit.rep for orbit in islice(slice_orbits(13, 3, True), 2))
+    lead = [first, (0, 1, 2)] if first_leads else [(0, 1, 2), first]
+    zero_images = baseline._zero_images
+
+    def images(S, v):
+        if tuple(S) == second:
+            yield from lead
+        yield from zero_images(S, v)
+
+    monkeypatch.setattr(baseline, "_zero_images", images)
+
+
 BARE_WALK_ROUTES = {
     "count_orbit_scan": lambda: count_orbit_scan(13, 3),
     "representatives_only": lambda: enumerate_base_lines(
@@ -541,6 +557,20 @@ def test_bare_walk_overlap_check_raises(monkeypatch, route):
     _overlap_two_orbits(monkeypatch)
     with pytest.raises(ArithmeticError, match="overlap"):
         BARE_WALK_ROUTES[route]()
+
+
+@pytest.mark.parametrize("route", ["slice_orbits", *sorted(BARE_WALK_ROUTES)])
+@pytest.mark.parametrize(
+    "first_leads,message",
+    [(True, "overlap"), (False, r"image \(0, 1, 2\) of .* is not in the slice")],
+)
+def test_the_first_offending_image_names_the_refusal(monkeypatch, route, first_leads, message):
+    # the first image in product order that is no unreached member
+    # decides the message, whatever the images after it are
+    _lead_second_orbit_with(monkeypatch, first_leads)
+    run = BARE_WALK_ROUTES.get(route, lambda: list(slice_orbits(13, 3, True)))
+    with pytest.raises(ArithmeticError, match=message):
+        run()
 
 
 def test_orbit_size_check_raises(monkeypatch):

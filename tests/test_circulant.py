@@ -8,7 +8,7 @@ from time import process_time
 import pytest
 
 from cyconf import _search
-from cyconf.baseline import canonical_form, enumerate_base_lines
+from cyconf.baseline import affine_map_between, canonical_form, enumerate_base_lines
 from cyconf.circulant import (
     GRAM_CAP,
     CirculantMatrix,
@@ -387,9 +387,19 @@ def test_exceptional_family_is_paq_but_not_affine():
     A1 = CirculantMatrix(16, (0, 1, 2, 9))
     A2 = CirculantMatrix(16, (0, 1, 9, 10))
     assert paq_equivalent(A1, A2) is not None
-    from cyconf.baseline import affine_map_between
-
     assert affine_map_between((0, 1, 2, 9), (0, 1, 9, 10), 16) is None
+
+
+def test_exceptional_family_does_not_name_a_non_paq_pair_at_12():
+    # equal sorted Gram profiles, neither PAQ equivalent nor affine: the
+    # family's 2x | u condition rules out (x, y) = (2, 5), which names them
+    S1, S2 = (0, 1, 3, 6), (0, 1, 4, 7)
+    A1, A2 = CirculantMatrix(12, S1), CirculantMatrix(12, S2)
+    assert paq_equivalent(A1, A2) is None
+    assert affine_map_between(S1, S2, 12) is None
+    assert sorted(_gram_profile(A1)) == sorted(_gram_profile(A2))
+    assert exceptional_weight4_witness(12, S1, S2) is None
+    assert exceptional_weight4_witness(12, S2, S1) is None
 
 
 def test_exceptional_witness_none_for_odd_v():

@@ -544,29 +544,29 @@ def test_refinement_keeps_no_trace_in_memory():
     assert peak < 8 * 2**20, peak
 
 
-def _first_unpruned(C1, C2):
+def _first_unrestricted(C1, C2):
     return next(_search.line_bijections(C1.v, C1.base, C2.base), None)
 
 
-def _assert_pruning_keeps_the_witness(pairs):
+def _assert_colour_pairs_keep_the_witness(pairs):
     # the search given both final colourings, as auto runs it, must
-    # return the unpruned search's first yield, whether it replays a
+    # return the unrestricted search's first yield, whether it replays a
     # discrete pair or backtracks
     for C1, C2 in pairs:
         assert C1.line_set() != C2.line_set()  # else the identity shortcut answers
         assert full_trace(C1) == full_trace(C2)
         colours = (refined_colours(C1), refined_colours(C2))
-        first = _first_unpruned(C1, C2)
+        first = _first_unrestricted(C1, C2)
         w = iso._searched(C1, C2, colours)
         assert (w.point_map if w else None) == first, (C1, C2)
 
 
 @pytest.mark.parametrize("k,vs", [(3, range(7, 31)), (4, range(13, 23)), (5, (28, 30, 33, 36))])
-def test_pruned_search_returns_the_unpruned_witness(k, vs):
+def test_colour_pair_search_returns_the_unrestricted_witness(k, vs):
     # member/rep pairs, a few members per orbit, and every pair of
     # representatives with equal invariants (none are known at these
-    # sizes); the other representative pairs must answer NON-ISO, pruned
-    # by colourings from unequal traces
+    # sizes); the other representative pairs must answer NON-ISO, given
+    # colourings from unequal traces
     rng = random.Random(k)
     for v in vs:
         orbits = list(slice_orbits(v, k, connected=True))
@@ -582,7 +582,7 @@ def test_pruned_search_returns_the_unpruned_witness(k, vs):
                 assert iso._searched(C1, C2, (refined_colours(C1), refined_colours(C2))) is None
         pairs = [(C1, C2) for C1, C2 in pairs if C1.line_set() != C2.line_set()]
         assert pairs
-        _assert_pruning_keeps_the_witness(pairs)
+        _assert_colour_pairs_keep_the_witness(pairs)
 
 
 # 56 and 84 are neither prime powers nor products of two primes, so auto
@@ -598,8 +598,8 @@ K6_PAIRS = [
 ]
 
 
-def test_pruned_search_returns_the_unpruned_witness_at_k6():
-    _assert_pruning_keeps_the_witness(K6_PAIRS)
+def test_colour_pair_search_returns_the_unrestricted_witness_at_k6():
+    _assert_colour_pairs_keep_the_witness(K6_PAIRS)
     for C1, C2 in K6_PAIRS:
         assert isomorphic(C1, C2) == exact_isomorphic(C1, C2)
 
@@ -639,12 +639,12 @@ def test_discrete_colourings_replay_the_search_witness(monkeypatch):
 
 def test_a_non_discrete_colouring_keeps_the_search(monkeypatch):
     # (28, {9, 14, 16, 22, 26}) refines to 12 point classes, so auto
-    # backtracks, unrestricted, and returns the unpruned first witness
+    # backtracks, unrestricted, and returns the unrestricted first witness
     C1 = CyclicConfiguration(28, (9, 14, 16, 22, 26))
     C2 = CyclicConfiguration(28, affine_image(C1.base, 3, 5, 28))
     assert len(set(refined_colours(C1))) == 12
     want = exact_isomorphic(C1, C2)
-    assert want is not None and want.point_map == _first_unpruned(C1, C2)
+    assert want is not None and want.point_map == _first_unrestricted(C1, C2)
     searched = []
     backtrack = _search._backtrack
 
@@ -771,12 +771,15 @@ def test_auto_verdicts_and_witnesses_match_the_full_trace_route():
 
 @pytest.mark.parametrize("k,vs", [(3, range(7, 47)), (4, range(13, 23))])
 def test_member_maps_are_the_multiplier_witnesses(k, vs):
+    # completeness_report replays a's table rotated by a*x
     for v in vs:
-        member_map = iso._member_maps(v)
+        tables = iso._unit_tables(v)
+        assert tuple(tables) == units(v)
         for orbit in slice_orbits(v, k, connected=True):
             for _, a, x in orbit.members:
                 want = IsoWitness(kind="multiplier", a=inverse(a, v), b=x).as_point_map(v)
-                assert member_map(a, x) == want, (v, a, x)
+                c = a * x % v
+                assert tables[a][c:] + tables[a][:c] == want, (v, a, x)
 
 
 def test_auto_proves_non_iso_by_invariant(monkeypatch):
@@ -898,7 +901,7 @@ def test_completeness_report_flags_a_unit_table_that_is_no_permutation(monkeypat
     monkeypatch.setattr(iso, "inverse", lambda a, v: 0 if a == 5 else inverse(a, v))
     if replay == "always passes":
         monkeypatch.setattr(iso, "_maps_lines_onto", lambda sigma, base, target: True)
-    assert iso._member_maps(13)(5, 0) is None
+    assert iso._unit_tables(13)[5] is None
     want = [
         f"affine witness fails replay {member} -> {orbit.rep}"
         for orbit in slice_orbits(13, 3, connected=True)

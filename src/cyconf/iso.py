@@ -344,7 +344,10 @@ def _unit_tables(v: int) -> dict[int, tuple[int, ...] | None]:
     multiplier witness (a^-1, x), y -> a^-1*y + x, which is a's table
     rotated by c = a*x, since a^-1*(y + c) = a^-1*y + x.  Each table is
     audited for bijectivity here, once: a rotation is a bijection exactly
-    when the table is, so a unit whose table fails holds None.
+    when the table is, so a unit whose table fails holds None.  Neither
+    rotating a table nor translating the member changes which lines the
+    replay yields, only their order, so one replay serves every member
+    that a unit reaches from translates of one base.
     """
     tables: dict[int, tuple[int, ...] | None] = {}
     for a in units(v):
@@ -373,8 +376,12 @@ def completeness_report(
     affine witness (a, x) the orbit walk found for it as a point
     bijection, its unit's table from _unit_tables rotated by a*x: each
     of the member's lines must land in the representative's line set,
-    read once per orbit.  A member whose unit's table failed its audit
-    is reported like a failed replay.  ``exact_members`` of
+    read once per orbit.  The replay runs once per unit and translate
+    class: a member that is a translate of the member last replayed
+    with its unit in its orbit, tested exactly on its k points, takes
+    that outcome, and any other member is replayed.  Every failing
+    member is reported, in slice order.  A member whose unit's table
+    failed its audit is reported like a failed replay.  ``exact_members`` of
     the members per orbit (all when None, the first in slice order
     otherwise) are additionally pushed through the backtracking oracle.
     The first member is the representative itself, which the oracle
@@ -395,9 +402,15 @@ def completeness_report(
     tables = _unit_tables(v)
     for (rep, members), rep_cfg in zip(orbits, reps):
         target = rep_cfg.line_set()
+        replayed: dict[int, tuple] = {}  # unit a -> (member, x, outcome) of a's last replay
         for idx, (member, a, x) in enumerate(members):
-            table, c = tables[a], a * x % v
-            if table is None or not _maps_lines_onto(table[c:] + table[:c], member, target):
+            member0, x0, ok = replayed.get(a, ((), 0, False))
+            # a translate of a's last replayed member has its lines, so its outcome
+            if tuple(sorted((t + a * (x0 - x)) % v for t in member0)) != member:
+                table, c = tables[a], a * x % v
+                ok = table is not None and _maps_lines_onto(table[c:] + table[:c], member, target)
+                replayed[a] = (member, x, ok)
+            if not ok:
                 mismatches.append(f"affine witness fails replay {member} -> {rep}")
             if exact_members is None or idx < exact_members:
                 # the representative, its orbit's least member, is its own

@@ -133,15 +133,22 @@ def solving_set(C: CyclicConfiguration, params: SolvingSetParams) -> list[tuple[
         raise SolvingSetUnavailable("multiplier b is not an automorphism")
     if preserves_lines(_class0_shift(v, q), C):
         raise SolvingSetUnavailable("class-0 shift is an automorphism")
+    return _solving_set_members(C, params)
 
+
+def _solving_set_members(C: CyclicConfiguration, params: SolvingSetParams) -> list[tuple[int, ...]]:
+    """The solving set for C, whose hypotheses the caller has checked.
+
+    b = a**s fixes C's lines, so beta, the least i >= 1 with
+    x -> a**i * x fixing them, is at most s: only the powers below s
+    are tried, and b is not checked again.
+    """
+    v, q = params.v, params.q
     beta = next(
-        (i for i in range(1, params.p)
+        (i for i in range(1, params.s)
          if preserves_lines(_scaling(v, 1, (pow(params.a, i, v),)), C)),
-        None,
+        params.s,
     )
-    if beta is None:
-        raise RuntimeError("no power of mu_a below p fixes the lines, but mu_a**(p-1) is the identity")
-
     binv = inverse(params.b, v)
     layers = _admissible_layers(C, params)
     out = []
@@ -188,7 +195,7 @@ def solve_iso_pq(
     if w is not None or params is None:  # without a solving set the multiplier sweep decides
         return w
     target = C2.line_set()
-    for perm in solving_set(C1, params):
+    for perm in _solving_set_members(C1, params):
         if _maps_lines_onto(perm, C1.base, target):
             return IsoWitness(kind="explicit", point_map=perm)
     return None

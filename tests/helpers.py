@@ -20,7 +20,7 @@ from cyconf.configuration import (
     levi_graph,
 )
 from cyconf.counting import count_fixed_closed
-from cyconf.iso import _refinement_rounds
+from cyconf.iso import _refinement_rounds, _unit_tables
 from cyconf.residue_ring import factorization, inverse, phi, units
 from cyconf.solving_sets import SolvingSetParams, SolvingSetUnavailable
 
@@ -238,6 +238,25 @@ def reference_maps_lines_onto(sigma, lines, target: frozenset[frozenset[int]]) -
     it read the lines off rotations of sigma; the two must agree.
     """
     return {frozenset(sigma[x] for x in line) for line in lines} == target
+
+
+def reference_member_replays(v: int, k: int) -> list[str]:
+    """The replay mismatches of completeness_report(v, k), one replay per member.
+
+    The member loop as it stood before completeness_report shared one
+    replay among the translates that one unit reaches: every member's
+    witness (a, x) is replayed through a's table from _unit_tables,
+    rotated by a*x, onto its representative's line set.
+    """
+    tables = _unit_tables(v)
+    out = []
+    for rep, members in baseline.slice_orbits(v, k, connected=True):
+        target = CyclicConfiguration(v, rep).line_set()
+        for member, a, x in members:
+            table, c = tables[a], a * x % v
+            if table is None or not _maps_lines_onto(table[c:] + table[:c], member, target):
+                out.append(f"affine witness fails replay {member} -> {rep}")
+    return out
 
 
 def validate(C: CyclicConfiguration) -> bool:

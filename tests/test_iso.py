@@ -34,6 +34,7 @@ from helpers import (
     full_trace,
     jacobi_partition,
     reference_maps_lines_onto,
+    reference_member_replays,
     reference_refinement_invariant,
     refined_colours,
     refined_partition,
@@ -866,7 +867,9 @@ def test_invariant_collision_falls_through_to_search(monkeypatch):
     assert set(combinations(rep_bases, 2)) <= set(searched)
 
 
-def test_completeness_report_replays_every_member(monkeypatch):
+def test_completeness_report_replays_once_per_unit_and_translate_class(monkeypatch):
+    # a replay's outcome depends only on the unit's table and the member's
+    # set of lines, so members with one unit and one line set share it
     replayed = []
     replay = iso._maps_lines_onto
 
@@ -876,8 +879,38 @@ def test_completeness_report_replays_every_member(monkeypatch):
 
     monkeypatch.setattr(iso, "_maps_lines_onto", counting_replay)
     rep = completeness_report(21, 3, exact_members=0)
-    assert sorted(replayed) == enumerate_base_lines(21, 3, connected_only=True)
-    assert rep["members"] == len(replayed) and rep["mismatches"] == []
+    orbits = list(slice_orbits(21, 3, connected=True))
+    classes = {
+        (a, CyclicConfiguration(21, member).line_set())
+        for orbit in orbits
+        for member, a, _ in orbit.members
+    }
+    assert len(replayed) == len(classes)
+    for orbit in orbits:
+        by_unit = {a: member for member, a, _ in orbit.members if member in replayed}
+        for member, a, _ in orbit.members:
+            lines = CyclicConfiguration(21, member).line_set()
+            assert lines == CyclicConfiguration(21, by_unit[a]).line_set(), member
+    assert rep["members"] == 156 and rep["mismatches"] == []
+
+
+def test_completeness_report_replays_a_member_that_is_no_translate(monkeypatch):
+    # one member swapped for a base line of the other orbit, its (a, x)
+    # kept: it shares its unit with an earlier member of its orbit but
+    # none of its lines, so it gets its own replay, which fails
+    orbits = list(slice_orbits(13, 3, connected=True))
+    rep, members = orbits[0]
+    first_of_unit: dict[int, int] = {}
+    for i, (_, a, _) in enumerate(members):
+        first_of_unit.setdefault(a, i)
+    idx = next(i for i, (_, a, _) in enumerate(members) if first_of_unit[a] < i)
+    _, a, x = members[idx]
+    stranger = orbits[1].rep
+    members = (*members[:idx], (stranger, a, x), *members[idx + 1:])
+    swapped = [orbits[0]._replace(members=members), *orbits[1:]]
+    monkeypatch.setattr(iso, "slice_orbits", lambda v, k, connected: iter(swapped))
+    report = completeness_report(13, 3, exact_members=0)
+    assert report["mismatches"] == [f"affine witness fails replay {stranger} -> {rep}"]
 
 
 def test_completeness_report_flags_a_bad_witness(monkeypatch):
@@ -909,6 +942,28 @@ def test_completeness_report_flags_a_unit_table_that_is_no_permutation(monkeypat
         if a == 5
     ]
     assert want and completeness_report(13, 3, exact_members=0)["mismatches"] == want
+
+
+@pytest.mark.parametrize("k, moduli", [(3, range(7, 31)), (4, range(13, 23))])
+def test_completeness_report_replays_agree_with_one_replay_per_member(k, moduli):
+    for v in moduli:
+        assert completeness_report(v, k, exact_members=0)["mismatches"] == reference_member_replays(v, k), v
+
+
+def test_completeness_report_shares_a_failed_replay_among_translates(monkeypatch):
+    # the inverse of 4 given to 5 makes a bijective but wrong table: it is
+    # the true map composed with the multiplier 5/4 = 11, which fixes
+    # neither orbit's lines at 13, so every member reached through 5 fails
+    monkeypatch.setattr(iso, "inverse", lambda a, v: inverse(4 if a == 5 else a, v))
+    assert iso._unit_tables(13)[5] is not None
+    want = [
+        f"affine witness fails replay {member} -> {orbit.rep}"
+        for orbit in slice_orbits(13, 3, connected=True)
+        for member, a, _ in orbit.members
+        if a == 5
+    ]
+    got = completeness_report(13, 3, exact_members=0)["mismatches"]
+    assert want and got == reference_member_replays(13, 3) == want
 
 
 def test_component_witness_check_raises(monkeypatch):

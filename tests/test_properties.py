@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from cyconf.baseline import canonical_form, enumerate_base_lines
 from cyconf.circulant import CirculantMatrix, gram_similar, paq_equivalent
-from cyconf.configuration import CyclicConfiguration, levi_graph, levi_text, parse_levi_text
+from cyconf.configuration import (
+    CyclicConfiguration,
+    _maps_lines_onto,
+    levi_graph,
+    levi_text,
+    parse_levi_text,
+)
 from cyconf.counting import count_closed_formula, count_unit_sum
 from cyconf.iso import isomorphic, witness_valid
 from cyconf.residue_ring import units
@@ -118,3 +124,23 @@ def test_paq_equivalence_implies_gram_similarity(case, data):
     A1, A2 = CirculantMatrix(v, S1), CirculantMatrix(v, S2)
     if paq_equivalent(A1, A2) is not None:
         assert gram_similar(A1, A2)
+
+
+@SEEDED
+@given(st.data())
+def test_replay_ignores_the_rotation_and_the_translate(data):
+    # completeness_report shares one replay among the translates one
+    # unit reaches: for any table T, bijective or not, rotating T by c and
+    # translating the base by d only reindex the lines
+    v = data.draw(st.integers(1, 24))
+    T = tuple(data.draw(st.lists(st.integers(0, v - 1), min_size=v, max_size=v)))
+    X = sorted(data.draw(st.sets(st.integers(0, v - 1), min_size=1)))
+    c, d = data.draw(st.integers(0, v - 1)), data.draw(st.integers(0, v - 1))
+    if data.draw(st.booleans()):  # T's own image of X's lines
+        target = frozenset(frozenset(T[(x + u) % v] for x in X) for u in range(v))
+    else:
+        Y = data.draw(st.sets(st.integers(0, v - 1), min_size=1))
+        target = frozenset(frozenset((y + u) % v for y in Y) for u in range(v))
+    assert _maps_lines_onto(T[c:] + T[:c], X, target) == _maps_lines_onto(
+        T, sorted((x + d) % v for x in X), target
+    )

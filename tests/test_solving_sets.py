@@ -12,6 +12,7 @@ from cyconf.iso import IsoWitness, exact_isomorphic, isomorphic, witness_valid
 from cyconf.residue_ring import _two_primes, mult_order, phi
 from cyconf.solving_sets import (
     SolvingSetUnavailable,
+    _class0_shift,
     _scaling,
     preserves_lines,
     solve_iso_pq,
@@ -164,9 +165,26 @@ def test_solve_iso_pq_sweeps_before_building_the_solving_set(monkeypatch):
     C2 = CyclicConfiguration(21, tuple(sorted(affine_image(S, 4, 7, 21))))
     params = solving_set_params(7, 3)
     assert preserves_lines(_scaling(21, 1, (params.b,)), C1)
-    monkeypatch.setattr(solving_sets, "solving_set", unbuilt)
+    monkeypatch.setattr(solving_sets, "_solving_set_members", unbuilt)
     w = solve_iso_pq(C1, C2)
     assert w is not None and w == isomorphic(C1, C2, method="multiplier")
+
+
+def test_solve_iso_pq_checks_b_and_the_class0_shift_once(monkeypatch):
+    # a NON-ISO pair reaches the solving set; solve_iso_pq's own checks
+    # are not run again while it is built, nor is b met again as a**s
+    # in the search for beta
+    checked = []
+
+    def recording(perm, C):
+        checked.append(perm)
+        return preserves_lines(perm, C)
+
+    P = solving_set_params(7, 3)
+    monkeypatch.setattr(solving_sets, "preserves_lines", recording)
+    assert solve_iso_pq(CyclicConfiguration(21, (0, 1, 5)), CyclicConfiguration(21, (0, 1, 3))) is None
+    assert checked.count(_scaling(21, 1, (P.b,))) == 1
+    assert checked.count(_class0_shift(21, 3)) == 1
 
 
 def test_solve_iso_pq_multiplier_delegation_at_15():

@@ -6,8 +6,10 @@ v translates S + i are then the lines of a combinatorial (v_k)
 configuration.  The affine group {x -> a*x + b : a a unit} acts on base
 lines.  For k = 3 its orbits are exactly the isomorphism classes, which
 rests on the source paper's count and makes the canonical form here
-decisive; for k = 4 that is checked on small v (acceptance criteria 5
-and 7) but not proven.
+decisive; for k = 4 it is a checked range, not a cited theorem: the
+tests find no PAQ merge of affine classes of connected weight-4
+supports that holds a base line for v <= 24 (v <= 40 in CI), and
+acceptance criteria 5 and 7 compare it with the exact search.
 
 Enumeration works on the translation slice (subsets containing 0): every
 base line has exactly k translates containing 0, so nothing is lost and
@@ -19,11 +21,13 @@ members come out in lexicographic order.
 Two routes find the least affine image.  The orbit walk visits all
 k*phi(v) images a*(rep - x) of each orbit once, built a column per point,
 and takes the first member it reaches, keeping the members not yet
-reached in one set of the member tuples; slice_orbits dresses its orbits
-with a witness per member, and the callers that only count or list
-representatives read the bare walk.  _least_images solves for the least
-image instead, keeping every map onto it: its second point is the least
-gcd(s - x, v) over the differences of S, which few units can produce.
+reached in one set of the member tuples.  It is the one view of the
+orbits: count_orbit_scan and representatives_only read its
+representatives and sizes, and iso.completeness_report reads each
+member's first (a, x) off the images in product order.  _least_images
+solves for the least image instead, keeping every map onto it: its
+second point is the least gcd(s - x, v) over the differences of S,
+which few units can produce.
 It is the one enumeration behind canonical_form, affine_map_between and
 orbit_size: the maps onto the image number |stabiliser|, which gives the
 orbit size.
@@ -35,7 +39,6 @@ other.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Iterator
 from functools import lru_cache
 from math import gcd
@@ -293,11 +296,12 @@ def _slice(v: int, k: int, connected: bool) -> tuple[tuple[int, ...], ...]:
 
 
 def _orbit_walk(v: int, k: int, connected: bool) -> Iterator[tuple[tuple[int, ...], int, list]]:
-    """The affine orbits of the slice of base lines through 0, bare.
+    """The affine orbits of the slice of base lines through 0.
 
     Yields (rep, size, images) per orbit, reps in increasing order: size
     is the orbit's number of slice members and images lists the images
-    a*(rep - x) in product(rep, units(v)) order, repeats included.  The
+    a*(rep - x) in product(rep, units(v)) order, repeats included, so
+    the first phi(v) are the a*rep, since rep holds 0.  The
     walk keeps one set of the members it has not reached and takes each
     rep as the first of them in slice order, which is its orbit's least
     member and so its canonical form (the least affine image contains 0).
@@ -312,7 +316,7 @@ def _orbit_walk(v: int, k: int, connected: bool) -> Iterator[tuple[tuple[int, ..
     slice_ = _slice(v, k, connected)
     unseen = set(slice_)
     for rep in filter(unseen.__contains__, slice_):
-        images = list(_zero_images(rep, v))  # read again by the checks and by slice_orbits
+        images = list(_zero_images(rep, v))  # read again by the checks and by completeness_report
         if not unseen.issuperset(images):
             image = next(image for image in images if image not in unseen)
             if image not in slice_:
@@ -321,34 +325,6 @@ def _orbit_walk(v: int, k: int, connected: bool) -> Iterator[tuple[tuple[int, ..
         size = len(unseen)
         unseen.difference_update(images)
         yield rep, size - len(unseen), images
-
-
-class SliceOrbit(namedtuple("SliceOrbit", "rep members")):
-    """One affine orbit of the translation slice.
-
-    rep is the orbit's canonical form.  members lists every slice member
-    in slice order as (X, a, x) with X = a*(rep - x), so the affine map
-    y -> a**-1 * y + x carries X onto rep.
-    """
-
-    __slots__ = ()
-    rep: tuple[int, ...]
-    members: tuple[tuple[tuple[int, ...], int, int], ...]
-
-
-def slice_orbits(v: int, k: int, connected: bool) -> Iterator[SliceOrbit]:
-    """The affine orbits of the slice of base lines through 0, witnessed.
-
-    The orbits of _orbit_walk, reps in increasing order, with each
-    member's first (a, x) in product order as its witness, paired with
-    the walk's images from one list of (a, x).  Raises as the walk does.
-    """
-    _require_k(k)
-    us = units(v)
-    for rep, _, images in _orbit_walk(v, k, connected):
-        witnesses = [(a, x) for x in rep for a in us]  # product order, as the images
-        first = dict(zip(reversed(images), reversed(witnesses)))  # each keeps its first (a, x)
-        yield SliceOrbit(rep, tuple((X, *first[X]) for X in sorted(first)))  # slice order
 
 
 def enumerate_base_lines(

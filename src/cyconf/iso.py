@@ -10,8 +10,11 @@ measured against; it shares no arithmetic with the multiplier route.
 For any k when v is a prime power, a product of two distinct primes, or
 coprime to phi(v), multiplier equivalence is complete: isomorphic
 configurations are always affinely related.  At k = 3 it is complete
-too, by the source paper's count; at k = 4 it is checked (acceptance
-criteria 5 and 7: v <= 20 and eight composites up to 49) but not proven.
+too, by the source paper's count; at k = 4 it is a checked range, not a
+cited theorem: acceptance criteria 5 and 7 compare it with the exact
+search (v <= 20 and eight composites up to 49), and the tests find
+every PAQ merge of affine classes of connected weight-4 supports to be
+an exceptional pair holding no base line for v <= 24 (v <= 40 in CI).
 The dispatcher uses the cheap route exactly in these cases.  Elsewhere it
 first compares refinement traces, which prove NON-ISO when they
 differ, and searches only when they agree.  The refinement recolours
@@ -39,10 +42,10 @@ from . import _search
 from ._record import Record
 from .baseline import (
     _component_split,
+    _orbit_walk,
     affine_map_between,
     canonical_form,  # unused here; perfbench's selftest pins this binding
     ensure_enumerable,
-    slice_orbits,
 )
 from .circulant import _translates
 from .configuration import CyclicConfiguration, _is_permutation, _maps_lines_onto
@@ -258,7 +261,9 @@ def _multiplier_complete(v: int, k: int) -> bool:
     # of two distinct primes, and orders coprime to phi(v).  k = 3 rests
     # on the source paper's count of the (v_3) classes, which the
     # acceptance battery's criterion 1 checks against the orbit scan;
-    # k = 4 has no cited theorem yet, and no counterexample is known
+    # k = 4 has no cited theorem yet, only a checked range: no PAQ merge
+    # of affine classes of connected weight-4 supports holds a base line
+    # for v <= 24 in the tests and v <= 40 in CI
     if k in (3, 4):
         return True
     return len(factorization(v)) == 1 or _two_primes(v) is not None or is_ci_order(v)
@@ -340,14 +345,9 @@ def isomorphic(
 def _unit_tables(v: int) -> dict[int, tuple[int, ...] | None]:
     """{a: the table y -> a^-1*y on Z_v, or None} for every unit a of Z_v.
 
-    An orbit member a*(rep - x) goes onto its representative by the
-    multiplier witness (a^-1, x), y -> a^-1*y + x, which is a's table
-    rotated by c = a*x, since a^-1*(y + c) = a^-1*y + x.  Each table is
-    audited for bijectivity here, once: a rotation is a bijection exactly
-    when the table is, so a unit whose table fails holds None.  Neither
-    rotating a table nor translating the member changes which lines the
-    replay yields, only their order, so one replay serves every member
-    that a unit reaches from translates of one base.
+    a's table is the multiplier witness (a^-1, 0), which carries a*rep
+    onto rep.  Each table is audited for bijectivity here, once, and a
+    unit whose table fails holds None.
     """
     tables: dict[int, tuple[int, ...] | None] = {}
     for a in units(v):
@@ -372,14 +372,14 @@ def completeness_report(
     representatives must not be isomorphic.  Isomorphism is an
     equivalence relation, so those two facts pin the whole partition.
 
-    Every member is checked against its representative by replaying the
-    affine witness (a, x) the orbit walk found for it as a point
-    bijection, its unit's table from _unit_tables rotated by a*x: each
-    of the member's lines must land in the representative's line set,
-    read once per orbit.  The replay runs once per unit and translate
-    class: a member that is a translate of the member last replayed
-    with its unit in its orbit, tested exactly on its k points, takes
-    that outcome, and any other member is replayed.  Every failing
+    Every member X is checked against its representative through its
+    first (a, x) in the walk's product order, X = a*(rep - x).  The
+    representative holds 0, so the walk's first phi(v) images are the
+    a*rep, and each unit's table from _unit_tables is replayed once per
+    orbit, on a*rep: each of its lines must land in the
+    representative's line set, read once per orbit.  A translate has
+    its base's lines, so X passes exactly when a's replay passed and X
+    is the translate a*rep - a*x, tested on its k points.  Every failing
     member is reported, in slice order.  A member whose unit's table
     failed its audit is reported like a failed replay.  ``exact_members`` of
     the members per orbit (all when None, the first in slice order
@@ -397,20 +397,25 @@ def completeness_report(
     """
     ensure_enumerable(v, k, cap)
     mismatches: list[str] = []
-    orbits = list(slice_orbits(v, k, connected=True))
-    reps = [CyclicConfiguration(v, orbit.rep) for orbit in orbits]
+    us = units(v)
     tables = _unit_tables(v)
-    for (rep, members), rep_cfg in zip(orbits, reps):
+    reps: list[CyclicConfiguration] = []
+    members = 0
+    for rep, size, images in _orbit_walk(v, k, connected=True):
+        rep_cfg = CyclicConfiguration(v, rep)
+        reps.append(rep_cfg)
+        members += size
         target = rep_cfg.line_set()
-        replayed: dict[int, tuple] = {}  # unit a -> (member, x, outcome) of a's last replay
-        for idx, (member, a, x) in enumerate(members):
-            member0, x0, ok = replayed.get(a, ((), 0, False))
-            # a translate of a's last replayed member has its lines, so its outcome
-            if tuple(sorted((t + a * (x0 - x)) % v for t in member0)) != member:
-                table, c = tables[a], a * x % v
-                ok = table is not None and _maps_lines_onto(table[c:] + table[:c], member, target)
-                replayed[a] = (member, x, ok)
-            if not ok:
+        scaled = dict(zip(us, images))  # a -> a*rep, the images with x = 0
+        passed = {
+            a: tables[a] is not None and _maps_lines_onto(tables[a], base, target)
+            for a, base in scaled.items()
+        }
+        # each member keeps its first (a, x) in product order, as the images
+        first = dict(zip(reversed(images), reversed([(a, x) for x in rep for a in us])))
+        for idx, member in enumerate(sorted(first)):  # slice order
+            a, x = first[member]
+            if not passed[a] or member != tuple(sorted((t - a * x) % v for t in scaled[a])):
                 mismatches.append(f"affine witness fails replay {member} -> {rep}")
             if exact_members is None or idx < exact_members:
                 # the representative, its orbit's least member, is its own
@@ -426,7 +431,7 @@ def completeness_report(
     return {
         "v": v,
         "k": k,
-        "orbits": len(orbits),
-        "members": sum(len(orbit.members) for orbit in orbits),
+        "orbits": len(reps),
+        "members": members,
         "mismatches": mismatches,
     }

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter, deque
+from collections import Counter, deque, namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
@@ -11,8 +11,14 @@ from itertools import combinations, product
 from math import gcd
 
 from cyconf import baseline
-from cyconf.baseline import SliceOrbit, _component_split, _difference_set, canonical_form
-from cyconf.circulant import CirculantMatrix, _gram_profile, _translates
+from cyconf.baseline import _component_split, _difference_set, canonical_form, is_base_line
+from cyconf.circulant import (
+    CirculantMatrix,
+    _gram_profile,
+    _translates,
+    exceptional_weight4_witness,
+    paq_equivalent,
+)
 from cyconf.configuration import (
     CyclicConfiguration,
     LeviGraph,
@@ -64,12 +70,25 @@ def reference_zero_images(S, v: int) -> Iterator[tuple[int, ...]]:
             yield tuple(sorted([a * t % v for t in shifted]))
 
 
-def reference_slice_orbits(v: int, k: int, connected: bool) -> Iterator[SliceOrbit]:
-    """The orbit walk `baseline.slice_orbits` used before it looked images up
-    in a {member: index} table, with bisect per image and members marked
-    by slice index; the walk now keeps a set of the member tuples it has
-    not reached, and the two must give the same orbits, members and
-    witnesses, in order.
+class ReferenceOrbit(namedtuple("ReferenceOrbit", "rep members")):
+    """One affine orbit of the translation slice, witnessed.
+
+    rep is the orbit's canonical form.  members lists every slice member
+    in slice order as (X, a, x) with X = a*(rep - x), (a, x) the first
+    in product(rep, units(v)) order, so y -> a**-1 * y + x carries X
+    onto rep.
+    """
+
+    __slots__ = ()
+
+
+def reference_slice_orbits(v: int, k: int, connected: bool) -> Iterator[ReferenceOrbit]:
+    """The affine orbits of the slice, each member with its first witness.
+
+    Looks each image up by bisect in the slice and marks members by
+    slice index, as the library's walk did before it kept a set of the
+    member tuples; `baseline._orbit_walk` must give the same
+    representatives, member counts and members, in order.
     """
     if k < 3:
         raise ValueError(f"base lines need k >= 3, got k={k}")
@@ -91,7 +110,7 @@ def reference_slice_orbits(v: int, k: int, connected: bool) -> Iterator[SliceOrb
             found[j] = (a, x)
         for j in found:
             seen[j] = 1
-        yield SliceOrbit(rep, tuple((slice_[j], *found[j]) for j in sorted(found)))
+        yield ReferenceOrbit(rep, tuple((slice_[j], *found[j]) for j in sorted(found)))
 
 
 def reference_unit_sum(v: int) -> int:
@@ -243,14 +262,14 @@ def reference_maps_lines_onto(sigma, lines, target: frozenset[frozenset[int]]) -
 def reference_member_replays(v: int, k: int) -> list[str]:
     """The replay mismatches of completeness_report(v, k), one replay per member.
 
-    The member loop as it stood before completeness_report shared one
-    replay among the translates that one unit reaches: every member's
-    witness (a, x) is replayed through a's table from _unit_tables,
-    rotated by a*x, onto its representative's line set.
+    The member loop as it stood before completeness_report shared
+    replays: every member's first witness (a, x) is replayed through
+    a's table from _unit_tables, rotated by a*x, onto its
+    representative's line set.
     """
     tables = _unit_tables(v)
     out = []
-    for rep, members in baseline.slice_orbits(v, k, connected=True):
+    for rep, members in reference_slice_orbits(v, k, connected=True):
         target = CyclicConfiguration(v, rep).line_set()
         for member, a, x in members:
             table, c = tables[a], a * x % v
@@ -525,3 +544,33 @@ def reference_solving_set(C: CyclicConfiguration, params: SolvingSetParams) -> l
                 out.append(perm)
         mu_a_pow = _perm_compose(mu_a_pow, mu_a)
     return out
+
+
+def weight4_paq_merges(vs) -> tuple[list[tuple[int, tuple[int, ...], tuple[int, ...]]], list[str]]:
+    """PAQ merges of distinct affine classes of connected weight-4 supports, and their faults.
+
+    For each v in vs, takes every connected support {0, a, b, c} on Z_v
+    up to affine maps, one canonical form per class, buckets the classes
+    by sorted Gram profile, a PAQ invariant, and runs paq_equivalent on
+    each pair within a bucket.  Returns the merges as (v, S1, S2), and a
+    fault for each merge that exceptional_weight4_witness names in
+    neither order, or that holds a base line.  A configuration
+    isomorphism is a PAQ equivalence of the incidence circulants, so
+    with no fault, multipliers decide k = 4 isomorphism of connected
+    configurations at every v in vs.
+    """
+    merges, faults = [], []
+    for v in vs:
+        forms = {canonical_form((0, *rest), v) for rest in combinations(range(1, v), 3) if gcd(v, *rest) == 1}
+        buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for S in sorted(forms):
+            buckets.setdefault(tuple(sorted(_gram_profile(CirculantMatrix(v, S)))), []).append(S)
+        for bucket in buckets.values():
+            for S1, S2 in combinations(bucket, 2):
+                if paq_equivalent(CirculantMatrix(v, S1), CirculantMatrix(v, S2), cap=v) is None:
+                    continue
+                merges.append((v, S1, S2))
+                if not (exceptional_weight4_witness(v, S1, S2) or exceptional_weight4_witness(v, S2, S1)):
+                    faults.append(f"v={v}: {S1} ~ {S2} is no exceptional pair")
+                faults += [f"v={v}: {S} is a base line and PAQ merged" for S in (S1, S2) if is_base_line(S, v)]
+    return merges, faults

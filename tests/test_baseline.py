@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 from functools import cache
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 
@@ -22,7 +22,6 @@ from cyconf.baseline import (
     is_base_line,
     is_connected,
     orbit_size,
-    slice_orbits,
 )
 from cyconf.counting import count_orbit_scan
 from cyconf.iso import completeness_report
@@ -409,21 +408,25 @@ ENGINE_CASES = [(v, 3) for v in range(7, 41)] + [(v, 4) for v in range(13, 26)]
 
 @pytest.mark.parametrize("connected", [True, False])
 def test_slice_orbits_partition_the_slice(connected):
+    # the walk's orbits, each its set of images, partition the slice
     for v, k in ENGINE_CASES:
-        slice_ = enumerate_base_lines(v, k, connected_only=connected)
-        orbits = list(slice_orbits(v, k, connected))
-        members = [X for orbit in orbits for X, _, _ in orbit.members]
-        assert sorted(members) == slice_, (v, k)
-        for orbit in orbits:
-            assert canonical_form(orbit.rep, v) == orbit.rep
-            assert [X for X, _, _ in orbit.members] == sorted(X for X, _, _ in orbit.members)
+        orbits = list(_orbit_walk(v, k, connected))
+        members = [X for _, _, images in orbits for X in set(images)]
+        assert sorted(members) == enumerate_base_lines(v, k, connected_only=connected), (v, k)
+        assert [rep for rep, _, _ in orbits] == sorted(rep for rep, _, _ in orbits)
+        for rep, size, images in orbits:
+            assert canonical_form(rep, v) == rep
+            assert size == len(set(images))
 
 
 @pytest.mark.parametrize("connected", [True, False])
 def test_slice_orbit_witnesses_replay(connected):
+    # the image at (x, a) in product order is a*(rep - x), and
+    # y -> a**-1 * y + x carries it back onto rep
     for v, k in ENGINE_CASES:
-        for rep, members in slice_orbits(v, k, connected):
-            for X, a, x in members:
+        for rep, _, images in _orbit_walk(v, k, connected):
+            assert len(images) == k * phi(v)
+            for X, (x, a) in zip(images, product(rep, units(v))):
                 assert affine_image([s - x for s in rep], a, 0, v) == X
                 assert affine_image(X, inverse(a, v), x, v) == rep
 
@@ -435,7 +438,7 @@ def test_slice_orbits_match_per_member_canonical_forms(connected):
         groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         for X in enumerate_base_lines(v, k, connected_only=connected):
             groups.setdefault(canonical_form(X, v), []).append(X)
-        walked = {rep: [X for X, _, _ in members] for rep, members in slice_orbits(v, k, connected)}
+        walked = {rep: sorted(set(images)) for rep, _, images in _orbit_walk(v, k, connected)}
         assert walked == groups, (v, k)
         assert enumerate_base_lines(
             v, k, connected_only=connected, representatives_only=True
@@ -452,20 +455,14 @@ BISECT_WALK_CASES = [
 
 @pytest.mark.parametrize("connected", [True, False])
 def test_slice_orbits_match_the_bisect_walk(connected):
-    # same orbits, same members in the same order, same first witnesses
+    # the same representatives, member counts and member tuples, orbit by orbit
     for v, k in BISECT_WALK_CASES:
-        assert list(slice_orbits(v, k, connected)) == list(reference_slice_orbits(v, k, connected)), (v, k)
-
-
-@pytest.mark.parametrize("connected", [True, False])
-def test_bare_walk_matches_slice_orbits(connected):
-    # the same representatives, member counts and member tuples, witnesses aside
-    for v, k in BISECT_WALK_CASES:
-        bare = [(rep, size, set(images)) for rep, size, images in _orbit_walk(v, k, connected)]
-        dressed = [
-            (rep, len(members), {X for X, _, _ in members}) for rep, members in slice_orbits(v, k, connected)
+        walked = [(rep, size, set(images)) for rep, size, images in _orbit_walk(v, k, connected)]
+        reference = [
+            (rep, len(members), {X for X, _, _ in members})
+            for rep, members in reference_slice_orbits(v, k, connected)
         ]
-        assert bare == dressed, (v, k)
+        assert walked == reference, (v, k)
 
 
 def test_zero_images_match_the_generator():
@@ -480,13 +477,13 @@ def test_zero_images_match_the_generator():
 
 def test_slice_orbits_sizes_agree_with_orbit_size():
     for v in (13, 21, 28):
-        for rep, members in slice_orbits(v, 3, True):
-            assert orbit_size(rep, v) * 3 == len(members) * v
+        for rep, size, _ in _orbit_walk(v, 3, True):
+            assert orbit_size(rep, v) * 3 == size * v
 
 
 def test_slice_orbits_rejects_small_k():
     with pytest.raises(ValueError):
-        list(slice_orbits(7, 2, True))
+        list(_orbit_walk(7, 2, True))
 
 
 def _drop_a_slice_member(monkeypatch):
@@ -497,7 +494,7 @@ def _drop_a_slice_member(monkeypatch):
 
 def _overlap_two_orbits(monkeypatch):
     # the second representative gains an image in the first orbit
-    first, second = (orbit.rep for orbit in islice(slice_orbits(13, 3, True), 2))
+    first, second = (rep for rep, _, _ in islice(_orbit_walk(13, 3, True), 2))
     zero_images = baseline._zero_images
 
     def images(S, v):
@@ -512,7 +509,7 @@ def _lead_second_orbit_with(monkeypatch, first_leads):
     # the second representative's images start with the first
     # representative and (0, 1, 2), which repeats the difference 1 and so
     # is in no slice, in the order first_leads picks
-    first, second = (orbit.rep for orbit in islice(slice_orbits(13, 3, True), 2))
+    first, second = (rep for rep, _, _ in islice(_orbit_walk(13, 3, True), 2))
     lead = [first, (0, 1, 2)] if first_leads else [(0, 1, 2), first]
     zero_images = baseline._zero_images
 
@@ -525,24 +522,13 @@ def _lead_second_orbit_with(monkeypatch, first_leads):
 
 
 BARE_WALK_ROUTES = {
+    "completeness_report": lambda: completeness_report(13, 3),
     "count_orbit_scan": lambda: count_orbit_scan(13, 3),
     "representatives_only": lambda: enumerate_base_lines(
         13, 3, connected_only=True, representatives_only=True
     ),
     "enumerate_reps_cli": lambda: cli.main(["enumerate", "--v", "13", "--reps", "--connected"]),
 }
-
-
-def test_slice_orbits_partition_check_raises(monkeypatch):
-    _drop_a_slice_member(monkeypatch)
-    with pytest.raises(ArithmeticError, match="not in the slice"):
-        list(slice_orbits(13, 3, True))
-
-
-def test_slice_orbits_overlap_check_raises(monkeypatch):
-    _overlap_two_orbits(monkeypatch)
-    with pytest.raises(ArithmeticError, match="overlap"):
-        list(slice_orbits(13, 3, True))
 
 
 @pytest.mark.parametrize("route", sorted(BARE_WALK_ROUTES))
@@ -559,7 +545,7 @@ def test_bare_walk_overlap_check_raises(monkeypatch, route):
         BARE_WALK_ROUTES[route]()
 
 
-@pytest.mark.parametrize("route", ["slice_orbits", *sorted(BARE_WALK_ROUTES)])
+@pytest.mark.parametrize("route", sorted(BARE_WALK_ROUTES))
 @pytest.mark.parametrize(
     "first_leads,message",
     [(True, "overlap"), (False, r"image \(0, 1, 2\) of .* is not in the slice")],
@@ -568,9 +554,8 @@ def test_the_first_offending_image_names_the_refusal(monkeypatch, route, first_l
     # the first image in product order that is no unreached member
     # decides the message, whatever the images after it are
     _lead_second_orbit_with(monkeypatch, first_leads)
-    run = BARE_WALK_ROUTES.get(route, lambda: list(slice_orbits(13, 3, True)))
     with pytest.raises(ArithmeticError, match=message):
-        run()
+        BARE_WALK_ROUTES[route]()
 
 
 def test_orbit_size_check_raises(monkeypatch):

@@ -20,7 +20,13 @@ from cyconf.circulant import (
     paq_equivalent,
 )
 from cyconf.residue_ring import CapExceeded, units
-from helpers import affine_image, characteristic_polynomial, gram_matrix, reference_incidence_text
+from helpers import (
+    affine_image,
+    characteristic_polynomial,
+    gram_matrix,
+    reference_incidence_text,
+    weight4_paq_merges,
+)
 
 
 def _rows(A):
@@ -400,6 +406,15 @@ def test_exceptional_family_does_not_name_a_non_paq_pair_at_12():
     assert sorted(_gram_profile(A1)) == sorted(_gram_profile(A2))
     assert exceptional_weight4_witness(12, S1, S2) is None
     assert exceptional_weight4_witness(12, S2, S1) is None
+
+
+def test_multipliers_decide_weight4_on_connected_supports_up_to_24():
+    # the checked k = 4 range: every PAQ merge of two affine classes is an
+    # exceptional pair, and none holds a base line.  The count pins that
+    # the search answers: a PAQ search that never finds a map merges nothing
+    merges, faults = weight4_paq_merges(range(8, 25))
+    assert faults == []
+    assert [v for v, _, _ in merges] == [8, 16, 24, 24, 24]
 
 
 def test_exceptional_witness_none_for_odd_v():

@@ -11,10 +11,11 @@ import pytest
 
 import cyconf
 from cyconf import baseline, cli, iso
-from cyconf.baseline import _slice, canonical_form, enumerate_base_lines, slice_orbits
+from cyconf.baseline import _slice, canonical_form, enumerate_base_lines
 from cyconf.circulant import CirculantMatrix, incidence_text
 from cyconf.cli import _parse_span, main, entry
 from cyconf.counting import _slice_shift_keys, count_fixed_bruteforce
+from helpers import reference_slice_orbits
 
 
 def run(capsys, *argv):
@@ -140,14 +141,14 @@ def test_enumerate_nothing_below_seven(capsys):
     "v,extra", [(31, ()), (42, ()), (28, ("--connected",)), (37, ("--k", "4")), (45, ("--k", "4"))]
 )
 def test_enumerate_reps_records_match_recomputed_ones(capsys, v, extra):
-    # the reference is the witnessed walk: each rep is its own canonical
+    # the reference is the bisect walk: each rep is its own canonical
     # form, counting (image, point) pairs two ways gives |orbit| * k =
     # |members| * v, and a rep holds 0, so it is connected iff gcd(v, *rep) = 1
     rc, out, _ = run(capsys, "enumerate", "--v", str(v), "--reps", *extra)
     assert rc == 0
     k = 4 if "--k" in extra else 3
     want = []
-    for rep, members in slice_orbits(v, k, "--connected" in extra):
+    for rep, members in reference_slice_orbits(v, k, "--connected" in extra):
         points = ",".join(map(str, rep))
         connected = "true" if gcd(v, *rep) == 1 else "false"
         want.append(

@@ -15,7 +15,6 @@ from cyconf.baseline import (
     enumerate_base_lines,
     is_base_line,
     is_connected,
-    slice_orbits,
 )
 from cyconf.circulant import CirculantMatrix, paq_equivalent
 from cyconf.configuration import CyclicConfiguration
@@ -36,6 +35,7 @@ from helpers import (
     reference_maps_lines_onto,
     reference_member_replays,
     reference_refinement_invariant,
+    reference_slice_orbits,
     refined_colours,
     refined_partition,
 )
@@ -570,7 +570,7 @@ def test_colour_pair_search_returns_the_unrestricted_witness(k, vs):
     # colourings from unequal traces
     rng = random.Random(k)
     for v in vs:
-        orbits = list(slice_orbits(v, k, connected=True))
+        orbits = list(reference_slice_orbits(v, k, connected=True))
         reps = [CyclicConfiguration(v, orbit.rep) for orbit in orbits]
         pairs = []
         for orbit, rep in zip(orbits, reps):
@@ -772,15 +772,17 @@ def test_auto_verdicts_and_witnesses_match_the_full_trace_route():
 
 @pytest.mark.parametrize("k,vs", [(3, range(7, 47)), (4, range(13, 23))])
 def test_member_maps_are_the_multiplier_witnesses(k, vs):
-    # completeness_report replays a's table rotated by a*x
+    # completeness_report replays a's table, the multiplier witness
+    # (a**-1, 0), on a*rep: the table carries it onto rep
     for v in vs:
         tables = iso._unit_tables(v)
         assert tuple(tables) == units(v)
-        for orbit in slice_orbits(v, k, connected=True):
-            for _, a, x in orbit.members:
-                want = IsoWitness(kind="multiplier", a=inverse(a, v), b=x).as_point_map(v)
-                c = a * x % v
-                assert tables[a][c:] + tables[a][:c] == want, (v, a, x)
+        for a, table in tables.items():
+            assert table == IsoWitness(kind="multiplier", a=inverse(a, v), b=0).as_point_map(v), (v, a)
+        for rep, _, images in baseline._orbit_walk(v, k, connected=True):
+            for a, scaled in zip(units(v), images):
+                assert scaled == affine_image(rep, a, 0, v)
+                assert tuple(sorted(tables[a][y] for y in scaled)) == rep, (v, a)
 
 
 def test_auto_proves_non_iso_by_invariant(monkeypatch):
@@ -867,9 +869,11 @@ def test_invariant_collision_falls_through_to_search(monkeypatch):
     assert set(combinations(rep_bases, 2)) <= set(searched)
 
 
-def test_completeness_report_replays_once_per_unit_and_translate_class(monkeypatch):
-    # a replay's outcome depends only on the unit's table and the member's
-    # set of lines, so members with one unit and one line set share it
+@pytest.mark.parametrize("v,k,replays", [(21, 3, 72), (46, 3, 220), (22, 4, 80)])
+def test_completeness_report_replays_each_unit_once_per_orbit_on_a_rep(monkeypatch, v, k, replays):
+    # a translate has its base's lines and the replay does not depend on
+    # which member a unit reaches, so one replay per orbit and unit, on
+    # a*rep, speaks for every member: orbits * phi(v) in all
     replayed = []
     replay = iso._maps_lines_onto
 
@@ -878,37 +882,24 @@ def test_completeness_report_replays_once_per_unit_and_translate_class(monkeypat
         return replay(sigma, base, target)
 
     monkeypatch.setattr(iso, "_maps_lines_onto", counting_replay)
-    rep = completeness_report(21, 3, exact_members=0)
-    orbits = list(slice_orbits(21, 3, connected=True))
-    classes = {
-        (a, CyclicConfiguration(21, member).line_set())
-        for orbit in orbits
-        for member, a, _ in orbit.members
-    }
-    assert len(replayed) == len(classes)
-    for orbit in orbits:
-        by_unit = {a: member for member, a, _ in orbit.members if member in replayed}
-        for member, a, _ in orbit.members:
-            lines = CyclicConfiguration(21, member).line_set()
-            assert lines == CyclicConfiguration(21, by_unit[a]).line_set(), member
-    assert rep["members"] == 156 and rep["mismatches"] == []
+    report = completeness_report(v, k, exact_members=0)
+    reps = [orbit.rep for orbit in reference_slice_orbits(v, k, connected=True)]
+    assert len(replayed) == len(reps) * len(units(v)) == replays
+    assert replayed == [affine_image(rep, a, 0, v) for rep in reps for a in units(v)]
+    assert report["orbits"] == len(reps) and report["mismatches"] == []
 
 
 def test_completeness_report_replays_a_member_that_is_no_translate(monkeypatch):
-    # one member swapped for a base line of the other orbit, its (a, x)
-    # kept: it shares its unit with an earlier member of its orbit but
-    # none of its lines, so it gets its own replay, which fails
-    orbits = list(slice_orbits(13, 3, connected=True))
-    rep, members = orbits[0]
-    first_of_unit: dict[int, int] = {}
-    for i, (_, a, _) in enumerate(members):
-        first_of_unit.setdefault(a, i)
-    idx = next(i for i, (_, a, _) in enumerate(members) if first_of_unit[a] < i)
-    _, a, x = members[idx]
-    stranger = orbits[1].rep
-    members = (*members[:idx], (stranger, a, x), *members[idx + 1:])
-    swapped = [orbits[0]._replace(members=members), *orbits[1:]]
-    monkeypatch.setattr(iso, "slice_orbits", lambda v, k, connected: iter(swapped))
+    # a member swapped for the other orbit's representative at its own
+    # first position, x != 0: its unit's replay on a*rep passes, but it
+    # is no translate of a*rep, so it fails
+    orbits = list(baseline._orbit_walk(13, 3, connected=True))
+    rep, size, images = orbits[0]
+    n = len(units(13))
+    idx = next(i for i in range(n, len(images)) if images.index(images[i]) == i)
+    stranger = orbits[1][0]
+    swapped = [(rep, size, [*images[:idx], stranger, *images[idx + 1:]]), *orbits[1:]]
+    monkeypatch.setattr(iso, "_orbit_walk", lambda v, k, connected: iter(swapped))
     report = completeness_report(13, 3, exact_members=0)
     assert report["mismatches"] == [f"affine witness fails replay {stranger} -> {rep}"]
 
@@ -937,7 +928,7 @@ def test_completeness_report_flags_a_unit_table_that_is_no_permutation(monkeypat
     assert iso._unit_tables(13)[5] is None
     want = [
         f"affine witness fails replay {member} -> {orbit.rep}"
-        for orbit in slice_orbits(13, 3, connected=True)
+        for orbit in reference_slice_orbits(13, 3, connected=True)
         for member, a, _ in orbit.members
         if a == 5
     ]
@@ -958,7 +949,7 @@ def test_completeness_report_shares_a_failed_replay_among_translates(monkeypatch
     assert iso._unit_tables(13)[5] is not None
     want = [
         f"affine witness fails replay {member} -> {orbit.rep}"
-        for orbit in slice_orbits(13, 3, connected=True)
+        for orbit in reference_slice_orbits(13, 3, connected=True)
         for member, a, _ in orbit.members
         if a == 5
     ]

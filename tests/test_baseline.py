@@ -455,14 +455,27 @@ BISECT_WALK_CASES = [
 
 @pytest.mark.parametrize("connected", [True, False])
 def test_slice_orbits_match_the_bisect_walk(connected):
-    # the same representatives, member counts and member tuples, orbit by orbit
+    # same orbits, same members in slice order, same first witnesses: each
+    # member's first (a, x) in the walk's product order
     for v, k in BISECT_WALK_CASES:
-        walked = [(rep, size, set(images)) for rep, size, images in _orbit_walk(v, k, connected)]
-        reference = [
+        us = units(v)
+        walked = []
+        for rep, _, images in _orbit_walk(v, k, connected):
+            first = dict(zip(reversed(images), reversed([(a, x) for x in rep for a in us])))
+            walked.append((rep, tuple((X, *first[X]) for X in sorted(first))))
+        assert walked == list(reference_slice_orbits(v, k, connected)), (v, k)
+
+
+@pytest.mark.parametrize("connected", [True, False])
+def test_bare_walk_matches_slice_orbits(connected):
+    # the same representatives, member counts and member tuples, witnesses aside
+    for v, k in BISECT_WALK_CASES:
+        bare = [(rep, size, set(images)) for rep, size, images in _orbit_walk(v, k, connected)]
+        dressed = [
             (rep, len(members), {X for X, _, _ in members})
             for rep, members in reference_slice_orbits(v, k, connected)
         ]
-        assert walked == reference, (v, k)
+        assert bare == dressed, (v, k)
 
 
 def test_zero_images_match_the_generator():
